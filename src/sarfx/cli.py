@@ -14,13 +14,19 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .attack import AttackConfig, run_attack
 from .experiment import ExperimentConfig, run_experiment
-from .forgery import EDIT_KINDS, EditOp, SpliceSpec, edit_donor, sample_edit_parameter, splice
-from .metrics import evaluate_pair
+from .forgery import (
+    EDIT_KINDS,
+    EditOp,
+    SpliceSpec,
+    draw_origins,
+    edit_donor,
+    sample_edit_parameter,
+    splice,
+)
+from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
 from .raster import (
     AmplitudeImage,
     ComplexImage,
@@ -31,7 +37,7 @@ from .raster import (
     write_raster,
 )
 from .spectral import azimuthal_profile, forward_dft, profile_to_csv
-from .speckle import DEFAULT_SIGMA_S
+from .speckle import DEFAULT_SIGMA_S, rng
 from .sysid import (
     STRATEGY_KNOWN,
     TransferFunction,
@@ -39,6 +45,7 @@ from .sysid import (
     estimate_transfer_function_with_params,
 )
 from .raster import tile as tile_raster
+from .tables import csv_text
 
 _REGION_RE = re.compile(r"^(\d+)x(\d+)(?:\+(\d+)\+(\d+))?$")
 
@@ -175,17 +182,6 @@ def _read_mask(path) -> TamperMask:
     return mask
 
 
-def _read_fingerprint(path):
-    """Fingerprint scores from a raster: amplitude values, or the real plane
-    of a complex raster (fingerprints may carry negative scores)."""
-    image = read_raster(path)
-    if isinstance(image, ComplexImage):
-        return image.re
-    if isinstance(image, AmplitudeImage):
-        return image.values
-    raise CliError(f"{path}: masks cannot serve as fingerprints")
-
-
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -241,23 +237,10 @@ def cmd_forge(args) -> int:
     op = EditOp(args.edit, parameter=args.edit_parameter, range_class=args.edit_class)
     edited = edit_donor(donor, op, args.seed)
     parameter = sample_edit_parameter(op, args.seed)
-
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-    if edited.height < height or edited.width < width:
-        raise CliError(f"edited donor {edited.shape} too small for region {height}x{width}")
-    if target.height < height or target.width < width:
-        raise CliError(f"target {target.shape} too small for region {height}x{width}")
-    donor_origin = (
-        int(rng.integers(edited.height - height + 1)),
-        int(rng.integers(edited.width - width + 1)),
+    donor_origin, target_origin = draw_origins(
+        rng(args.seed), edited.shape, target.shape, (height, width),
+        target_origin=None if row is None else (row, col),
     )
-    if row is None:
-        target_origin = (
-            int(rng.integers(target.height - height + 1)),
-            int(rng.integers(target.width - width + 1)),
-        )
-    else:
-        target_origin = (row, col)
     spec = SpliceSpec(donor_origin, target_origin, (height, width))
     spliced, mask = splice(target, edited, spec)
     write_raster(spliced, args.out_image)
@@ -315,53 +298,35 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _metric_row(pair_id, a_path, b_path, fingerprint_path, mask_path):
-    a = _read_amplitude(a_path)
-    b = _read_amplitude(b_path)
-    fingerprint = _read_fingerprint(fingerprint_path) if fingerprint_path else None
-    mask = _read_mask(mask_path) if mask_path else None
-    report = evaluate_pair(a, b, fingerprint=fingerprint, mask=mask)
-    return {
-        "id": pair_id,
-        "ssim": report.ssim,
-        "msssim": report.msssim,
-        "enl_a": report.enl_source,
-        "enl_b": report.enl_reference,
-        "delta_enl_pct": report.delta_enl_pct,
-        "auc": report.auc,
-    }
+def _score(a_path, b_path, fingerprint_path, mask_path):
+    return evaluate_pair(
+        _read_amplitude(a_path),
+        _read_amplitude(b_path),
+        fingerprint=read_fingerprint(fingerprint_path) if fingerprint_path else None,
+        mask=_read_mask(mask_path) if mask_path else None,
+    )
 
 
 def cmd_metrics(args) -> int:
     if args.pairs is None:
-        a = _read_amplitude(args.a)
-        b = _read_amplitude(args.b)
-        fingerprint = _read_fingerprint(args.fingerprint) if args.fingerprint else None
-        mask = _read_mask(args.mask) if args.mask else None
-        report = evaluate_pair(a, b, fingerprint=fingerprint, mask=mask)
+        report = _score(args.a, args.b, args.fingerprint, args.mask)
         _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
         return 0
 
-    rows = []
     with open(args.pairs) as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                _metric_row(
-                    record["id"],
+        rows = [
+            {
+                "id": record["id"],
+                **_score(
                     record["a"],
                     record["b"],
                     record.get("fingerprint") or None,
                     record.get("mask") or None,
-                )
-            )
-    lines = ["id,ssim,msssim,enl_a,enl_b,delta_enl_pct,auc"]
-    for row in rows:
-        auc = "" if row["auc"] is None else repr(row["auc"])
-        lines.append(
-            f"{row['id']},{row['ssim']!r},{row['msssim']!r},{row['enl_a']!r},"
-            f"{row['enl_b']!r},{row['delta_enl_pct']!r},{auc}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+                ).columns(),
+            }
+            for record in csv.DictReader(fh)
+        ]
+    _emit(csv_text(("id",) + METRIC_COLUMNS, rows), args.out)
     return 0
 
 

@@ -19,13 +19,15 @@ from pathlib import Path
 
 from .attack import AttackConfig, run_attack
 from .forgery import EditOp, random_splice
-from .metrics import auc_roc, delta_enl, enl, ms_ssim, ssim
+from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
 from .raster import AmplitudeImage, read_raster, write_raster
 from .speckle import DEFAULT_SIGMA_S
 from .sysid import STRATEGY_DIRECT, TransferFunction
+from .tables import csv_text
 
 SCHEMA_VERSION = 1
-REPORT_COLUMNS = ("id", "edit", "ssim", "msssim", "enl_a", "enl_b", "delta_enl_pct", "auc")
+REPORT_COLUMNS = ("id", "edit") + METRIC_COLUMNS
+SUMMARY_COLUMNS = ("edit", "n", "mean_ssim", "mean_msssim", "mean_delta_enl_pct", "mean_auc")
 
 
 def derive_seed(master_seed: int, item_id: str, stage: str) -> int:
@@ -144,14 +146,6 @@ class ExperimentResult:
         return not self.errors
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # plain shortest round-trip repr, numpy scalars included
-    return str(value)
-
-
 def _load_shared_filter(plan: dict):
     """Pre-resolve filter inputs shared by all items (known H or source images)."""
     flt = plan["filter"]
@@ -207,14 +201,8 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         )
         attacked = run_attack(spliced, attack_config).attacked
 
-    # Quality metrics compare the attack output to its input when an attack
-    # ran, otherwise the spliced tile to the untouched target.
-    pair = (attacked, spliced) if attacked is not None else (spliced, original)
-    auc = None
-    if item.fingerprint:
-        fingerprint = read_raster(item.fingerprint)
-        scores = fingerprint.re if hasattr(fingerprint, "re") else fingerprint.values
-        auc = auc_roc(scores, mask, polarity="max")
+    # Read before any artifact is written, so a bad fingerprint leaves none.
+    fingerprint = read_fingerprint(item.fingerprint) if item.fingerprint else None
 
     write_raster(spliced, images_dir / f"{item.id}_{label}_spliced.sarf")
     write_raster(mask, images_dir / f"{item.id}_{label}_mask.sarf")
@@ -224,16 +212,11 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         json.dump(provenance, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    return {
-        "id": item.id,
-        "edit": label,
-        "ssim": ssim(*pair),
-        "msssim": ms_ssim(*pair),
-        "enl_a": enl(pair[0]),
-        "enl_b": enl(pair[1]),
-        "delta_enl_pct": delta_enl(*pair),
-        "auc": auc,
-    }
+    # Quality metrics compare the attack output to its input when an attack
+    # ran, otherwise the spliced tile to the untouched target.
+    pair = (attacked, spliced) if attacked is not None else (spliced, original)
+    report = evaluate_pair(*pair, fingerprint=fingerprint, mask=mask)
+    return {"id": item.id, "edit": label, **report.columns()}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -276,14 +259,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     rows[index] = row
 
     report_path = out_dir / "report.csv"
-    with open(report_path, "w") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for index, row in enumerate(rows):
-            if row is None:
-                item, edit = jobs[index]
-                fh.write(f"{item.id},{edit_label(edit)},,,,,,\n")
-            else:
-                fh.write(",".join(_format_cell(row[col]) for col in REPORT_COLUMNS) + "\n")
+    report = [
+        row or {"id": item.id, "edit": edit_label(edit)} for row, (item, edit) in zip(rows, jobs)
+    ]
+    report_path.write_text(csv_text(REPORT_COLUMNS, report))
 
     summary_path = out_dir / "summary.csv"
     _write_summary(summary_path, [r for r in rows if r is not None], config.edits)
@@ -298,19 +277,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def _write_summary(path, rows: list[dict], edits: list[EditOp]) -> None:
     """Per-edit aggregate means, one row per configured editing operation."""
-    with open(path, "w") as fh:
-        fh.write("edit,n,mean_ssim,mean_msssim,mean_delta_enl_pct,mean_auc\n")
-        for edit in edits:
-            label = edit_label(edit)
-            group = [r for r in rows if r["edit"] == label]
-            if not group:
-                fh.write(f"{label},0,,,,\n")
-                continue
-            n = len(group)
-            mean = lambda key: sum(r[key] for r in group) / n
+    table = []
+    for edit in edits:
+        label = edit_label(edit)
+        group = [r for r in rows if r["edit"] == label]
+        summary = {"edit": label, "n": len(group)}
+        if group:
+            for key in ("ssim", "msssim", "delta_enl_pct"):
+                summary[f"mean_{key}"] = sum(r[key] for r in group) / len(group)
             aucs = [r["auc"] for r in group if r["auc"] is not None]
-            mean_auc = _format_cell(sum(aucs) / len(aucs)) if aucs else ""
-            fh.write(
-                f"{label},{n},{_format_cell(mean('ssim'))},{_format_cell(mean('msssim'))},"
-                f"{_format_cell(mean('delta_enl_pct'))},{mean_auc}\n"
-            )
+            if aucs:
+                summary["mean_auc"] = sum(aucs) / len(aucs)
+        table.append(summary)
+    path.write_text(csv_text(SUMMARY_COLUMNS, table))

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .raster import AmplitudeImage, RasterError, TamperMask
+from .speckle import rng
 
 EDIT_KINDS = ("none", "gaussian_blur", "upscale", "downscale", "rotate")
 RANGE_CLASSES = ("near", "far", "fixed")
@@ -268,8 +269,7 @@ def sample_edit_parameter(op: EditOp, seed: int) -> float:
     if op.kind == "gaussian_blur":
         return BLUR_SIGMA if op.parameter is None else float(op.parameter)
     low, high = EDIT_PARAMETER_RANGES[(op.kind, op.range_class)]
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return float(rng.uniform(low, high))
+    return float(rng(seed).uniform(low, high))
 
 
 def edit_donor(donor: AmplitudeImage, op: EditOp, seed: int = 0) -> AmplitudeImage:
@@ -313,6 +313,31 @@ def splice(
     return AmplitudeImage(out, target.dynamic_range_bits), TamperMask(mask)
 
 
+def draw_origins(gen, donor_shape, target_shape, box, target_origin=None, disjoint=False):
+    """Draw the (row, col) origins of a ``box``-sized region in the donor and
+    the target; returns ``(donor_origin, target_origin)``.
+
+    Each attempt draws donor row, donor col, target row, target col in that
+    order; a given ``target_origin`` is kept and its draws are skipped. With
+    ``disjoint`` (donor and target are the same tile) attempts repeat until
+    the two boxes do not overlap.
+    """
+    bh, bw = box
+    for name, (h, w) in (("edited donor", donor_shape), ("target tile", target_shape)):
+        if h < bh or w < bw:
+            raise RasterError(f"{name} {(h, w)} is too small for a {bh}x{bw} region")
+
+    def draw(shape):
+        return int(gen.integers(shape[0] - bh + 1)), int(gen.integers(shape[1] - bw + 1))
+
+    for _ in range(1000):
+        donor = draw(donor_shape)
+        target = draw(target_shape) if target_origin is None else target_origin
+        if not (disjoint and abs(donor[0] - target[0]) < bh and abs(donor[1] - target[1]) < bw):
+            return donor, target
+    raise RasterError("could not place disjoint donor/target regions on a single tile")
+
+
 def random_splice(
     product_tiles,
     region=(128, 128),
@@ -333,10 +358,10 @@ def random_splice(
     probe = SpliceSpec((0, 0), (0, 0), spec_region)
     bh, bw = probe.box_shape
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    gen = rng(seed)
     if target_index is None:
-        target_index = int(rng.integers(len(tiles)))
-    donor_index = int(rng.integers(len(tiles)))
+        target_index = int(gen.integers(len(tiles)))
+    donor_index = int(gen.integers(len(tiles)))
     target = tiles[target_index]
     if target.height < bh or target.width < bw:
         raise RasterError(f"target tile {target.shape} is too small for a {bh}x{bw} region")
@@ -349,28 +374,15 @@ def random_splice(
                 f"single {target.shape} tile is too small for disjoint {bh}x{bw} regions"
             )
         others = [k for k in range(len(tiles)) if k != target_index]
-        donor_index = others[int(rng.integers(len(others)))]
+        donor_index = others[int(gen.integers(len(others)))]
 
-    edit_seed = int(rng.integers(np.iinfo(np.int64).max))
+    edit_seed = int(gen.integers(np.iinfo(np.int64).max))
     edited = edit_donor(tiles[donor_index], edit, edit_seed)
     parameter = sample_edit_parameter(edit, edit_seed)
-    if edited.height < bh or edited.width < bw:
-        raise RasterError(
-            f"edited donor {edited.shape} is too small for a {bh}x{bw} region"
-        )
 
-    same_tile = donor_index == target_index
-    for _ in range(1000):
-        dr = int(rng.integers(edited.height - bh + 1))
-        dc = int(rng.integers(edited.width - bw + 1))
-        tr = int(rng.integers(target.height - bh + 1))
-        tc = int(rng.integers(target.width - bw + 1))
-        boxes_overlap = abs(dr - tr) < bh and abs(dc - tc) < bw
-        if not (same_tile and boxes_overlap):
-            break
-    else:
-        raise RasterError("could not place disjoint donor/target regions on a single tile")
-
+    (dr, dc), (tr, tc) = draw_origins(
+        gen, edited.shape, target.shape, (bh, bw), disjoint=donor_index == target_index
+    )
     spec = SpliceSpec((dr, dc), (tr, tc), spec_region)
     spliced, mask = splice(target, edited, spec)
     provenance = {
@@ -395,7 +407,7 @@ def random_splice(
 
 def global_edit(image: AmplitudeImage, op: GlobalEditOp, seed: int = 0) -> AmplitudeImage:
     """Apply a whole-image edit; output is clipped into the declared range."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    gen = rng(seed)
     values = image.values
 
     if op.kind == "gaussian_blur":
@@ -407,16 +419,16 @@ def global_edit(image: AmplitudeImage, op: GlobalEditOp, seed: int = 0) -> Ampli
         out = _resize_to(resize(values, first), image.shape)
     elif op.kind == "additive_gaussian":
         level = GLOBAL_NOISE_LEVEL if op.parameter is None else float(op.parameter)
-        out = values + rng.normal(0.0, level, size=values.shape)
+        out = values + gen.normal(0.0, level, size=values.shape)
     elif op.kind == "additive_laplacian":
         level = GLOBAL_NOISE_LEVEL if op.parameter is None else float(op.parameter)
-        out = values + rng.laplace(0.0, level, size=values.shape)
+        out = values + gen.laplace(0.0, level, size=values.shape)
     elif op.kind == "additive_poisson":
         # Zero-centered: draw ~ P(lambda), add (draw - lambda).
         lam = GLOBAL_NOISE_LEVEL if op.parameter is None else float(op.parameter)
-        out = values + (rng.poisson(lam, size=values.shape).astype(np.float64) - lam)
+        out = values + (gen.poisson(lam, size=values.shape).astype(np.float64) - lam)
     else:
         half = GLOBAL_UNIFORM_HALF_WIDTH if op.parameter is None else float(op.parameter)
-        out = values + rng.uniform(-half, half, size=values.shape)
+        out = values + gen.uniform(-half, half, size=values.shape)
 
     return AmplitudeImage(np.clip(out, 0.0, image.dynamic_range), image.dynamic_range_bits)

@@ -17,7 +17,14 @@ import numpy as np
 from scipy import signal
 from scipy.stats import rankdata
 
-from .raster import AmplitudeImage, RasterError, TamperMask
+from .raster import (
+    AmplitudeImage,
+    ComplexImage,
+    PlaneShape,
+    RasterError,
+    TamperMask,
+    read_raster,
+)
 
 SSIM_WINDOW_SIZE = 11
 SSIM_WINDOW_SIGMA = 1.5
@@ -28,13 +35,16 @@ SSIM_K2 = 0.03
 _RAW_MSSSIM_WEIGHTS = np.array([0.0448, 0.2856, 0.3001, 0.2363, 0.1333])
 MSSSIM_WEIGHTS = _RAW_MSSSIM_WEIGHTS / _RAW_MSSSIM_WEIGHTS.sum()
 
+# Column names of a scored pair in every table (experiment report, batch CSV).
+METRIC_COLUMNS = ("ssim", "msssim", "enl_a", "enl_b", "delta_enl_pct", "auc")
+
 
 class DegenerateRegionError(ValueError):
     """Region has too few pixels or zero variance for the requested statistic."""
 
 
 @dataclass(frozen=True)
-class FingerprintMap:
+class FingerprintMap(PlaneShape):
     """Real-valued per-pixel detector scores."""
 
     values: np.ndarray
@@ -47,10 +57,6 @@ class FingerprintMap:
             raise RasterError("fingerprint contains NaN/Inf")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,13 @@ class MetricReport:
             "auc": self.auc,
             "auc_polarity": self.auc_polarity,
         }
+
+    def columns(self) -> dict:
+        """The report's values keyed by ``METRIC_COLUMNS``."""
+        values = (
+            self.ssim, self.msssim, self.enl_source, self.enl_reference, self.delta_enl_pct, self.auc
+        )
+        return dict(zip(METRIC_COLUMNS, values))
 
 
 def _as_plane(image, what: str) -> np.ndarray:
@@ -145,14 +158,32 @@ def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float):
     return luminance, cs
 
 
-def ssim(a, b, dynamic_range=None) -> float:
-    """Mean SSIM over valid 11x11 Gaussian windows."""
+def _ssim_terms(pa: np.ndarray, pb: np.ndarray, dynamic_range: float, n_scales: int):
+    """``(mean(lum*cs), mean(cs))`` at each of the first ``n_scales`` dyadic scales.
+
+    The full-resolution scale is always computed, so a plane smaller than the
+    window raises the window error whatever ``n_scales`` is.
+    """
+    terms = []
+    while True:
+        lum, cs = _ssim_components(pa, pb, dynamic_range)
+        terms.append((float(np.mean(lum * cs)), float(np.mean(cs))))
+        if len(terms) >= n_scales:
+            return terms
+        pa, pb = _downsample2(pa), _downsample2(pb)
+
+
+def _planes(a, b, dynamic_range):
     pa = _as_plane(a, "a")
     pb = _as_plane(b, "b")
     if pa.shape != pb.shape:
         raise ValueError(f"shape mismatch: {pa.shape} vs {pb.shape}")
-    lum, cs = _ssim_components(pa, pb, _resolve_range(a, b, dynamic_range))
-    return float(np.mean(lum * cs))
+    return pa, pb, _resolve_range(a, b, dynamic_range)
+
+
+def ssim(a, b, dynamic_range=None) -> float:
+    """Mean SSIM over valid 11x11 Gaussian windows."""
+    return _ssim_terms(*_planes(a, b, dynamic_range), 1)[0][0]
 
 
 def ms_ssim_scale_count(shape: tuple[int, int], max_scales: int = 5) -> int:
@@ -173,6 +204,19 @@ def _downsample2(plane: np.ndarray) -> np.ndarray:
     )
 
 
+def _combine_scales(terms, shape) -> float:
+    # stacklevel 3 points the warning at the caller of ms_ssim / evaluate_pair
+    n_scales = len(terms)
+    if n_scales < MSSSIM_WEIGHTS.size:
+        warnings.warn(f"MS-SSIM reduced to {n_scales} scales for shape {shape}", stacklevel=3)
+    weights = MSSSIM_WEIGHTS[:n_scales] / MSSSIM_WEIGHTS[:n_scales].sum()
+    score = 1.0
+    for level, (full, cs) in enumerate(terms):
+        term = full if level == n_scales - 1 else cs
+        score *= max(term, 0.0) ** weights[level]
+    return float(score)
+
+
 def ms_ssim(a, b, dynamic_range=None) -> float:
     """Multi-scale SSIM with the standard five-scale weighting.
 
@@ -180,32 +224,11 @@ def ms_ssim(a, b, dynamic_range=None) -> float:
     full SSIM enters at the last scale; inputs too small for five scales use
     as many scales as fit (weights renormalized) and emit a warning.
     """
-    pa = _as_plane(a, "a")
-    pb = _as_plane(b, "b")
-    if pa.shape != pb.shape:
-        raise ValueError(f"shape mismatch: {pa.shape} vs {pb.shape}")
-    drange = _resolve_range(a, b, dynamic_range)
+    pa, pb, drange = _planes(a, b, dynamic_range)
     n_scales = ms_ssim_scale_count(pa.shape)
     if n_scales == 0:
         raise ValueError(f"images of shape {pa.shape} support no MS-SSIM scale")
-    if n_scales < MSSSIM_WEIGHTS.size:
-        warnings.warn(
-            f"MS-SSIM reduced to {n_scales} scales for shape {pa.shape}",
-            stacklevel=2,
-        )
-    weights = MSSSIM_WEIGHTS[:n_scales] / MSSSIM_WEIGHTS[:n_scales].sum()
-
-    score = 1.0
-    for level in range(n_scales):
-        lum, cs = _ssim_components(pa, pb, drange)
-        if level == n_scales - 1:
-            term = float(np.mean(lum * cs))
-        else:
-            term = float(np.mean(cs))
-            pa = _downsample2(pa)
-            pb = _downsample2(pb)
-        score *= max(term, 0.0) ** weights[level]
-    return float(score)
+    return _combine_scales(_ssim_terms(pa, pb, drange, n_scales), pa.shape)
 
 
 def enl(image, region=None) -> float:
@@ -227,11 +250,13 @@ def enl(image, region=None) -> float:
     return mean * mean / variance
 
 
+def _delta_enl_pct(enl_attacked: float, enl_pristine: float) -> float:
+    return abs(enl_attacked - enl_pristine) / enl_pristine * 100.0
+
+
 def delta_enl(attacked, pristine, region=None) -> float:
     """Absolute relative ENL difference, in percent of the pristine ENL."""
-    enl_attacked = enl(attacked, region)
-    enl_pristine = enl(pristine, region)
-    return abs(enl_attacked - enl_pristine) / enl_pristine * 100.0
+    return _delta_enl_pct(enl(attacked, region), enl(pristine, region))
 
 
 def auc_roc(fingerprint, mask: TamperMask, polarity: str = "max") -> float:
@@ -263,6 +288,18 @@ def auc_roc(fingerprint, mask: TamperMask, polarity: str = "max") -> float:
     return float(auc)
 
 
+def read_fingerprint(path) -> np.ndarray:
+    """Detector scores from a raster file: the values of an amplitude raster,
+    or the real plane of a complex one (fingerprints may carry negative
+    scores). A mask raster is rejected rather than scored."""
+    image = read_raster(path)
+    if isinstance(image, ComplexImage):
+        return image.re
+    if isinstance(image, AmplitudeImage):
+        return image.values
+    raise RasterError(f"{path}: masks cannot serve as fingerprints")
+
+
 def evaluate_pair(
     source,
     reference,
@@ -271,17 +308,27 @@ def evaluate_pair(
     enl_region=None,
     dynamic_range=None,
 ) -> MetricReport:
-    """Bundle the full metric set for one (source, reference) image pair."""
+    """Bundle the full metric set for one (source, reference) image pair.
+
+    One SSIM pass serves both SSIM (its first scale) and MS-SSIM, and
+    |Delta-ENL| reuses the two ENLs; every value equals what the standalone
+    function returns.
+    """
     auc = None
     if fingerprint is not None:
         if mask is None:
             raise ValueError("AUC needs both a fingerprint and a mask")
         auc = auc_roc(fingerprint, mask, polarity="max")
+    pa, pb, drange = _planes(source, reference, dynamic_range)
+    terms = _ssim_terms(pa, pb, drange, ms_ssim_scale_count(pa.shape))
+    msssim = _combine_scales(terms, pa.shape)
+    enl_source = enl(source, enl_region)
+    enl_reference = enl(reference, enl_region)
     return MetricReport(
-        ssim=ssim(source, reference, dynamic_range),
-        msssim=ms_ssim(source, reference, dynamic_range),
-        enl_source=enl(source, enl_region),
-        enl_reference=enl(reference, enl_region),
-        delta_enl_pct=delta_enl(source, reference, enl_region),
+        ssim=terms[0][0],
+        msssim=msssim,
+        enl_source=enl_source,
+        enl_reference=enl_reference,
+        delta_enl_pct=_delta_enl_pct(enl_source, enl_reference),
         auc=auc,
     )

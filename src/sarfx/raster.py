@@ -52,9 +52,30 @@ def _check_plane(arr: np.ndarray, name: str) -> None:
         raise RasterError(f"{name} contains NaN or Inf values")
 
 
+class PlaneShape:
+    """``height``/``width``/``shape`` of a 2D raster type, read from the plane
+    attribute that ``_plane`` names."""
+
+    _plane = "values"
+
+    @property
+    def height(self) -> int:
+        return getattr(self, self._plane).shape[0]
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self._plane).shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return getattr(self, self._plane).shape
+
+
 @dataclass(frozen=True)
-class ComplexImage:
+class ComplexImage(PlaneShape):
     """2D complex raster, the full SAR signal; re/im are float64 planes."""
+
+    _plane = "re"
 
     re: np.ndarray
     im: np.ndarray
@@ -68,18 +89,6 @@ class ComplexImage:
             raise RasterError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-
-    @property
-    def height(self) -> int:
-        return self.re.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.re.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.re.shape
 
     def to_complex(self) -> np.ndarray:
         """Dense complex128 view of the signal (copy)."""
@@ -96,7 +105,7 @@ class ComplexImage:
 
 
 @dataclass(frozen=True)
-class AmplitudeImage:
+class AmplitudeImage(PlaneShape):
     """2D nonnegative real raster, the released SAR product."""
 
     values: np.ndarray
@@ -111,18 +120,6 @@ class AmplitudeImage:
             raise RasterError(f"unsupported dynamic_range_bits {self.dynamic_range_bits}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dynamic_range_bits", int(self.dynamic_range_bits))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
     @property
     def dynamic_range(self) -> float:
@@ -141,7 +138,7 @@ class AmplitudeImage:
 
 
 @dataclass(frozen=True)
-class TamperMask:
+class TamperMask(PlaneShape):
     """Binary {0,1} plane marking manipulated pixels."""
 
     values: np.ndarray
@@ -153,18 +150,6 @@ class TamperMask:
         values = _locked(raw, np.uint8)
         _check_plane(values.astype(np.float64), "mask")
         object.__setattr__(self, "values", values)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import AmplitudeImage, ComplexImage, RasterError
+from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
 
 MODE_FULL = "full"
 MODE_PHASE_ONLY = "phase_only"
@@ -24,9 +24,22 @@ MODE_PHASE_ONLY = "phase_only"
 DEFAULT_SIGMA_S = 1.0 / math.sqrt(2.0)
 
 
+def rng(seed: int) -> np.random.Generator:
+    """The package's seeded generator: a Philox stream keyed by a 64-bit seed.
+
+    Every seeded draw (speckle, edit parameters, splice placements, global-edit
+    noise) goes through here, so seeds are range-checked in one place.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 @dataclass(frozen=True)
-class SpeckleField:
+class SpeckleField(PlaneShape):
     """Complex speckle realization; re/im are float64 planes."""
+
+    _plane = "re"
 
     re: np.ndarray
     im: np.ndarray
@@ -44,18 +57,6 @@ class SpeckleField:
         im.flags.writeable = False
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-
-    @property
-    def height(self) -> int:
-        return self.re.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.re.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.re.shape
 
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.re, self.im)
@@ -77,14 +78,14 @@ def generate_speckle(
         raise ValueError(f"unknown speckle mode {mode!r}")
     if mode == MODE_FULL and not sigma_s > 0:
         raise ValueError(f"sigma_s must be positive in full mode, got {sigma_s}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(height, width))
+    gen = rng(seed)
+    phase = gen.uniform(0.0, 2.0 * np.pi, size=(height, width))
     if mode == MODE_PHASE_ONLY:
         amp = 1.0
         sigma = None
     else:
         # Rayleigh via inverse CDF of the uniform draw; u < 1 keeps the log finite.
-        u = rng.random(size=(height, width))
+        u = gen.random(size=(height, width))
         amp = sigma_s * np.sqrt(-2.0 * np.log1p(-u))
         sigma = float(sigma_s)
     return SpeckleField(amp * np.cos(phase), amp * np.sin(phase), mode, sigma)

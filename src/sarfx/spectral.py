@@ -12,11 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .raster import AmplitudeImage, ComplexImage, RasterError
+from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
+from .tables import csv_text
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(PlaneShape):
     """DC-centered complex spectrum with the dimensions of its source image."""
 
     values: np.ndarray
@@ -29,18 +30,6 @@ class Spectrum:
             raise RasterError("spectrum contains NaN or Inf values")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
@@ -144,7 +133,8 @@ def azimuthal_profile(spectrum: Spectrum) -> RadialProfile:
 
 def profile_to_csv(profile: RadialProfile) -> str:
     """Render a profile as ``radius,mean_sq_magnitude,count`` CSV text."""
-    lines = ["radius,mean_sq_magnitude,count"]
-    for r, v, c in zip(profile.bin_centers, profile.values, profile.counts):
-        lines.append(f"{int(r)},{float(v)!r},{int(c)}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        {"radius": int(r), "mean_sq_magnitude": v, "count": int(c)}
+        for r, v, c in zip(profile.bin_centers, profile.values, profile.counts)
+    ]
+    return csv_text(("radius", "mean_sq_magnitude", "count"), rows)

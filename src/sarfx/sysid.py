@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leastsq import FitDivergenceError, least_squares
-from .raster import AmplitudeImage, ComplexImage, RasterError
+from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
 from .spectral import Spectrum, central_flip, forward_dft, inverse_dft, smooth_spectrum
 
 STRATEGY_GAUSSIAN = "gaussian"
@@ -39,7 +39,7 @@ class DegenerateSpectrumError(ValueError):
 
 
 @dataclass(frozen=True)
-class TransferFunction:
+class TransferFunction(PlaneShape):
     """Nonnegative, central-symmetric, max-gain-1 frequency response (DC-centered)."""
 
     values: np.ndarray
@@ -63,18 +63,6 @@ class TransferFunction:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,22 @@ def test_cli_error_paths(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["forge", "attack"])
+def test_out_of_range_seed_is_a_clean_error(tmp_path, product, capsys, command, seed):
+    out = str(tmp_path / "out.sarf")
+    if command == "forge":
+        argv = ["forge", "--target", str(product["amp0"]), "--donor", str(product["amp1"]),
+                "--region", "16x16", "--out-image", out, "--out-mask", str(tmp_path / "m.sarf")]
+    else:
+        argv = ["attack", "--input", str(product["amp0"]), "--out", out,
+                "--filter", f"estimate:direct:{product['complex1']}",
+                "--smoothing-sigma", "5.0", "--smoothing-kernel", "31"]
+    assert main(argv + ["--seed", seed]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("sarfx: error: seed must be in [0, 2**64)")
+
+
 # ---------------------------------------------------------------------------
 # Experiment orchestration
 # ---------------------------------------------------------------------------
@@ -351,6 +367,10 @@ def test_experiment_empty_manifest(tmp_path):
     assert rc == 0
     report = (tmp_path / "empty" / "report.csv").read_text().strip().split("\n")
     assert report == ["id,edit,ssim,msssim,enl_a,enl_b,delta_enl_pct,auc"]
+    # an edit with no scored rows still gets its summary line, with empty means
+    assert (tmp_path / "empty" / "summary.csv").read_text() == (
+        "edit,n,mean_ssim,mean_msssim,mean_delta_enl_pct,mean_auc\nnone,0,,,,\n"
+    )
 
 
 def test_experiment_partial_failure_reports_errors(tmp_path, product):
@@ -378,6 +398,36 @@ def test_experiment_partial_failure_reports_errors(tmp_path, product):
     assert len(report) == 4  # header + one row per job, failure included as blanks
     assert report[1].startswith("ok0,none,") and report[1].split(",")[2] != ""
     assert report[3] == "bad,none,,,,,,"
+
+
+def test_experiment_mask_fingerprint_fails_only_its_job(tmp_path, product):
+    # a mask raster is not detector scores: that job fails, the others run
+    mask_plane = np.zeros((128, 128), dtype=np.uint8)
+    mask_plane[:8, :8] = 1
+    mask_path = tmp_path / "not_scores.sarf"
+    write_raster(TamperMask(mask_plane), mask_path)
+    config = {
+        "schema_version": 1,
+        "manifest": [
+            {"id": "ok", "path": str(product["amp0"]), "product": "P"},
+            {"id": "masked", "path": str(product["amp1"]), "product": "P",
+             "fingerprint": str(mask_path)},
+        ],
+        "edits": [{"kind": "none"}],
+        "region": [16, 16],
+        "master_seed": 5,
+        "out_dir": str(tmp_path / "fp"),
+    }
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(path)]) == 1
+    errors = json.loads((tmp_path / "fp" / "errors.json").read_text())
+    assert list(errors) == ["masked/none"]
+    assert "masks cannot serve as fingerprints" in errors["masked/none"]
+    report = (tmp_path / "fp" / "report.csv").read_text().strip().split("\n")
+    assert report[1].startswith("ok,none,") and report[1].split(",")[2] != ""
+    assert report[2] == "masked,none,,,,,,"
+    assert not list((tmp_path / "fp" / "images").glob("masked_*"))
 
 
 def test_experiment_rejects_missing_paths(tmp_path):

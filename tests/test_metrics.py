@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,32 @@ def test_evaluate_pair_report():
     }
     with pytest.raises(ValueError, match="needs both"):
         evaluate_pair(a, b, fingerprint=fingerprint)
+
+
+@pytest.mark.parametrize("shape", [(192, 176), (100, 100)], ids=["five-scale", "reduced"])
+def test_evaluate_pair_equals_standalone_metrics(shape):
+    # one SSIM pass and reused ENLs must give exactly the standalone values
+    a = _image(shape, 25, low=100, high=2000)
+    b = AmplitudeImage(np.clip(a.values + np.random.default_rng(26).normal(0, 60, shape), 0, None))
+    mask = TamperMask((np.arange(shape[0])[:, None] < 40) & (np.arange(shape[1])[None, :] < 50))
+    fingerprint = np.random.default_rng(27).standard_normal(shape)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = evaluate_pair(a, b, fingerprint=fingerprint, mask=mask)
+        expected = (
+            ssim(a, b), ms_ssim(a, b), enl(a), enl(b), delta_enl(a, b),
+            auc_roc(fingerprint, mask, polarity="max"),
+        )
+    assert (
+        report.ssim, report.msssim, report.enl_source, report.enl_reference,
+        report.delta_enl_pct, report.auc,
+    ) == expected
+    assert list(report.columns().values()) == list(expected)
+    # evaluate_pair and ms_ssim both warn, each pointing at this caller
+    reduced = ms_ssim_scale_count(shape) < MSSSIM_WEIGHTS.size
+    expected_warnings = [f"MS-SSIM reduced to 4 scales for shape {shape}"] * 2 * reduced
+    assert [str(w.message) for w in caught] == expected_warnings
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_metric_report_validation():

@@ -1,0 +1,144 @@
+"""Byte pins on the files the CLI and the experiment write.
+
+Each test writes small seeded inputs, runs one command or one experiment and
+compares a digest of every output file with a stored digest. The digests were
+recorded with numpy 2.4 and scipy 1.17 on x86-64; a refactor of the scoring,
+placement, RNG or CSV code must leave all of them unchanged.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from sarfx import AmplitudeImage, ComplexImage, TamperMask, write_raster
+from sarfx.cli import main
+
+
+def _digest(path) -> str:
+    return hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+
+
+def _tree_digests(root) -> dict[str, str]:
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {p.relative_to(root).as_posix(): _digest(p) for p in files}
+
+
+def _amplitude(path, shape, seed, low=100.0, high=4000.0):
+    write_raster(AmplitudeImage(np.random.default_rng(seed).uniform(low, high, shape)), path)
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch):
+    # relative paths keep the forge provenance free of the temp directory name
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+FORGE_PINS = {
+    "drawn": {
+        "forged.sarf": "8b9c7811fe1a9cd3",
+        "forged_mask.sarf": "d95d208d3d6574b3",
+        "forged.json": "5c6b578c808e22ad",
+    },
+    "placed": {
+        "forged.sarf": "6387136f6d94dbaf",
+        "forged_mask.sarf": "a440627d01869696",
+        "forged.json": "9e1eee865d310278",
+    },
+}
+
+
+@pytest.mark.parametrize("region", ["24x16", "24x16+5+7"], ids=["drawn", "placed"])
+def test_forge_outputs_pinned(workdir, region):
+    _amplitude(workdir / "target.sarf", (96, 80), 1)
+    _amplitude(workdir / "donor.sarf", (96, 80), 2)
+    rc = main([
+        "forge", "--target", "target.sarf", "--donor", "donor.sarf",
+        "--edit", "rotate", "--edit-class", "near", "--region", region, "--seed", "11",
+        "--out-image", "forged.sarf", "--out-mask", "forged_mask.sarf",
+        "--out-provenance", "forged.json",
+    ])
+    assert rc == 0
+    pins = FORGE_PINS["placed" if "+" in region else "drawn"]
+    assert {name: _digest(workdir / name) for name in pins} == pins
+
+
+METRICS_PINS = {"single.json": "e90bae5dfd5fe0b1", "pairs.csv": "71b225396f701d62"}
+
+
+def test_metrics_outputs_pinned(workdir):
+    _amplitude(workdir / "a.sarf", (96, 96), 3)
+    _amplitude(workdir / "b.sarf", (96, 96), 4)
+    scores = np.random.default_rng(5).standard_normal((96, 96))
+    write_raster(ComplexImage(scores, np.zeros_like(scores)), workdir / "fp.sarf")
+    mask = np.zeros((96, 96), dtype=np.uint8)
+    mask[20:50, 30:70] = 1
+    write_raster(TamperMask(mask), workdir / "mask.sarf")
+
+    assert main(["metrics", "--a", "a.sarf", "--b", "b.sarf", "--fingerprint", "fp.sarf",
+                 "--mask", "mask.sarf", "--out", "single.json"]) == 0
+    (workdir / "pairs_in.csv").write_text(
+        "id,a,b,fingerprint,mask\n"
+        "p0,a.sarf,b.sarf,,\n"
+        "p1,b.sarf,a.sarf,fp.sarf,mask.sarf\n"
+    )
+    assert main(["metrics", "--pairs", "pairs_in.csv", "--out", "pairs.csv"]) == 0
+    assert {name: _digest(workdir / name) for name in METRICS_PINS} == METRICS_PINS
+
+
+def test_spectrum_csv_pinned(workdir):
+    _amplitude(workdir / "a.sarf", (40, 56), 6)
+    assert main(["spectrum", "--input", "a.sarf", "--out", "profile.csv"]) == 0
+    assert _digest(workdir / "profile.csv") == "6129538b1831744d"
+
+
+EXPERIMENT_PINS = {
+    "errors.json": "2fbc475e427ee3ed",
+    "images/t0_gaussian_blur_attacked.sarf": "2f29aa70f53bc581",
+    "images/t0_gaussian_blur_mask.sarf": "b407006ff7fdd77d",
+    "images/t0_gaussian_blur_provenance.json": "75844e0ea5d2342b",
+    "images/t0_gaussian_blur_spliced.sarf": "dd5d2fb7fd370dc5",
+    "images/t0_rotate_near_attacked.sarf": "daa27b0351cb6724",
+    "images/t0_rotate_near_mask.sarf": "177252491fa05f62",
+    "images/t0_rotate_near_provenance.json": "75a255cb5ccb47c6",
+    "images/t0_rotate_near_spliced.sarf": "82d3c480ac3ead3b",
+    "images/t1_gaussian_blur_attacked.sarf": "8eee45e15f15ec1f",
+    "images/t1_gaussian_blur_mask.sarf": "91eacee194243ebb",
+    "images/t1_gaussian_blur_provenance.json": "f6e76806a02d3a6b",
+    "images/t1_gaussian_blur_spliced.sarf": "57e52f56ecafc610",
+    "images/t1_rotate_near_attacked.sarf": "c516561c9ac8e6a0",
+    "images/t1_rotate_near_mask.sarf": "1ddfc92b5a02d243",
+    "images/t1_rotate_near_provenance.json": "3249493cf885f41b",
+    "images/t1_rotate_near_spliced.sarf": "67516e30bb5015fb",
+    "report.csv": "6beaacee0380714e",
+    "summary.csv": "bdcbcd1b3ab60e89",
+}
+
+
+def test_experiment_artifacts_pinned(workdir):
+    _amplitude(workdir / "t0.sarf", (96, 96), 7)
+    _amplitude(workdir / "t1.sarf", (96, 96), 8)
+    _amplitude(workdir / "small.sarf", (12, 12), 9)
+    scores = np.random.default_rng(10).standard_normal((96, 96))
+    write_raster(ComplexImage(scores, np.zeros_like(scores)), workdir / "fp.sarf")
+    config = {
+        "schema_version": 1,
+        "manifest": [
+            {"id": "t0", "path": "t0.sarf", "product": "P", "fingerprint": "fp.sarf"},
+            {"id": "t1", "path": "t1.sarf", "product": "P"},
+            {"id": "small", "path": "small.sarf", "product": "Q"},  # fails: tile < region
+        ],
+        "edits": [{"kind": "gaussian_blur"}, {"kind": "rotate", "range_class": "near"}],
+        "region": [16, 16],
+        "attack": {
+            "filter": {"estimate": {"strategy": "direct", "sources": "self"}},
+            "smoothing": {"sigma": 5.0, "kernel": 31},
+        },
+        "master_seed": 2024,
+        "out_dir": "run",
+    }
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert main(["experiment", "--config", "config.json"]) == 1
+    assert _tree_digests(workdir / "run") == EXPERIMENT_PINS

@@ -13,6 +13,7 @@ from sarfx import (
     generate_speckle,
     inject_speckle,
 )
+from sarfx.speckle import rng
 
 
 def test_phase_only_unit_modulus():
@@ -45,6 +46,15 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
     c = generate_speckle(32, 16, MODE_FULL, sigma_s=0.9, seed=1235)
     assert not np.array_equal(a.re, c.re)
+
+
+def test_rng_is_the_keyed_philox_stream_and_checks_its_seed():
+    for seed in (0, 7, 2**64 - 1):
+        direct = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        assert np.array_equal(rng(seed).random(8), direct.random(8))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            rng(seed)
 
 
 def test_mode_and_sigma_validation():
