@@ -22,12 +22,7 @@ from .speckle import (
     inject_speckle,
 )
 from .spectral import Spectrum, forward_dft, inverse_dft
-from .sysid import (
-    STRATEGY_KNOWN,
-    STRATEGIES,
-    TransferFunction,
-    estimate_transfer_function,
-)
+from .sysid import TransferFunction
 
 _DESPECKLERS = {"identity": lambda image: image}
 
@@ -50,48 +45,20 @@ def get_despeckler(name: str):
 class AttackConfig:
     """Everything needed to reproduce one attack run.
 
-    The filter comes either from an explicit ``transfer_function`` or from
-    estimation over ``filter_sources`` with ``filter_strategy``; exactly one
-    of the two must be given.
+    The filter is the system response H, known or estimated beforehand with
+    :func:`sarfx.sysid.estimate_transfer_function`.
     """
 
     seed: int
+    transfer_function: TransferFunction
     speckle_mode: str = MODE_PHASE_ONLY
     sigma_s: float = DEFAULT_SIGMA_S
-    transfer_function: TransferFunction | None = None
-    filter_strategy: str | None = None
-    filter_sources: tuple = ()
-    smoothing_sigma: float | None = None
-    smoothing_kernel: int | None = None
     histogram_match: bool = True
     despeckle_hook: str = "identity"
 
     def __post_init__(self):
         if self.speckle_mode not in (MODE_FULL, MODE_PHASE_ONLY):
             raise ValueError(f"unknown speckle mode {self.speckle_mode!r}")
-        has_known = self.transfer_function is not None
-        has_estimate = self.filter_strategy is not None or len(self.filter_sources) > 0
-        if has_known == has_estimate:
-            raise ValueError(
-                "config must carry exactly one filter source: either a known "
-                "transfer function or an estimation strategy with sources"
-            )
-        if has_estimate:
-            if self.filter_strategy not in STRATEGIES or self.filter_strategy == STRATEGY_KNOWN:
-                raise ValueError(f"invalid estimation strategy {self.filter_strategy!r}")
-            if not self.filter_sources:
-                raise ValueError("estimation requires at least one source image")
-            object.__setattr__(self, "filter_sources", tuple(self.filter_sources))
-
-    def resolve_filter(self) -> TransferFunction:
-        if self.transfer_function is not None:
-            return self.transfer_function
-        return estimate_transfer_function(
-            list(self.filter_sources),
-            self.filter_strategy,
-            sigma=self.smoothing_sigma,
-            kernel_size=self.smoothing_kernel,
-        )
 
 
 @dataclass(frozen=True)
@@ -143,7 +110,7 @@ def run_attack(image: AmplitudeImage, config: AttackConfig) -> AttackResult:
         base.height, base.width, config.speckle_mode, config.sigma_s, config.seed
     )
     speckled = inject_speckle(base, field)
-    h = config.resolve_filter()
+    h = config.transfer_function
     if h.shape != base.shape:
         raise RasterError(f"transfer function {h.shape} does not match image {base.shape}")
     filtered = apply_system(speckled, h)

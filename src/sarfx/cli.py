@@ -40,8 +40,10 @@ from .spectral import azimuthal_profile, forward_dft, profile_to_csv
 from .speckle import DEFAULT_SIGMA_S, rng
 from .sysid import (
     STRATEGY_KNOWN,
+    FitNonConvergenceError,
     TransferFunction,
     default_smoothing,
+    estimate_transfer_function,
     estimate_transfer_function_with_params,
 )
 from .raster import tile as tile_raster
@@ -271,23 +273,21 @@ def cmd_attack(args) -> int:
     image = _read_amplitude(args.input)
     spec = args.filter_spec
     if "known" in spec:
-        known_raster = read_raster(spec["known"])
-        config_kwargs = {"transfer_function": TransferFunction(known_raster.values, STRATEGY_KNOWN)}
+        h = TransferFunction(read_raster(spec["known"]).values, STRATEGY_KNOWN)
     else:
-        sources = tuple(read_raster(p) for p in spec["sources"])
-        config_kwargs = {
-            "filter_strategy": spec["strategy"],
-            "filter_sources": sources,
-            "smoothing_sigma": args.smoothing_sigma,
-            "smoothing_kernel": args.smoothing_kernel,
-        }
+        h = estimate_transfer_function(
+            [read_raster(p) for p in spec["sources"]],
+            spec["strategy"],
+            sigma=args.smoothing_sigma,
+            kernel_size=args.smoothing_kernel,
+        )
     config = AttackConfig(
         seed=args.seed,
+        transfer_function=h,
         speckle_mode=args.speckle_mode.replace("-", "_"),
         sigma_s=args.speckle_sigma,
         histogram_match=not args.no_histogram_match,
         despeckle_hook=args.despeckle,
-        **config_kwargs,
     )
     result = run_attack(image, config)
     write_raster(result.attacked, args.out)
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     args = parse_args(argv if argv is not None else sys.argv[1:])
     try:
         return _HANDLERS[args.command](args)
-    except (CliError, RasterError, ValueError, KeyError, OSError) as exc:
+    except (CliError, RasterError, ValueError, KeyError, OSError, FitNonConvergenceError) as exc:
         print(f"sarfx: error: {exc}", file=sys.stderr)
         return 1
 

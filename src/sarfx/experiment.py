@@ -5,6 +5,8 @@ one splice per configured edit, optionally attacks it, and scores the result.
 All randomness is derived from the master seed through a stable hash keyed by
 item id and stage, so report files are byte-identical across runs; rows are
 emitted in manifest x edit order regardless of worker completion order. The
+system response H is loaded or estimated once per run when every job shares
+it, and per job only when it is estimated from the job's own splice. The
 ``SARFX_THREADS`` environment variable caps the worker pool.
 """
 
@@ -22,7 +24,7 @@ from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
 from .raster import AmplitudeImage, read_raster, write_raster
 from .speckle import DEFAULT_SIGMA_S
-from .sysid import STRATEGY_DIRECT, TransferFunction
+from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
 from .tables import csv_text
 
 SCHEMA_VERSION = 1
@@ -40,7 +42,10 @@ def worker_count() -> int:
     """Worker pool size; capped by the SARFX_THREADS environment variable."""
     cap = os.environ.get("SARFX_THREADS")
     if cap:
-        return max(1, int(cap))
+        try:
+            return max(1, int(cap))
+        except ValueError:
+            raise ValueError(f"SARFX_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(8, os.cpu_count() or 1))
 
 
@@ -105,6 +110,8 @@ class ExperimentConfig:
             # labels key the per-item seed derivation and artifact names
             raise ValueError(f"edit labels must be unique, got {labels}")
         region = tuple(raw.get("region", [128, 128]))
+        if any(side <= 0 for side in region):
+            raise ValueError(f"region sides must be positive, got {list(region)}")
         attack_plan = raw.get("attack")
         if attack_plan is not None:
             _validate_attack_plan(attack_plan)
@@ -118,20 +125,56 @@ class ExperimentConfig:
         )
 
 
+_ATTACK_KEYS = {
+    "attack": {"filter", "smoothing", "speckle_mode", "sigma_s", "histogram_match"},
+    "filter": {"known", "estimate"},
+    "estimate": {"strategy", "sources"},
+    "smoothing": {"sigma", "kernel"},
+}
+
+
+def _check_keys(section: str, value) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"attack plan {section!r} must be an object, got {value!r}")
+    unknown = sorted(value.keys() - _ATTACK_KEYS[section])
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {unknown} in attack plan {section!r}; "
+            f"accepted: {sorted(_ATTACK_KEYS[section])}"
+        )
+
+
 def _validate_attack_plan(plan: dict) -> None:
+    _check_keys("attack", plan)
+    _check_keys("smoothing", plan.get("smoothing", {}))
     flt = plan.get("filter")
-    if not isinstance(flt, dict) or len(flt.keys() & {"known", "estimate"}) != 1:
+    _check_keys("filter", flt)
+    if len(flt) != 1:
         raise ValueError("attack plan filter must carry exactly one of 'known'/'estimate'")
     if "known" in flt:
         if not Path(flt["known"]).exists():
             raise FileNotFoundError(f"known filter path does not exist: {flt['known']}")
-    else:
-        est = flt["estimate"]
-        sources = est.get("sources", "self")
-        if sources != "self":
-            for src in sources:
-                if not Path(src).exists():
-                    raise FileNotFoundError(f"filter source does not exist: {src}")
+        return
+    est = flt["estimate"]
+    _check_keys("estimate", est)
+    if _strategy(plan) not in ESTIMATORS:
+        raise ValueError(f"invalid estimation strategy {est['strategy']!r}")
+    sources = est.get("sources", "self")
+    if sources != "self":
+        for src in sources:
+            if not Path(src).exists():
+                raise FileNotFoundError(f"filter source does not exist: {src}")
+
+
+def _strategy(plan: dict) -> str:
+    return str(plan["filter"]["estimate"].get("strategy", STRATEGY_DIRECT)).replace("-", "_")
+
+
+def _estimate_filter(plan: dict, sources: list) -> TransferFunction:
+    smoothing = plan.get("smoothing", {})
+    return estimate_transfer_function(
+        sources, _strategy(plan), sigma=smoothing.get("sigma"), kernel_size=smoothing.get("kernel")
+    )
 
 
 @dataclass
@@ -146,23 +189,16 @@ class ExperimentResult:
         return not self.errors
 
 
-def _load_shared_filter(plan: dict):
-    """Pre-resolve filter inputs shared by all items (known H or source images)."""
+def _load_shared_filter(plan: dict) -> TransferFunction | None:
+    """The H every job shares: the known response, or one estimate from the
+    shared sources. None when each job estimates its own from its splice."""
     flt = plan["filter"]
     if "known" in flt:
-        image = read_raster(flt["known"])
-        return {"known": TransferFunction(image.values)}
-    est = flt["estimate"]
-    strategy = est.get("strategy", STRATEGY_DIRECT).replace("-", "_")
-    sources = est.get("sources", "self")
-    loaded = None if sources == "self" else [read_raster(p) for p in sources]
-    smoothing = plan.get("smoothing", {})
-    return {
-        "strategy": strategy,
-        "sources": loaded,
-        "sigma": smoothing.get("sigma"),
-        "kernel": smoothing.get("kernel"),
-    }
+        return TransferFunction(read_raster(flt["known"]).values)
+    sources = flt["estimate"].get("sources", "self")
+    if sources == "self":
+        return None
+    return _estimate_filter(plan, [read_raster(p) for p in sources])
 
 
 def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared, images_dir):
@@ -181,23 +217,15 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
 
     attacked = None
     if config.attack_plan is not None:
-        filter_info = shared["filter"]
-        if "known" in filter_info:
-            kwargs = {"transfer_function": filter_info["known"]}
-        else:
-            sources = filter_info["sources"]
-            kwargs = {
-                "filter_strategy": filter_info["strategy"],
-                "filter_sources": tuple(sources) if sources is not None else (spliced,),
-                "smoothing_sigma": filter_info["sigma"],
-                "smoothing_kernel": filter_info["kernel"],
-            }
+        h = shared["filter"]
+        if h is None:
+            h = _estimate_filter(config.attack_plan, [spliced])
         attack_config = AttackConfig(
             seed=derive_seed(config.master_seed, key, "attack"),
+            transfer_function=h,
             speckle_mode=config.attack_plan.get("speckle_mode", "phase_only"),
             sigma_s=config.attack_plan.get("sigma_s", DEFAULT_SIGMA_S),
             histogram_match=config.attack_plan.get("histogram_match", True),
-            **kwargs,
         )
         attacked = run_attack(spliced, attack_config).attacked
 
@@ -221,6 +249,7 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured experiment and write report/summary CSVs."""
+    workers = worker_count()
     out_dir = Path(config.out_dir)
     images_dir = out_dir / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
@@ -235,28 +264,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         products[item.product].append(image)
 
     shared = {"products": products, "index_in_product": index_in_product}
-    if config.attack_plan is not None:
-        shared["filter"] = _load_shared_filter(config.attack_plan)
-
     jobs = [(item, edit) for item in config.manifest for edit in config.edits]
-    rows: list[dict | None] = [None] * len(jobs)
-    errors: dict[str, str] = {}
 
-    def execute(index: int):
-        item, edit = jobs[index]
+    def failure(exc: Exception) -> tuple[None, str]:
+        return None, f"{type(exc).__name__}: {exc}"
+
+    def execute(job):
         try:
-            return index, _run_job(item, edit, config, shared, images_dir), None
+            return _run_job(*job, config, shared, images_dir), None
         except Exception as exc:  # per-item failures must not abort the run
-            return index, None, f"{type(exc).__name__}: {exc}"
+            return failure(exc)
 
-    if jobs:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            for index, row, error in pool.map(execute, range(len(jobs))):
-                if error is not None:
-                    item, edit = jobs[index]
-                    errors[f"{item.id}/{edit_label(edit)}"] = error
-                else:
-                    rows[index] = row
+    outcomes = []
+    if config.attack_plan is not None:
+        try:
+            shared["filter"] = _load_shared_filter(config.attack_plan)
+        except Exception as exc:  # without the shared H every job fails alike
+            outcomes = [failure(exc)] * len(jobs)
+    if jobs and not outcomes:
+        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            outcomes = list(pool.map(execute, jobs))
+    rows = [row for row, _ in outcomes]
+    errors = {
+        f"{item.id}/{edit_label(edit)}": error
+        for (item, edit), (_, error) in zip(jobs, outcomes)
+        if error is not None
+    }
 
     report_path = out_dir / "report.csv"
     report = [

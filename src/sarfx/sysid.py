@@ -2,9 +2,9 @@
 
 Three estimation strategies operate on the smoothed magnitude spectrum of the
 available imagery: a separable 2D Gaussian fit, a separable 2D raised-cosine
-fit, and a direct estimate that symmetrizes the smoothed spectrum through an
-inverse/forward transform round trip. Every returned response is nonnegative,
-central-symmetric, and normalized to unit maximum gain.
+fit, and a direct estimate that is the central symmetrization of the smoothed
+spectrum. Every returned response is nonnegative, central-symmetric, and
+normalized to unit maximum gain.
 
 Axis convention: ``x`` is the width/range axis (columns), ``y`` the
 height/azimuth axis (rows). Frequencies are measured in DC-centered bins.
@@ -18,13 +18,14 @@ import numpy as np
 
 from .leastsq import FitDivergenceError, least_squares
 from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
-from .spectral import Spectrum, central_flip, forward_dft, inverse_dft, smooth_spectrum
+from .spectral import central_flip, forward_dft, smooth_spectrum
 
 STRATEGY_GAUSSIAN = "gaussian"
 STRATEGY_RAISED_COSINE = "raised_cosine"
 STRATEGY_DIRECT = "direct"
 STRATEGY_KNOWN = "known"
-STRATEGIES = (STRATEGY_GAUSSIAN, STRATEGY_RAISED_COSINE, STRATEGY_DIRECT, STRATEGY_KNOWN)
+ESTIMATORS = (STRATEGY_GAUSSIAN, STRATEGY_RAISED_COSINE, STRATEGY_DIRECT)
+STRATEGIES = ESTIMATORS + (STRATEGY_KNOWN,)
 
 _SYMMETRY_TOL = 1e-9
 _MAX_GAIN_TOL = 1e-12
@@ -360,19 +361,15 @@ def raised_cosine_response(params: RaisedCosineFitParams, shape: tuple[int, int]
 def estimate_direct(f_k: np.ndarray) -> TransferFunction:
     """Direct response estimate: |F(Re(IF(F_K)))|, max-normalized.
 
-    Taking the real part of the inverse transform forces the forward
-    magnitude to be central-symmetric; the roundoff-level asymmetry of the
-    floating-point transform is folded out explicitly.
+    For a real, nonnegative F_K that magnitude is the central symmetrization
+    ½(F_K(f) + F_K(-f)), so it is computed in closed form, without a transform.
     """
     f_k = np.asarray(f_k, dtype=np.float64)
     if np.any(f_k < 0):
         raise ValueError("smoothed magnitude input must be nonnegative")
     if f_k.max() <= 0:
         raise DegenerateSpectrumError("all-zero spectrum has no direct estimate")
-    h_d = inverse_dft(Spectrum(f_k)).re
-    response = np.abs(forward_dft(ComplexImage(h_d, np.zeros_like(h_d))).values)
-    response = 0.5 * (response + central_flip(response))
-    return _normalized_response(response, STRATEGY_DIRECT)
+    return _normalized_response(0.5 * (f_k + central_flip(f_k)), STRATEGY_DIRECT)
 
 
 def default_smoothing(min_dim: int) -> tuple[int, float]:

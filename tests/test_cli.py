@@ -7,14 +7,18 @@ from helpers import raised_cosine_filter, smooth_reflectivity
 
 from sarfx import (
     AmplitudeImage,
+    ComplexImage,
     TamperMask,
+    estimate_transfer_function,
     read_raster,
     simulate_pristine,
     write_raster,
 )
+from sarfx import sysid
 from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliError
-from sarfx.experiment import derive_seed, edit_label, worker_count
+from sarfx.experiment import ExperimentConfig, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp
+from sarfx.leastsq import FitDivergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +242,25 @@ def test_out_of_range_seed_is_a_clean_error(tmp_path, product, capsys, command, 
     assert len(err) == 1 and err[0].startswith("sarfx: error: seed must be in [0, 2**64)")
 
 
+@pytest.mark.parametrize("command", ["attack", "estimate-filter"])
+def test_fit_failure_is_a_clean_error(tmp_path, product, capsys, monkeypatch, command):
+    def diverge(*args, **kwargs):
+        raise FitDivergenceError("iteration cap reached")
+
+    monkeypatch.setattr(sysid, "least_squares", diverge)
+    out = str(tmp_path / "out.sarf")
+    if command == "attack":
+        argv = ["attack", "--input", str(product["amp0"]), "--seed", "1", "--out", out,
+                "--filter", f"estimate:raised-cosine:{product['complex1']}"]
+    else:
+        argv = ["estimate-filter", "--strategy", "raised-cosine",
+                "--sources", str(product["complex1"]), "--out", out]
+    assert main(argv + ["--smoothing-sigma", "5.0", "--smoothing-kernel", "31"]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["sarfx: error: iterative least-squares fit did not converge: "
+                   "iteration cap reached"]
+
+
 # ---------------------------------------------------------------------------
 # Experiment orchestration
 # ---------------------------------------------------------------------------
@@ -430,6 +453,92 @@ def test_experiment_mask_fingerprint_fails_only_its_job(tmp_path, product):
     assert not list((tmp_path / "fp" / "images").glob("masked_*"))
 
 
+def _shared_filter_run(tmp_path, product, name, flt):
+    config = json.loads(_experiment_config(tmp_path, product, name).read_text())
+    config["attack"]["filter"] = flt
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return main(["experiment", "--config", str(path)]), tmp_path / name
+
+
+def test_experiment_estimates_a_shared_filter_once(tmp_path, product, monkeypatch):
+    # two items x two edits share one sibling source: one estimate per call,
+    # and the run equals one that is handed that estimate as a known H
+    calls = []
+    estimate = sysid.estimate_transfer_function_with_params
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(sysid, "estimate_transfer_function_with_params", counted)
+    sibling = str(product["complex1"])
+    flt = {"estimate": {"strategy": "raised-cosine", "sources": [sibling]}}
+    rc, shared_dir = _shared_filter_run(tmp_path, product, "shared", flt)
+    assert rc == 0
+    assert calls == ["raised_cosine"]
+
+    h = estimate_transfer_function([read_raster(sibling)], "raised_cosine",
+                                   sigma=5.0, kernel_size=31)
+    write_raster(AmplitudeImage(h.values, 16), tmp_path / "h.sarf")
+    rc, known_dir = _shared_filter_run(tmp_path, product, "known",
+                                       {"known": str(tmp_path / "h.sarf")})
+    assert rc == 0
+    assert (shared_dir / "report.csv").read_bytes() == (known_dir / "report.csv").read_bytes()
+    attacked = sorted(p.name for p in (shared_dir / "images").glob("*_attacked.sarf"))
+    assert len(attacked) == 4
+    for name in attacked:
+        assert (shared_dir / "images" / name).read_bytes() == (
+            known_dir / "images" / name
+        ).read_bytes()
+
+
+def test_experiment_failed_shared_estimate_fails_every_job(tmp_path, product):
+    zero = tmp_path / "zero_complex.sarf"
+    write_raster(ComplexImage(np.zeros((128, 128)), np.zeros((128, 128))), zero)
+    flt = {"estimate": {"strategy": "direct", "sources": [str(zero)]}}
+    rc, out = _shared_filter_run(tmp_path, product, "zero", flt)
+    assert rc == 1
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == ["t0/gaussian_blur", "t0/upscale_near",
+                            "t1/gaussian_blur", "t1/upscale_near"]
+    assert set(errors.values()) == {
+        "DegenerateSpectrumError: all-zero spectrum has no direct estimate"
+    }
+    report = (out / "report.csv").read_text().strip().split("\n")
+    assert report[1:] == ["t0,gaussian_blur,,,,,,", "t0,upscale_near,,,,,,",
+                          "t1,gaussian_blur,,,,,,", "t1,upscale_near,,,,,,"]
+    assert (out / "summary.csv").read_text().splitlines()[1:] == [
+        "gaussian_blur,0,,,,", "upscale_near,0,,,,"
+    ]
+
+
+_BAD_ATTACK_PLANS = {
+    "unknown-top-key": lambda c: c["attack"].update({"speckle-mode": "full"}),
+    "unknown-filter-key": lambda c: c["attack"]["filter"].update({"guess": {}}),
+    "unknown-estimate-key": lambda c: c["attack"]["filter"]["estimate"].update({"source": "self"}),
+    "unknown-smoothing-key": lambda c: c["attack"]["smoothing"].update({"size": 31}),
+    "unknown-strategy": lambda c: c["attack"]["filter"]["estimate"].update({"strategy": "wiener"}),
+    "known-strategy": lambda c: c["attack"]["filter"]["estimate"].update({"strategy": "known"}),
+    "zero-region": lambda c: c.update({"region": [0, 32]}),
+    "negative-region": lambda c: c.update({"region": [32, -4]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ATTACK_PLANS))
+def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case):
+    path = _experiment_config(tmp_path, product, "bad")
+    config = json.loads(path.read_text())
+    _BAD_ATTACK_PLANS[case](config)
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_json(path)
+    assert main(["experiment", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("sarfx: error: ")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_experiment_rejects_missing_paths(tmp_path):
     config = {
         "schema_version": 1,
@@ -458,6 +567,18 @@ def test_worker_count_env_cap(monkeypatch):
     assert worker_count() == 2
     monkeypatch.setenv("SARFX_THREADS", "0")
     assert worker_count() == 1
+    # the pool is capped at the job count where it is made, not here
+    monkeypatch.setenv("SARFX_THREADS", str(10**9))
+    assert worker_count() == 10**9
+
+
+def test_non_integer_thread_cap_is_a_clean_error(tmp_path, product, capsys, monkeypatch):
+    monkeypatch.setenv("SARFX_THREADS", "four")
+    with pytest.raises(ValueError, match="SARFX_THREADS must be an integer, got 'four'"):
+        worker_count()
+    assert main(["experiment", "--config", str(_experiment_config(tmp_path, product))]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["sarfx: error: SARFX_THREADS must be an integer, got 'four'"]
 
 
 def test_edit_labels():
