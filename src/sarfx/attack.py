@@ -18,6 +18,7 @@ from .speckle import (
     DEFAULT_SIGMA_S,
     MODE_FULL,
     MODE_PHASE_ONLY,
+    SPECKLE_MODES,
     generate_speckle,
     inject_speckle,
 )
@@ -57,7 +58,7 @@ class AttackConfig:
     despeckle_hook: str = "identity"
 
     def __post_init__(self):
-        if self.speckle_mode not in (MODE_FULL, MODE_PHASE_ONLY):
+        if self.speckle_mode not in SPECKLE_MODES:
             raise ValueError(f"unknown speckle mode {self.speckle_mode!r}")
 
 

@@ -23,6 +23,7 @@ from .forgery import (
     SpliceSpec,
     draw_origins,
     edit_donor,
+    edited_shape,
     sample_edit_parameter,
     splice,
 )
@@ -237,14 +238,13 @@ def cmd_forge(args) -> int:
     donor = _read_amplitude(args.donor)
     height, width, col, row = parse_region(args.region)
     op = EditOp(args.edit, parameter=args.edit_parameter, range_class=args.edit_class)
-    edited = edit_donor(donor, op, args.seed)
     parameter = sample_edit_parameter(op, args.seed)
     donor_origin, target_origin = draw_origins(
-        rng(args.seed), edited.shape, target.shape, (height, width),
+        rng(args.seed), edited_shape(donor.shape, op, parameter), target.shape, (height, width),
         target_origin=None if row is None else (row, col),
     )
-    spec = SpliceSpec(donor_origin, target_origin, (height, width))
-    spliced, mask = splice(target, edited, spec)
+    edited = edit_donor(donor, op, args.seed, window=(*donor_origin, height, width))
+    spliced, mask = splice(target, edited, SpliceSpec((0, 0), target_origin, (height, width)))
     write_raster(spliced, args.out_image)
     write_raster(mask, args.out_mask)
     if args.out_mask_pgm:

@@ -23,7 +23,7 @@ from .attack import AttackConfig, run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
 from .raster import AmplitudeImage, read_raster, write_raster
-from .speckle import DEFAULT_SIGMA_S
+from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
 from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
 from .tables import csv_text
 
@@ -97,13 +97,16 @@ class ExperimentConfig:
                 raise FileNotFoundError(f"manifest path does not exist: {item.path}")
             if item.fingerprint and not Path(item.fingerprint).exists():
                 raise FileNotFoundError(f"fingerprint path does not exist: {item.fingerprint}")
+        raw_edits = raw.get("edits", [{"kind": "none"}])
+        for e in raw_edits:
+            _check_keys("edits", e)
         edits = [
             EditOp(
                 kind=str(e["kind"]),
                 parameter=e.get("parameter"),
                 range_class=str(e.get("range_class", "near")),
             )
-            for e in raw.get("edits", [{"kind": "none"}])
+            for e in raw_edits
         ]
         labels = [edit_label(op) for op in edits]
         if len(set(labels)) != len(labels):
@@ -125,7 +128,8 @@ class ExperimentConfig:
         )
 
 
-_ATTACK_KEYS = {
+_CONFIG_KEYS = {
+    "edits": {"kind", "parameter", "range_class"},
     "attack": {"filter", "smoothing", "speckle_mode", "sigma_s", "histogram_match"},
     "filter": {"known", "estimate"},
     "estimate": {"strategy", "sources"},
@@ -134,18 +138,23 @@ _ATTACK_KEYS = {
 
 
 def _check_keys(section: str, value) -> None:
+    where = "an edits entry" if section == "edits" else f"attack plan {section!r}"
     if not isinstance(value, dict):
-        raise ValueError(f"attack plan {section!r} must be an object, got {value!r}")
-    unknown = sorted(value.keys() - _ATTACK_KEYS[section])
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    unknown = sorted(value.keys() - _CONFIG_KEYS[section])
     if unknown:
         raise ValueError(
-            f"unknown key(s) {unknown} in attack plan {section!r}; "
-            f"accepted: {sorted(_ATTACK_KEYS[section])}"
+            f"unknown key(s) {unknown} in {where}; accepted: {sorted(_CONFIG_KEYS[section])}"
         )
 
 
 def _validate_attack_plan(plan: dict) -> None:
     _check_keys("attack", plan)
+    mode = plan.get("speckle_mode", MODE_PHASE_ONLY)
+    if mode not in SPECKLE_MODES:
+        raise ValueError(
+            f"unknown speckle mode {mode!r} in attack plan; accepted: {list(SPECKLE_MODES)}"
+        )
     _check_keys("smoothing", plan.get("smoothing", {}))
     flt = plan.get("filter")
     _check_keys("filter", flt)
@@ -223,7 +232,7 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         attack_config = AttackConfig(
             seed=derive_seed(config.master_seed, key, "attack"),
             transfer_function=h,
-            speckle_mode=config.attack_plan.get("speckle_mode", "phase_only"),
+            speckle_mode=config.attack_plan.get("speckle_mode", MODE_PHASE_ONLY),
             sigma_s=config.attack_plan.get("sigma_s", DEFAULT_SIGMA_S),
             histogram_match=config.attack_plan.get("histogram_match", True),
         )

@@ -169,46 +169,60 @@ def _bicubic_sample(src: np.ndarray, rows: np.ndarray, cols: np.ndarray, border:
     return out
 
 
+def edited_shape(shape: tuple[int, int], op: EditOp, parameter: float) -> tuple[int, int]:
+    """Shape of the frame ``op`` makes from a ``shape`` donor: round(dim *
+    factor), at least 1, for a resize; unchanged otherwise."""
+    if op.kind not in ("upscale", "downscale"):
+        return tuple(shape)
+    if not parameter > 0:
+        raise ValueError(f"degenerate resize factor {parameter}")
+    return _scaled_shape(shape, parameter)
+
+
+def _scaled_shape(shape, factor):
+    return max(int(round(shape[0] * factor)), 1), max(int(round(shape[1] * factor)), 1)
+
+
+def _source_coords(src_shape, frame_shape, window=None, angle_deg=None):
+    """Source (row, col) of the output pixels in ``window`` = (row, col,
+    height, width) of the output frame (default: all of it), for a resize of
+    ``src_shape`` to ``frame_shape`` or, given ``angle_deg``, a rotation."""
+    h, w = src_shape
+    r0, c0, bh, bw = window or (0, 0, *frame_shape)
+    rows = np.arange(r0, r0 + bh, dtype=np.float64)[:, None]
+    cols = np.arange(c0, c0 + bw, dtype=np.float64)[None, :]
+    if angle_deg is None:
+        oh, ow = frame_shape
+        rows = (rows + 0.5) * (h / oh) - 0.5
+        cols = (cols + 0.5) * (w / ow) - 0.5
+    else:
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        alpha = np.deg2rad(angle_deg)
+        rr, cc = rows - cy, cols - cx
+        # Positive angles rotate the content counterclockwise (as displayed
+        # with row 0 on top); at multiples of 90 deg the mapping is an exact
+        # index permutation.
+        rows = cy + np.sin(alpha) * cc + np.cos(alpha) * rr
+        cols = cx + np.cos(alpha) * cc - np.sin(alpha) * rr
+    return np.broadcast_arrays(rows, cols)
+
+
 def _resize_to(values: np.ndarray, out_shape: tuple[int, int]) -> np.ndarray:
     """Bicubic resize to an explicit shape, pixel-center aligned, edge clamped."""
-    h, w = values.shape
-    oh, ow = out_shape
-    if oh < 1 or ow < 1:
-        raise ValueError(f"degenerate output shape {out_shape}")
-    sy, sx = h / oh, w / ow
-    rows = (np.arange(oh, dtype=np.float64)[:, None] + 0.5) * sy - 0.5
-    cols = (np.arange(ow, dtype=np.float64)[None, :] + 0.5) * sx - 0.5
-    rows, cols = np.broadcast_arrays(rows, cols)
-    return _bicubic_sample(values, rows, cols, border="replicate")
+    return _bicubic_sample(values, *_source_coords(values.shape, out_shape), border="replicate")
 
 
 def resize(values: np.ndarray, factor: float) -> np.ndarray:
     """Bicubic resize by a scale factor; output dims are round(dim * factor)."""
     if not factor > 0:
         raise ValueError(f"resize factor must be positive, got {factor}")
-    h, w = values.shape
-    out_shape = (max(int(round(h * factor)), 1), max(int(round(w * factor)), 1))
-    return _resize_to(values, out_shape)
-
-
-def _rotation_coords(shape: tuple[int, int], angle_deg: float):
-    h, w = shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    alpha = np.deg2rad(angle_deg)
-    rr = np.arange(h, dtype=np.float64)[:, None] - cy
-    cc = np.arange(w, dtype=np.float64)[None, :] - cx
-    # Positive angles rotate the content counterclockwise (as displayed with
-    # row 0 on top); at multiples of 90 deg the mapping is an exact index
-    # permutation.
-    src_rows = cy + np.sin(alpha) * cc + np.cos(alpha) * rr
-    src_cols = cx + np.cos(alpha) * cc - np.sin(alpha) * rr
-    return np.broadcast_arrays(src_rows, src_cols)
+    return _resize_to(values, _scaled_shape(values.shape, factor))
 
 
 def rotate(values: np.ndarray, angle_deg: float) -> np.ndarray:
     """Bicubic rotation about the image center; same-size output, zero fill."""
-    rows, cols = _rotation_coords(values.shape, angle_deg)
-    return _bicubic_sample(values, rows, cols, border="zero")
+    coords = _source_coords(values.shape, values.shape, angle_deg=angle_deg)
+    return _bicubic_sample(values, *coords, border="zero")
 
 
 def _bilinear_sample_zero(src: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -237,22 +251,12 @@ def transform_stencil(stencil: np.ndarray, op: EditOp, parameter: float) -> np.n
     re-rasterized at a 0.5 threshold, so donor and target regions stay
     congruent after rotation or rescaling.
     """
-    field = np.asarray(stencil, dtype=np.float64)
     if op.kind in ("none", "gaussian_blur"):
         return np.asarray(stencil, dtype=np.uint8)
-    if op.kind in ("upscale", "downscale"):
-        h, w = field.shape
-        oh = max(int(round(h * parameter)), 1)
-        ow = max(int(round(w * parameter)), 1)
-        sy, sx = h / oh, w / ow
-        rows = (np.arange(oh, dtype=np.float64)[:, None] + 0.5) * sy - 0.5
-        cols = (np.arange(ow, dtype=np.float64)[None, :] + 0.5) * sx - 0.5
-        rows, cols = np.broadcast_arrays(rows, cols)
-        coverage = _bilinear_sample_zero(field, rows, cols)
-    else:
-        rows, cols = _rotation_coords(field.shape, parameter)
-        coverage = _bilinear_sample_zero(field, rows, cols)
-    return (coverage >= 0.5).astype(np.uint8)
+    field = np.asarray(stencil, dtype=np.float64)
+    angle = parameter if op.kind == "rotate" else None
+    coords = _source_coords(field.shape, edited_shape(field.shape, op, parameter), angle_deg=angle)
+    return (_bilinear_sample_zero(field, *coords) >= 0.5).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +276,33 @@ def sample_edit_parameter(op: EditOp, seed: int) -> float:
     return float(rng(seed).uniform(low, high))
 
 
-def edit_donor(donor: AmplitudeImage, op: EditOp, seed: int = 0) -> AmplitudeImage:
-    """Apply one editing operation to a donor image; output stays nonnegative."""
-    if op.kind == "none":
+def edit_donor(donor: AmplitudeImage, op: EditOp, seed: int = 0, window=None) -> AmplitudeImage:
+    """Apply one editing operation to a donor image; output stays nonnegative.
+
+    Only ``window`` = (row, col, height, width) of the edited frame (shape
+    ``edited_shape``; default all of it) is computed, bit-identical to that
+    crop of the whole edited frame.
+    """
+    if op.kind == "none" and window is None:
         return donor
     parameter = sample_edit_parameter(op, seed)
     values = donor.values
-    if op.kind == "gaussian_blur":
-        edited = ndimage.gaussian_filter(values, sigma=parameter, mode="reflect")
-    elif op.kind in ("upscale", "downscale"):
-        if not parameter > 0:
-            raise ValueError(f"degenerate resize factor {parameter}")
-        edited = resize(values, parameter)
+    frame = edited_shape(donor.shape, op, parameter)
+    r0, c0, bh, bw = window or (0, 0, *frame)
+    if r0 < 0 or c0 < 0 or r0 + bh > frame[0] or c0 + bw > frame[1]:
+        raise RasterError("donor region out of bounds")
+    if op.kind in ("none", "gaussian_blur"):
+        # box plus scipy's kernel radius, clipped to the donor (whose edges reflect)
+        margin = int(4.0 * parameter + 0.5) if parameter > 0 else 0
+        top, left = max(r0 - margin, 0), max(c0 - margin, 0)
+        part = values[top : r0 + bh + margin, left : c0 + bw + margin]
+        if op.kind == "gaussian_blur":
+            part = ndimage.gaussian_filter(part, sigma=parameter, mode="reflect")
+        edited = part[r0 - top : r0 - top + bh, c0 - left : c0 - left + bw]
     else:
-        edited = rotate(values, parameter)
+        angle = parameter if op.kind == "rotate" else None
+        coords = _source_coords(donor.shape, frame, (r0, c0, bh, bw), angle)
+        edited = _bicubic_sample(values, *coords, border="replicate" if angle is None else "zero")
     return AmplitudeImage(np.maximum(edited, 0.0), donor.dynamic_range_bits)
 
 
@@ -376,15 +393,15 @@ def random_splice(
         others = [k for k in range(len(tiles)) if k != target_index]
         donor_index = others[int(gen.integers(len(others)))]
 
+    # Placement is drawn in the edited frame's shape; only the drawn box is edited.
     edit_seed = int(gen.integers(np.iinfo(np.int64).max))
-    edited = edit_donor(tiles[donor_index], edit, edit_seed)
     parameter = sample_edit_parameter(edit, edit_seed)
-
-    (dr, dc), (tr, tc) = draw_origins(
-        gen, edited.shape, target.shape, (bh, bw), disjoint=donor_index == target_index
-    )
-    spec = SpliceSpec((dr, dc), (tr, tc), spec_region)
-    spliced, mask = splice(target, edited, spec)
+    donor = tiles[donor_index]
+    frame = edited_shape(donor.shape, edit, parameter)
+    same = donor_index == target_index
+    (dr, dc), (tr, tc) = draw_origins(gen, frame, target.shape, (bh, bw), disjoint=same)
+    edited = edit_donor(donor, edit, edit_seed, window=(dr, dc, bh, bw))
+    spliced, mask = splice(target, edited, SpliceSpec((0, 0), (tr, tc), spec_region))
     provenance = {
         "seed": int(seed),
         "donor_tile_index": donor_index,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
-from scipy.stats import rankdata
 
 from .raster import (
     AmplitudeImage,
@@ -280,12 +279,24 @@ def auc_roc(fingerprint, mask: TamperMask, polarity: str = "max") -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("mask must contain both classes")
-    ranks = rankdata(scores)  # average ranks: ties contribute 0.5
+    ranks = _average_ranks(scores)
     rank_sum = float(ranks[labels].sum())
     auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     if polarity == "max":
         return float(max(auc, 1.0 - auc))
     return float(auc)
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied scores sharing their group's mean rank (ties
+    contribute 0.5); equal to ``scipy.stats.rankdata(scores)``."""
+    order = np.argsort(scores)
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def read_fingerprint(path) -> np.ndarray:

@@ -19,6 +19,7 @@ from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
 
 MODE_FULL = "full"
 MODE_PHASE_ONLY = "phase_only"
+SPECKLE_MODES = (MODE_FULL, MODE_PHASE_ONLY)
 
 # E[S^2] = 2 sigma^2 = 1: injection preserves expected energy.
 DEFAULT_SIGMA_S = 1.0 / math.sqrt(2.0)
@@ -51,7 +52,7 @@ class SpeckleField(PlaneShape):
         im = np.array(self.im, dtype=np.float64, order="C", copy=True)
         if re.shape != im.shape or re.ndim != 2:
             raise RasterError("speckle planes must be congruent 2D arrays")
-        if self.mode not in (MODE_FULL, MODE_PHASE_ONLY):
+        if self.mode not in SPECKLE_MODES:
             raise ValueError(f"unknown speckle mode {self.mode!r}")
         re.flags.writeable = False
         im.flags.writeable = False
@@ -74,7 +75,7 @@ def generate_speckle(
     Draw order is fixed (phases first, then amplitudes) so the stream layout
     is part of the contract.
     """
-    if mode not in (MODE_FULL, MODE_PHASE_ONLY):
+    if mode not in SPECKLE_MODES:
         raise ValueError(f"unknown speckle mode {mode!r}")
     if mode == MODE_FULL and not sigma_s > 0:
         raise ValueError(f"sigma_s must be positive in full mode, got {sigma_s}")

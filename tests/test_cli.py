@@ -522,6 +522,8 @@ _BAD_ATTACK_PLANS = {
     "known-strategy": lambda c: c["attack"]["filter"]["estimate"].update({"strategy": "known"}),
     "zero-region": lambda c: c.update({"region": [0, 32]}),
     "negative-region": lambda c: c.update({"region": [32, -4]}),
+    "bad-speckle-mode": lambda c: c["attack"].update({"speckle_mode": "phase-only"}),
+    "unknown-edit-key": lambda c: c["edits"].append({"kind": "none", "parmeter": 3}),
 }
 
 
@@ -537,6 +539,21 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("sarfx: error: ")
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("bad-speckle-mode", "unknown speckle mode 'phase-only' in attack plan; accepted: ['full', 'phase_only']"),
+    ("unknown-edit-key",
+     "unknown key(s) ['parmeter'] in an edits entry; accepted: ['kind', 'parameter', 'range_class']"),
+], ids=["bad-speckle-mode", "unknown-edit-key"])
+def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
+    path = _experiment_config(tmp_path, product, "bad")
+    config = json.loads(path.read_text())
+    _BAD_ATTACK_PLANS[case](config)
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError) as excinfo:
+        ExperimentConfig.from_json(path)
+    assert str(excinfo.value) == message
 
 
 def test_experiment_rejects_missing_paths(tmp_path):

@@ -14,7 +14,8 @@ from sarfx import (
     splice,
     transform_stencil,
 )
-from sarfx.forgery import EDIT_PARAMETER_RANGES, GLOBAL_NOISE_LEVEL, resize, rotate
+from sarfx.forgery import EDIT_PARAMETER_RANGES, GLOBAL_NOISE_LEVEL, edited_shape, resize, rotate
+from sarfx.speckle import rng
 
 
 def _random_amplitude(shape, seed, low=100.0, high=5000.0):
@@ -226,6 +227,62 @@ def test_transform_stencil_rotation_and_resize():
     assert doubled.sum() == pytest.approx(4 * stencil.sum(), rel=0.15)
     blurred = transform_stencil(stencil, EditOp("gaussian_blur"), 0.5)
     assert np.array_equal(blurred, stencil)
+
+
+# ---------------------------------------------------------------------------
+# Box edits: only the spliced box of the edited frame is computed
+# ---------------------------------------------------------------------------
+
+BOX_EDITS = (
+    [EditOp("none"), EditOp("gaussian_blur")]
+    + [EditOp(kind, range_class=klass) for kind, klass in EDIT_PARAMETER_RANGES]
+    + [
+        EditOp("upscale", 2.0, "fixed"),
+        EditOp("downscale", 0.5, "fixed"),
+        EditOp("rotate", 90.0, "fixed"),
+        EditOp("rotate", 360.0, "fixed"),
+        EditOp("gaussian_blur", 0.5, "fixed"),
+        EditOp("gaussian_blur", 3.0, "fixed"),
+    ]
+)
+BOX_EDIT_IDS = [f"{op.kind}-{op.range_class}-{op.parameter}" for op in BOX_EDITS]
+
+
+@pytest.mark.parametrize("op", BOX_EDITS, ids=BOX_EDIT_IDS)
+def test_box_edit_equals_crop_of_whole_tile_edit(op):
+    donor = _random_amplitude((70, 53), 30)  # non-square
+    whole = edit_donor(donor, op, 17)
+    fh, fw = whole.shape
+    assert whole.shape == edited_shape(donor.shape, op, sample_edit_parameter(op, 17))
+    bh, bw = 9, 12
+    # four corners, the middle of each edge, and the interior
+    for r0 in (0, (fh - bh) // 2, fh - bh):
+        for c0 in (0, (fw - bw) // 2, fw - bw):
+            box = edit_donor(donor, op, 17, window=(r0, c0, bh, bw))
+            assert np.array_equal(box.values, whole.values[r0 : r0 + bh, c0 : c0 + bw])
+    framed = edit_donor(donor, op, 17, window=(0, 0, fh, fw))
+    assert np.array_equal(framed.values, whole.values)
+    with pytest.raises(RasterError, match="donor region"):
+        edit_donor(donor, op, 17, window=(fh - bh + 1, 0, bh, bw))
+
+
+@pytest.mark.parametrize("op", BOX_EDITS, ids=BOX_EDIT_IDS)
+def test_random_splice_equals_whole_tile_edit_then_splice(op):
+    # non-rectangular stencil on non-square tiles; the donor is either tile
+    yy, xx = np.mgrid[0:14, 0:19]
+    stencil = (((yy - 6.5) / 7.0) ** 2 + ((xx - 9.0) / 9.5) ** 2 <= 1.0).astype(np.uint8)
+    tiles = [_random_amplitude((61, 47), 31), _random_amplitude((58, 50), 32)]
+    for seed in range(6):
+        spliced, mask, prov = random_splice(tiles, stencil, op, seed=seed, target_index=0)
+        gen = rng(seed)  # random_splice's draws: donor tile, then the edit seed
+        gen.integers(len(tiles))
+        edit_seed = int(gen.integers(np.iinfo(np.int64).max))
+        assert prov["edit_parameter"] == sample_edit_parameter(op, edit_seed)
+        whole = edit_donor(tiles[prov["donor_tile_index"]], op, edit_seed)
+        spec = SpliceSpec(prov["donor_origin"], prov["target_origin"], stencil)
+        ref_spliced, ref_mask = splice(tiles[0], whole, spec)
+        assert np.array_equal(spliced.values, ref_spliced.values)
+        assert np.array_equal(mask.values, ref_mask.values)
 
 
 # ---------------------------------------------------------------------------

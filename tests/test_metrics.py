@@ -16,7 +16,7 @@ from sarfx import (
     ms_ssim,
     ssim,
 )
-from sarfx.metrics import MSSSIM_WEIGHTS, gaussian_window, ms_ssim_scale_count
+from sarfx.metrics import MSSSIM_WEIGHTS, _average_ranks, gaussian_window, ms_ssim_scale_count
 
 
 def _image(shape, seed, low=0.0, high=1000.0):
@@ -231,6 +231,26 @@ def test_auc_monotone_invariance_exact():
     base = auc_roc(scores, mask, polarity="positive")
     assert auc_roc(3.0 * scores + 11.0, mask, polarity="positive") == base
     assert auc_roc(np.exp(scores), mask, polarity="positive") == base
+
+
+@pytest.mark.parametrize("ties", ["untied", "rounded", "all-tied"])
+def test_auc_average_ranks_equal_rankdata(ties):
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(21)
+    mask = _mask_with_square(96, 20, 61)
+    scores = {
+        "untied": rng.standard_normal((96, 96)),
+        "rounded": np.round(rng.standard_normal((96, 96)), 1),  # ~60 tie groups
+        "all-tied": np.full((96, 96), 7.0),
+    }[ties]
+    labels = mask.values.ravel().astype(bool)
+    ranks = rankdata(scores.ravel())
+    assert np.array_equal(_average_ranks(scores.ravel()), ranks)
+    n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+    expected = (float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert auc_roc(scores, mask, polarity="positive") == expected
+    assert auc_roc(scores, mask) == max(expected, 1.0 - expected)
 
 
 def test_auc_constant_scores_give_half():

@@ -65,6 +65,45 @@ def test_forge_outputs_pinned(workdir, region):
     assert {name: _digest(workdir / name) for name in pins} == pins
 
 
+# Other edits of the catalog: a far upscale and a far downscale (the donor box
+# is drawn in a resampled frame of another size) and a blur pasted at the
+# target's top-left corner.
+FORGE_EDIT_PINS = {
+    ("upscale", "far", "24x16"): {
+        "forged.sarf": "409628df4c7fcae3",
+        "forged_mask.sarf": "d95d208d3d6574b3",
+        "forged.json": "9ac760e9a688f773",
+    },
+    ("downscale", "far", "24x16"): {
+        "forged.sarf": "cce651981637a6af",
+        "forged_mask.sarf": "d95d208d3d6574b3",
+        "forged.json": "f11bbab4bc162e4e",
+    },
+    ("gaussian_blur", "near", "24x16+0+0"): {
+        "forged.sarf": "c3fcdeac97f97adc",
+        "forged_mask.sarf": "1e9335dadf423fc9",
+        "forged.json": "be585936bf5b365a",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "edit, edit_class, region", list(FORGE_EDIT_PINS), ids=["upscale-far", "downscale-far", "blur-corner"]
+)
+def test_forge_edit_outputs_pinned(workdir, edit, edit_class, region):
+    _amplitude(workdir / "target.sarf", (96, 80), 1)
+    _amplitude(workdir / "donor.sarf", (96, 80), 2)
+    rc = main([
+        "forge", "--target", "target.sarf", "--donor", "donor.sarf",
+        "--edit", edit, "--edit-class", edit_class, "--region", region, "--seed", "11",
+        "--out-image", "forged.sarf", "--out-mask", "forged_mask.sarf",
+        "--out-provenance", "forged.json",
+    ])
+    assert rc == 0
+    pins = FORGE_EDIT_PINS[edit, edit_class, region]
+    assert {name: _digest(workdir / name) for name in pins} == pins
+
+
 METRICS_PINS = {"single.json": "e90bae5dfd5fe0b1", "pairs.csv": "71b225396f701d62"}
 
 
