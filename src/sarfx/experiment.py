@@ -22,7 +22,7 @@ from pathlib import Path
 from .attack import AttackConfig, run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
-from .raster import AmplitudeImage, read_raster, write_raster
+from .raster import AmplitudeImage, atomic_open, read_raster, write_raster
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
 from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
 from .tables import csv_text
@@ -100,6 +100,9 @@ class ExperimentConfig:
         raw_edits = raw.get("edits", [{"kind": "none"}])
         for e in raw_edits:
             _check_keys("edits", e)
+            parameter = e.get("parameter")
+            if isinstance(parameter, bool) or not isinstance(parameter, (int, float, type(None))):
+                raise ValueError(f"an edits entry's parameter must be a number or null, got {parameter!r}")
         edits = [
             EditOp(
                 kind=str(e["kind"]),
@@ -135,17 +138,19 @@ _CONFIG_KEYS = {
     "estimate": {"strategy", "sources"},
     "smoothing": {"sigma", "kernel"},
 }
+_REQUIRED_KEYS = {"edits": {"kind"}}
 
 
 def _check_keys(section: str, value) -> None:
     where = "an edits entry" if section == "edits" else f"attack plan {section!r}"
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object, got {value!r}")
-    unknown = sorted(value.keys() - _CONFIG_KEYS[section])
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) {unknown} in {where}; accepted: {sorted(_CONFIG_KEYS[section])}"
-        )
+    for problem, keys in (("unknown", value.keys() - _CONFIG_KEYS[section]),
+                          ("missing", _REQUIRED_KEYS.get(section, set()) - value.keys())):
+        if keys:
+            raise ValueError(
+                f"{problem} key(s) {sorted(keys)} in {where}; accepted: {sorted(_CONFIG_KEYS[section])}"
+            )
 
 
 def _validate_attack_plan(plan: dict) -> None:
@@ -245,7 +250,7 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
     write_raster(mask, images_dir / f"{item.id}_{label}_mask.sarf")
     if attacked is not None:
         write_raster(attacked, images_dir / f"{item.id}_{label}_attacked.sarf")
-    with open(images_dir / f"{item.id}_{label}_provenance.json", "w") as fh:
+    with atomic_open(images_dir / f"{item.id}_{label}_provenance.json", "w") as fh:
         json.dump(provenance, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -304,13 +309,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     report = [
         row or {"id": item.id, "edit": edit_label(edit)} for row, (item, edit) in zip(rows, jobs)
     ]
-    report_path.write_text(csv_text(REPORT_COLUMNS, report))
+    with atomic_open(report_path, "w") as fh:
+        fh.write(csv_text(REPORT_COLUMNS, report))
 
     summary_path = out_dir / "summary.csv"
     _write_summary(summary_path, [r for r in rows if r is not None], config.edits)
 
     if errors:
-        with open(out_dir / "errors.json", "w") as fh:
+        with atomic_open(out_dir / "errors.json", "w") as fh:
             json.dump(errors, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -331,4 +337,5 @@ def _write_summary(path, rows: list[dict], edits: list[EditOp]) -> None:
             if aucs:
                 summary["mean_auc"] = sum(aucs) / len(aucs)
         table.append(summary)
-    path.write_text(csv_text(SUMMARY_COLUMNS, table))
+    with atomic_open(path, "w") as fh:
+        fh.write(csv_text(SUMMARY_COLUMNS, table))

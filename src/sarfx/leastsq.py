@@ -1,10 +1,12 @@
 """Damped Gauss-Newton (Levenberg-Marquardt) solver for nonlinear least squares.
 
-Minimizes ``sum(residual_fn(x)**2)`` with multiplicative damping adaptation.
-Convergence is declared on a small relative step or a small relative residual
-reduction; hitting the iteration cap without either raises
-:class:`FitDivergenceError` so callers can surface an explicit
-non-convergence instead of silently returning garbage parameters.
+Minimizes ``sum(residual_fn(x)**2)`` with multiplicative damping adaptation,
+from normal equations (JᵀJ, Jᵀr) that a caller may build without the m x n
+Jacobian. Convergence is declared on a small relative step or a small relative
+residual reduction, and the result names the rule that stopped it; hitting
+the iteration cap without either raises :class:`FitDivergenceError` so
+callers can surface an explicit non-convergence instead of silently returning
+garbage parameters.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ class LeastSquaresResult:
     params: np.ndarray
     residual_norm: float  # L2 norm of the residual vector at the solution
     iterations: int
+    stop: str  # "step", "cost", "damping" (no improving step left) or "exact" (zero cost)
 
 
 def finite_difference_jacobian(residual_fn, x, rel_step=1e-6, abs_floor=1e-9):
@@ -43,7 +46,7 @@ def finite_difference_jacobian(residual_fn, x, rel_step=1e-6, abs_floor=1e-9):
 def least_squares(
     residual_fn,
     x0,
-    jacobian=None,
+    normal_equations=None,
     max_iter: int = 200,
     step_tol: float = 1e-8,
     residual_tol: float = 1e-10,
@@ -54,25 +57,26 @@ def least_squares(
     Args:
         residual_fn: maps a parameter vector to a 1D residual vector.
         x0: initial parameter vector.
-        jacobian: optional callable returning the (m, n) Jacobian; finite
-            differences are used when omitted.
+        normal_equations: optional callable ``(x, r) -> (JᵀJ, Jᵀr)`` at the
+            parameters ``x`` with residual ``r``; built from a finite-difference
+            Jacobian when omitted.
         max_iter: iteration cap; exceeding it raises FitDivergenceError.
         step_tol: relative parameter-step tolerance.
         residual_tol: relative cost-reduction tolerance.
         damping: initial LM damping factor.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    if jacobian is None:
-        jacobian = lambda p: finite_difference_jacobian(residual_fn, p)
+    if normal_equations is None:
+        def normal_equations(p, r):
+            jac = finite_difference_jacobian(residual_fn, p)
+            return jac.T @ jac, jac.T @ r
 
     r = np.asarray(residual_fn(x), dtype=np.float64).ravel()
     cost = float(r @ r)
     lam = float(damping)
 
     for iteration in range(1, max_iter + 1):
-        jac = np.asarray(jacobian(x), dtype=np.float64)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
+        jtj, jtr = normal_equations(x, r)
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1.0  # keep the damping matrix positive definite
 
@@ -96,12 +100,14 @@ def least_squares(
         if not accepted:
             # Damping saturated: the quadratic model cannot improve the cost,
             # which is the fixed-point condition for a (local) minimum.
-            return LeastSquaresResult(x, float(np.sqrt(cost)), iteration)
+            return LeastSquaresResult(x, float(np.sqrt(cost)), iteration, "damping")
 
         rel_step = np.linalg.norm(step) / max(np.linalg.norm(x), 1e-300)
         rel_improvement = improvement / max(cost + improvement, 1e-300)
-        if rel_step < step_tol or rel_improvement < residual_tol or cost == 0.0:
-            return LeastSquaresResult(x, float(np.sqrt(cost)), iteration)
+        for stop, met in (("exact", cost == 0.0), ("step", rel_step < step_tol),
+                          ("cost", rel_improvement < residual_tol)):
+            if met:
+                return LeastSquaresResult(x, float(np.sqrt(cost)), iteration, stop)
 
     raise FitDivergenceError(
         f"no convergence within {max_iter} iterations (residual norm {np.sqrt(cost):.3e})"

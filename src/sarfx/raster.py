@@ -14,8 +14,12 @@ all im). Masks can additionally be exported as 8-bit PGM for eyeballing.
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -180,6 +184,21 @@ def _payload_bytes(kind: int, height: int, width: int) -> int:
     raise RasterError(f"unknown raster kind {kind}")
 
 
+@contextmanager
+def atomic_open(path, mode: str):
+    """Write through a temp file beside ``path`` that replaces it on success, so
+    a failed write leaves neither a partial file nor the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_raster(image: RasterImage, path) -> None:
     """Serialize an image to the SARF container at ``path``."""
     if isinstance(image, AmplitudeImage):
@@ -194,7 +213,7 @@ def write_raster(image: RasterImage, path) -> None:
     else:
         raise RasterError(f"cannot serialize object of type {type(image).__name__}")
     header = struct.pack(_HEADER_FMT, MAGIC, kind, bits, image.height, image.width)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 

@@ -68,7 +68,7 @@ class TransferFunction(PlaneShape):
 
 @dataclass(frozen=True)
 class GaussianFitParams:
-    """Separable Gaussian bell parameters per axis, plus the fit residual norm."""
+    """Separable Gaussian bell parameters per axis, the fit residual norm, solver diagnostics."""
 
     gain_x: float
     mean_x: float
@@ -77,6 +77,8 @@ class GaussianFitParams:
     mean_y: float
     std_y: float
     residual: float
+    iterations: int | None = None
+    stop: str | None = None
 
     def __post_init__(self):
         if not (self.gain_x > 0 and self.gain_y > 0):
@@ -87,7 +89,7 @@ class GaussianFitParams:
 
 @dataclass(frozen=True)
 class RaisedCosineFitParams:
-    """Separable raised-cosine parameters per axis, plus the fit residual norm."""
+    """Separable raised-cosine parameters per axis, the fit residual norm, solver diagnostics."""
 
     a_x: float
     b_x: float
@@ -96,6 +98,8 @@ class RaisedCosineFitParams:
     b_y: float
     cutoff_y: float
     residual: float
+    iterations: int | None = None
+    stop: str | None = None
 
     def __post_init__(self):
         if not (self.a_x > 0 and self.a_y > 0 and self.b_x > 0 and self.b_y > 0):
@@ -114,8 +118,13 @@ def nyquist_bins(n: int) -> float:
 
 
 def magnitude_spectrum(image) -> np.ndarray:
-    """|F(image)| as a DC-centered plane; amplitude images are taken as real input."""
-    return np.abs(forward_dft(image).values)
+    """|F(image)| as a DC-centered plane; amplitude images are taken as real input,
+    so |F(f)| = |F(-f)|: ``rfft2`` gives columns 0..w//2 and the rest mirror them."""
+    if not isinstance(image, AmplitudeImage):
+        return np.abs(forward_dft(image).values)
+    half = np.abs(np.fft.rfft2(image.values))
+    mirrored = np.roll(half[::-1], 1, axis=0)[:, (image.width - 1) // 2 : 0 : -1]  # |F(-f)|
+    return np.fft.fftshift(np.concatenate([half, mirrored], axis=1))
 
 
 def normalize_energy(mag: np.ndarray) -> np.ndarray:
@@ -194,10 +203,17 @@ def _prescan_cutoff(marginal: np.ndarray, f: np.ndarray, nyq: float):
     return best[1], best[2], best[3]
 
 
-def _run_fit(data: np.ndarray, model_fn, x0, jacobian=None):
+def _run_fit(data: np.ndarray, model_fn, x0, columns):
+    """LM fit of a separable model whose Jacobian columns are outer products u ⊗ v,
+    given as (u, v) pairs by ``columns(p)``: JᵀJ[i, j] = (uᵢ·uⱼ)(vᵢ·vⱼ) and
+    Jᵀr[i] = uᵢᵀ R vᵢ for the residual plane R, without the dense Jacobian."""
     residual = lambda p: (model_fn(p) - data).ravel()
+
+    def normal_equations(p, r):
+        u, v = (np.array(factors) for factors in zip(*columns(p)))
+        return (u @ u.T) * (v @ v.T), ((u @ r.reshape(data.shape)) * v).sum(axis=1)
     try:
-        return least_squares(residual, x0, jacobian=jacobian)
+        return least_squares(residual, x0, normal_equations=normal_equations)
     except FitDivergenceError as exc:
         raise FitNonConvergenceError(f"iterative least-squares fit did not converge: {exc}") from exc
 
@@ -215,28 +231,26 @@ def fit_gaussian(f_kn: np.ndarray) -> GaussianFitParams:
     mu_y0, sd_y0 = _marginal_moments(data.sum(axis=1), fy)
     g0 = max(float(data.max()), 1e-12)
 
+    def bells(p):
+        g, mx, sx, my, sy = p
+        return np.exp(-((fx - mx) ** 2) / (2.0 * sx**2)), np.exp(-((fy - my) ** 2) / (2.0 * sy**2))
+
     def model(p):
-        g, mx, sx, my, sy = p
-        gx = np.exp(-((fx - mx) ** 2) / (2.0 * sx**2))
-        gy = np.exp(-((fy - my) ** 2) / (2.0 * sy**2))
-        return g * np.outer(gy, gx)
+        gx, gy = bells(p)
+        return p[0] * np.outer(gy, gx)
 
-    def jacobian(p):
+    def columns(p):
         g, mx, sx, my, sy = p
-        gx = np.exp(-((fx - mx) ** 2) / (2.0 * sx**2))
-        gy = np.exp(-((fy - my) ** 2) / (2.0 * sy**2))
-        base = np.outer(gy, gx)
-        m = g * base
-        cols = [
-            base.ravel(),
-            (m * ((fx - mx) / sx**2)[None, :]).ravel(),
-            (m * (((fx - mx) ** 2) / sx**3)[None, :]).ravel(),
-            (m * ((fy - my) / sy**2)[:, None]).ravel(),
-            (m * (((fy - my) ** 2) / sy**3)[:, None]).ravel(),
+        gx, gy = bells(p)
+        return [
+            (gy, gx),
+            (g * gy, gx * (fx - mx) / sx**2),
+            (g * gy, gx * (fx - mx) ** 2 / sx**3),
+            (g * gy * (fy - my) / sy**2, gx),
+            (g * gy * (fy - my) ** 2 / sy**3, gx),
         ]
-        return np.stack(cols, axis=1)
 
-    result = _run_fit(data, model, [g0, mu_x0, sd_x0, mu_y0, sd_y0], jacobian=jacobian)
+    result = _run_fit(data, model, [g0, mu_x0, sd_x0, mu_y0, sd_y0], columns)
     g, mx, sx, my, sy = result.params
     if g <= 0:
         raise FitNonConvergenceError(f"fit converged to nonpositive gain {g!r}")
@@ -249,6 +263,8 @@ def fit_gaussian(f_kn: np.ndarray) -> GaussianFitParams:
         mean_y=float(my),
         std_y=float(abs(sy)),
         residual=result.residual_norm,
+        iterations=result.iterations,
+        stop=result.stop,
     )
 
 
@@ -270,27 +286,18 @@ def fit_raised_cosine(f_kn: np.ndarray) -> RaisedCosineFitParams:
 
     def model(p):
         g, ax, fcx, ay, fcy = p
-        px = _rc_shape(fx, ax, fcx)
-        py = _rc_shape(fy, ay, fcy)
-        return g * np.outer(py, px)
+        return g * np.outer(_rc_shape(fy, ay, fcy)[0], _rc_shape(fx, ax, fcx)[0])
 
-    def jacobian(p):
+    def columns(p):
         # Support membership is held fixed within an iteration; the moving
         # |f| <= fc boundary makes finite differences unusable near integer
         # cutoffs.
         g, ax, fcx, ay, fcy = p
-        px, dpx_da, dpx_dfc = _rc_shape_grads(fx, ax, fcx)
-        py, dpy_da, dpy_dfc = _rc_shape_grads(fy, ay, fcy)
-        cols = [
-            np.outer(py, px).ravel(),
-            g * np.outer(py, dpx_da).ravel(),
-            g * np.outer(py, dpx_dfc).ravel(),
-            g * np.outer(dpy_da, px).ravel(),
-            g * np.outer(dpy_dfc, px).ravel(),
-        ]
-        return np.stack(cols, axis=1)
+        px, dpx_da, dpx_dfc = _rc_shape(fx, ax, fcx)
+        py, dpy_da, dpy_dfc = _rc_shape(fy, ay, fcy)
+        return [(py, px), (g * py, dpx_da), (g * py, dpx_dfc), (g * dpy_da, px), (g * dpy_dfc, px)]
 
-    result = _run_fit(data, model, [g0, a_x0, fc_x0, a_y0, fc_y0], jacobian=jacobian)
+    result = _run_fit(data, model, [g0, a_x0, fc_x0, a_y0, fc_y0], columns)
     g, ax, fcx, ay, fcy = result.params
     if g <= 0 or ax <= 0 or ay <= 0:
         raise FitNonConvergenceError("fit converged to nonpositive gain parameters")
@@ -303,18 +310,14 @@ def fit_raised_cosine(f_kn: np.ndarray) -> RaisedCosineFitParams:
         b_y=scale * float(ay),
         cutoff_y=float(min(abs(fcy), nyquist_bins(h))),
         residual=result.residual_norm,
+        iterations=result.iterations,
+        stop=result.stop,
     )
 
 
 def _rc_shape(f, a, fc):
-    """Unit-A raised-cosine lobe used inside the fit parametrization."""
-    f = np.abs(f)
-    fc = max(abs(fc), 1e-6)
-    return np.where(f <= fc, 1.0 - a * np.cos(np.pi * (f - fc) / fc), 0.0)
-
-
-def _rc_shape_grads(f, a, fc):
-    """Lobe value and its partials w.r.t. a and fc (inside the support)."""
+    """Unit-A raised-cosine lobe of the fit parametrization, and its partials
+    w.r.t. a and fc (inside the support)."""
     f = np.abs(f)
     fc = max(abs(fc), 1e-6)
     inside = f <= fc

@@ -5,10 +5,12 @@ DFT sums, nested-loop convolution, per-window statistics) so each test
 compares two genuinely different routes to the same number.
 """
 
+import builtins
+
 import numpy as np
 from scipy import ndimage
 
-from sarfx import AmplitudeImage, TransferFunction
+from sarfx import AmplitudeImage, TransferFunction, raster
 from sarfx.sysid import freq_grid, nyquist_bins, raised_cosine_axis
 
 
@@ -82,3 +84,29 @@ def energy_residual_fingerprint(image: AmplitudeImage) -> np.ndarray:
     var = ndimage.uniform_filter(resid * resid, 9)
     mean = np.maximum(ndimage.uniform_filter(v, 9), 1e-9)
     return var / (mean * mean)
+
+
+class _FailingWriter:
+    """File stand-in that writes half of the first chunk, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def fail_raster_module_writes(monkeypatch):
+    """Make every file that sarfx.raster opens for writing fail partway."""
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return _FailingWriter(fh) if "w" in mode or "x" in mode else fh
+
+    monkeypatch.setattr(raster, "open", failing_open, raising=False)

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import raised_cosine_filter, smooth_reflectivity
+from helpers import fail_raster_module_writes, raised_cosine_filter, smooth_reflectivity
 
 from sarfx import (
     AmplitudeImage,
@@ -242,6 +243,20 @@ def test_out_of_range_seed_is_a_clean_error(tmp_path, product, capsys, command, 
     assert len(err) == 1 and err[0].startswith("sarfx: error: seed must be in [0, 2**64)")
 
 
+@pytest.mark.parametrize("strategy, fields", [
+    ("gaussian", ["gain_x", "mean_x", "std_x", "gain_y", "mean_y", "std_y"]),
+    ("raised-cosine", ["a_x", "b_x", "cutoff_x", "a_y", "b_y", "cutoff_y"]),
+])
+def test_estimate_filter_sidecar_records_solver_diagnostics(tmp_path, product, strategy, fields):
+    out = tmp_path / "h.sarf"
+    assert main(["estimate-filter", "--strategy", strategy, "--sources", str(product["complex0"]),
+                 "--out", str(out), "--smoothing-sigma", "5.0", "--smoothing-kernel", "31"]) == 0
+    (params,) = json.loads((tmp_path / "h.sarf.json").read_text())["fit_params"]
+    assert sorted(params) == sorted(fields + ["residual", "iterations", "stop"])
+    assert isinstance(params["iterations"], int) and params["iterations"] >= 1
+    assert params["stop"] in ("step", "cost", "damping", "exact")
+
+
 @pytest.mark.parametrize("command", ["attack", "estimate-filter"])
 def test_fit_failure_is_a_clean_error(tmp_path, product, capsys, monkeypatch, command):
     def diverge(*args, **kwargs):
@@ -290,6 +305,16 @@ def _experiment_config(tmp_path, product, out_name="run"):
     path = tmp_path / f"{out_name}.json"
     path.write_text(json.dumps(config, indent=2))
     return path
+
+
+def test_experiment_failed_writes_leave_no_partial_or_temp_file(tmp_path, product, capsys,
+                                                               monkeypatch):
+    config_path = _experiment_config(tmp_path, product)
+    fail_raster_module_writes(monkeypatch)
+    assert main(["experiment", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("sarfx: error: [Errno 28] No space left")
+    # each job's first raster write and then the report write fail partway
+    assert [p.relative_to(tmp_path / "run") for p in (tmp_path / "run").rglob("*")] == [Path("images")]
 
 
 def test_experiment_runs_and_reports(tmp_path, product):
@@ -524,6 +549,11 @@ _BAD_ATTACK_PLANS = {
     "negative-region": lambda c: c.update({"region": [32, -4]}),
     "bad-speckle-mode": lambda c: c["attack"].update({"speckle_mode": "phase-only"}),
     "unknown-edit-key": lambda c: c["edits"].append({"kind": "none", "parmeter": 3}),
+    "edit-without-kind": lambda c: c["edits"].append({"range_class": "far"}),
+    "string-edit-parameter": lambda c: c["edits"].append(
+        {"kind": "upscale", "range_class": "fixed", "parameter": "abc"}),
+    "bool-edit-parameter": lambda c: c["edits"].append(
+        {"kind": "rotate", "range_class": "fixed", "parameter": True}),
 }
 
 
@@ -545,7 +575,10 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     ("bad-speckle-mode", "unknown speckle mode 'phase-only' in attack plan; accepted: ['full', 'phase_only']"),
     ("unknown-edit-key",
      "unknown key(s) ['parmeter'] in an edits entry; accepted: ['kind', 'parameter', 'range_class']"),
-], ids=["bad-speckle-mode", "unknown-edit-key"])
+    ("edit-without-kind",
+     "missing key(s) ['kind'] in an edits entry; accepted: ['kind', 'parameter', 'range_class']"),
+    ("string-edit-parameter", "an edits entry's parameter must be a number or null, got 'abc'"),
+], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())

@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import fail_raster_module_writes
+
 from sarfx import (
     AmplitudeImage,
     ComplexImage,
@@ -90,6 +92,18 @@ def test_header_validation(tmp_path):
     path.write_bytes(struct.pack("<4sBB10xQQ", b"SARF", 9, 0, 2, 2) + bytes(4))
     with pytest.raises(RasterError, match="unknown kind"):
         read_header(path)
+
+
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch):
+    kept = tmp_path / "kept.sarf"
+    write_raster(AmplitudeImage(np.full((4, 5), 3.0)), kept)
+    before = kept.read_bytes()
+    fail_raster_module_writes(monkeypatch)
+    for path in (kept, tmp_path / "new.sarf"):
+        with pytest.raises(OSError, match="No space left"):
+            write_raster(AmplitudeImage(np.full((4, 5), 9.0)), path)
+    assert kept.read_bytes() == before  # the old file survives a failed overwrite
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.sarf"]
 
 
 def test_nan_payload_rejected(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from helpers import naive_convolve_reflect, naive_dft2
 
@@ -122,6 +123,26 @@ def test_smooth_matches_nested_loop_oracle():
     k = gaussian_kernel_1d(2.0, 9)
     oracle = naive_convolve_reflect(plane, np.outer(k, k))
     assert np.abs(out - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape, kernel_size, sigma", [
+    ((32, 32), 9, 2.0),
+    ((9, 16), 7, 1.5),
+    ((15, 13), 41, 6.0),  # radius 20: beyond both axes
+    ((8, 8), 31, 5.0),  # radius 15: nearly twice the axis
+    ((8, 8), 41, 7.0),  # radius 20: beyond twice the axis
+    ((5, 4), 61, 10.0),
+    ((1, 6), 5, 1.0),
+])
+def test_smooth_matches_ndimage_reflect(shape, kernel_size, sigma):
+    # the FFT path against the direct separable convolution it replaced
+    plane = np.random.default_rng(sum(shape) + kernel_size).uniform(0, 5, shape)
+    k = gaussian_kernel_1d(sigma, kernel_size)
+    oracle = ndimage.convolve1d(plane, k, axis=0, mode="reflect")
+    oracle = ndimage.convolve1d(oracle, k, axis=1, mode="reflect")
+    out = smooth_spectrum(plane, sigma, kernel_size)
+    assert out.shape == shape
+    np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=0)
 
 
 def test_smooth_rejects_bad_inputs():

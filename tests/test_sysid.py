@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from helpers import naive_dft2, naive_idft2
 
 from sarfx import (
     AmplitudeImage,
     ComplexImage,
+    GaussianFitParams,
+    RaisedCosineFitParams,
     RasterError,
     TransferFunction,
     central_flip,
@@ -20,8 +25,10 @@ from sarfx import (
     normalized_cross_correlation,
     raised_cosine_response,
 )
+from sarfx import sysid
 from sarfx.leastsq import FitDivergenceError, least_squares
 from sarfx.sysid import (
+    estimate_transfer_function_with_params,
     freq_grid,
     gaussian_axis,
     nyquist_bins,
@@ -64,6 +71,16 @@ def test_magnitude_matches_direct_oracle():
     z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     ours = magnitude_spectrum(ComplexImage(z.real, z.imag))
     assert np.abs(ours - np.abs(naive_dft2(z))).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 16), (15, 13), (12, 14)])
+def test_amplitude_magnitude_matches_full_fft(shape):
+    # the rfft2 half-spectrum path against the full complex transform
+    x = np.random.default_rng(sum(shape)).uniform(0, 9, shape)
+    oracle = np.abs(np.fft.fftshift(np.fft.fft2(x)))
+    mag = magnitude_spectrum(AmplitudeImage(x))
+    assert mag.shape == shape
+    assert np.abs(mag - oracle).max() <= 1e-12 * oracle.max()
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +148,91 @@ def test_raised_cosine_fit_recovers_noiseless_params():
     assert params.cutoff_x == pytest.approx(fc, rel=0.01)
     assert params.cutoff_y == pytest.approx(fc, rel=0.01)
     assert params.residual < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Separable normal equations
+# ---------------------------------------------------------------------------
+
+
+def _dense_gaussian_jacobian(p, fx, fy):
+    g, mx, sx, my, sy = p
+    gx = np.exp(-((fx - mx) ** 2) / (2.0 * sx**2))
+    gy = np.exp(-((fy - my) ** 2) / (2.0 * sy**2))
+    base = np.outer(gy, gx)
+    m = g * base
+    cols = [
+        base,
+        m * ((fx - mx) / sx**2)[None, :],
+        m * (((fx - mx) ** 2) / sx**3)[None, :],
+        m * ((fy - my) / sy**2)[:, None],
+        m * (((fy - my) ** 2) / sy**3)[:, None],
+    ]
+    return np.stack([c.ravel() for c in cols], axis=1)
+
+
+def _rc_lobe_and_partials(f, a, fc):
+    f = np.abs(f)
+    inside = f <= fc
+    theta = np.pi * (f - fc) / fc
+    value = np.where(inside, 1.0 - a * np.cos(theta), 0.0)
+    d_a = np.where(inside, -np.cos(theta), 0.0)
+    d_fc = np.where(inside, -a * np.sin(theta) * np.pi * f / fc**2, 0.0)
+    return value, d_a, d_fc
+
+
+def _dense_rc_jacobian(p, fx, fy):
+    g, ax, fcx, ay, fcy = p
+    px, dpx_da, dpx_dfc = _rc_lobe_and_partials(fx, ax, fcx)
+    py, dpy_da, dpy_dfc = _rc_lobe_and_partials(fy, ay, fcy)
+    cols = [
+        np.outer(py, px),
+        g * np.outer(py, dpx_da),
+        g * np.outer(py, dpx_dfc),
+        g * np.outer(dpy_da, px),
+        g * np.outer(dpy_dfc, px),
+    ]
+    return np.stack([c.ravel() for c in cols], axis=1)
+
+
+def _random_gaussian_params(rng):
+    return [rng.uniform(0.01, 0.1), rng.uniform(-3, 3), rng.uniform(4, 12),
+            rng.uniform(-3, 3), rng.uniform(4, 12)]
+
+
+def _random_rc_params(rng):
+    return [rng.uniform(0.01, 0.1), rng.uniform(0.2, 0.9), rng.uniform(5.3, 15.7),
+            rng.uniform(0.2, 0.9), rng.uniform(5.3, 15.7)]
+
+
+@pytest.mark.parametrize("fit, plane, dense, draw", [
+    (fit_gaussian, lambda h, w: _gaussian_plane(h, w, 9.0, 6.0), _dense_gaussian_jacobian,
+     _random_gaussian_params),
+    (fit_raised_cosine, lambda h, w: _rc_plane(h, w, 0.6, 0.4, 13.0, 9.0), _dense_rc_jacobian,
+     _random_rc_params),
+], ids=["gaussian", "raised_cosine"])
+def test_separable_normal_equations_match_dense_jacobian(monkeypatch, fit, plane, dense, draw):
+    # capture the fit's residual and normal equations, then check them at
+    # random parameters against JᵀJ and Jᵀr of the explicit (h·w, 5) Jacobian
+    captured = []
+
+    def spy(residual_fn, x0, normal_equations=None, **kwargs):
+        captured.append((residual_fn, normal_equations))
+        return least_squares(residual_fn, x0, normal_equations=normal_equations, **kwargs)
+
+    monkeypatch.setattr(sysid, "least_squares", spy)
+    h, w = 36, 41
+    fit(normalize_energy(plane(h, w)))
+    residual_fn, normal_equations = captured[0]
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        p = np.array(draw(rng))
+        r = residual_fn(p)
+        jtj, jtr = normal_equations(p, r)
+        jac = dense(p, freq_grid(w), freq_grid(h))
+        scale = np.sqrt(np.diag(jac.T @ jac))
+        assert np.all(np.abs(jtj - jac.T @ jac) <= 1e-12 * np.outer(scale, scale))
+        assert np.all(np.abs(jtr - jac.T @ r) <= 1e-12 * scale * np.linalg.norm(r))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +387,44 @@ def test_every_strategy_satisfies_constraint_set():
         assert np.abs(tf.values - central_flip(tf.values)).max() <= 1e-9
 
 
+def _numpy_source(n=128, seed=128):
+    """A speckled, raised-cosine-filtered complex tile drawn with numpy alone."""
+    rng = np.random.default_rng(seed)
+    f = np.abs(np.arange(n) - n // 2)
+    fc = 0.7 * (n // 2)
+    lobe = np.where(f <= fc, 0.6 - 0.4 * np.cos(np.pi * (f - fc) / fc), 0.0)
+    scene = ndimage.gaussian_filter(rng.uniform(500.0, 3000.0, (n, n)), 6.0)
+    speckle = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = np.fft.ifft2(np.fft.fft2(scene * speckle) * np.fft.ifftshift(np.outer(lobe, lobe)))
+    return ComplexImage(z.real, z.imag)
+
+
+_FIT_RESPONSES = {
+    "gaussian": (GaussianFitParams, gaussian_response),
+    "raised_cosine": (RaisedCosineFitParams, raised_cosine_response),
+}
+
+
+@pytest.mark.parametrize("strategy", ["direct", "gaussian", "raised_cosine"])
+def test_estimate_matches_stored_old_path_result(strategy):
+    # sysid_old_path_128.npz holds, for the default 128² smoothing, the direct
+    # H of the source's amplitude and the fitted parameters and LM iteration
+    # counts on the complex source, as computed by ndimage.convolve1d
+    # smoothing, complex fft2 magnitudes and LM on the dense Jacobian
+    stored = np.load(Path(__file__).parent / "data" / "sysid_old_path_128.npz")
+    src = _numpy_source()
+    if strategy == "direct":
+        tf, _ = estimate_transfer_function_with_params(src.amplitude(), strategy)
+        old = stored["direct"]
+    else:
+        tf, (params,) = estimate_transfer_function_with_params(src, strategy)
+        cls, response = _FIT_RESPONSES[strategy]
+        old = response(cls(*stored[f"{strategy}_params"]), tf.shape).values
+        assert params.iterations == int(stored[f"{strategy}_iterations"])
+        assert params.stop in ("step", "cost", "damping", "exact")
+    assert np.abs(tf.values - old).max() <= 1e-12
+
+
 def test_default_smoothing_scaling():
     assert default_smoothing(1024) == (601, 100.0)
     assert default_smoothing(2048) == (601, 100.0)
@@ -326,3 +466,18 @@ def test_solver_converges_on_quadratic():
     result = least_squares(residual, [0.0, 0.0])
     assert result.params == pytest.approx([3.0, -1.0], abs=1e-10)
     assert result.residual_norm < 1e-10
+
+
+def test_solver_reports_why_it_stopped():
+    quadratic = least_squares(lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)]), [0.0, 0.0])
+    assert quadratic.stop == "step"
+    # an inconsistent pair: the cost stalls at 2 while x keeps moving toward 0
+    stalled = least_squares(lambda p: np.array([p[0] - 1.0, p[0] + 1.0]), [5.0])
+    assert stalled.stop == "cost" and stalled.residual_norm == pytest.approx(np.sqrt(2.0))
+    assert least_squares(lambda p: np.array([p[0] - 2.0, p[1]]), [2.0, 0.0]).stop == "exact"
+    # every trial step leaves the finite region, so damping saturates
+    blocked = least_squares(
+        lambda p: np.array([1.0 if p[0] == 0.0 else np.inf]), [0.0],
+        normal_equations=lambda p, r: (np.eye(1), np.ones(1)),
+    )
+    assert blocked.stop == "damping" and blocked.iterations == 1
