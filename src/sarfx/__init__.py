@@ -61,14 +61,12 @@ from .forgery import (
     random_splice,
     sample_edit_parameter,
     splice,
-    transform_stencil,
 )
 from .attack import (
     AttackConfig,
     AttackResult,
     apply_system,
     histogram_match,
-    register_despeckler,
     run_attack,
     simulate_pristine,
 )

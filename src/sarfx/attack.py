@@ -1,10 +1,10 @@
 """Counter-forensic re-acquisition pipeline.
 
-The attack chain: optional despeckling hook (identity by default) -> complex
-speckle injection -> filtering through the system frequency response ->
-amplitude extraction -> exact histogram matching against the input. A
-synthetic-scene simulator producing ground-truth "pristine" complex data from
-a known response is included for closure experiments.
+The attack chain: complex speckle injection -> filtering through the system
+frequency response -> amplitude extraction -> exact histogram matching
+against the input. A synthetic-scene simulator producing ground-truth
+"pristine" complex data from a known response is included for closure
+experiments.
 """
 
 from __future__ import annotations
@@ -25,23 +25,6 @@ from .speckle import (
 from .spectral import Spectrum, forward_dft, inverse_dft
 from .sysid import TransferFunction
 
-_DESPECKLERS = {"identity": lambda image: image}
-
-
-def register_despeckler(name: str, fn) -> None:
-    """Register a named despeckling hook: AmplitudeImage -> AmplitudeImage."""
-    _DESPECKLERS[name] = fn
-
-
-def get_despeckler(name: str):
-    try:
-        return _DESPECKLERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown despeckle hook {name!r}; registered: {sorted(_DESPECKLERS)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class AttackConfig:
     """Everything needed to reproduce one attack run.
@@ -55,7 +38,6 @@ class AttackConfig:
     speckle_mode: str = MODE_PHASE_ONLY
     sigma_s: float = DEFAULT_SIGMA_S
     histogram_match: bool = True
-    despeckle_hook: str = "identity"
 
     def __post_init__(self):
         if self.speckle_mode not in SPECKLE_MODES:
@@ -105,15 +87,13 @@ def histogram_match(source: AmplitudeImage, reference: AmplitudeImage) -> Amplit
 
 def run_attack(image: AmplitudeImage, config: AttackConfig) -> AttackResult:
     """Run the full pipeline on an amplitude image; deterministic under the seed."""
-    despeckle = get_despeckler(config.despeckle_hook)
-    base = despeckle(image)
     field = generate_speckle(
-        base.height, base.width, config.speckle_mode, config.sigma_s, config.seed
+        image.height, image.width, config.speckle_mode, config.sigma_s, config.seed
     )
-    speckled = inject_speckle(base, field)
+    speckled = inject_speckle(image, field)
     h = config.transfer_function
-    if h.shape != base.shape:
-        raise RasterError(f"transfer function {h.shape} does not match image {base.shape}")
+    if h.shape != image.shape:
+        raise RasterError(f"transfer function {h.shape} does not match image {image.shape}")
     filtered = apply_system(speckled, h)
     filtered_amplitude = filtered.amplitude(image.dynamic_range_bits)
     if config.histogram_match:

@@ -33,6 +33,7 @@ from .raster import (
     ComplexImage,
     RasterError,
     TamperMask,
+    atomic_open,
     read_raster,
     write_mask_pgm,
     write_raster,
@@ -134,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--speckle-sigma", type=float, default=DEFAULT_SIGMA_S)
     p_attack.add_argument("--seed", type=int, required=True)
     p_attack.add_argument("--no-histogram-match", action="store_true")
-    p_attack.add_argument("--despeckle", default="identity")
     p_attack.add_argument("--smoothing-sigma", type=float, default=None)
     p_attack.add_argument("--smoothing-kernel", type=int, default=None)
     p_attack.add_argument("--dump-intermediates", action="store_true")
@@ -189,7 +189,7 @@ def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with atomic_open(out, "w") as fh:
             fh.write(text)
 
 
@@ -226,7 +226,7 @@ def cmd_estimate_filter(args) -> int:
         "smoothing_kernel": args.smoothing_kernel if args.smoothing_kernel is not None else default_kernel,
         "fit_params": [None if p is None else p.__dict__ for p in fit_params],
     }
-    with open(str(args.out) + ".json", "w") as fh:
+    with atomic_open(str(args.out) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.out} (+ JSON sidecar)")
@@ -260,12 +260,7 @@ def cmd_forge(args) -> int:
         "region_shape": [height, width],
         "seed": args.seed,
     }
-    text = json.dumps(provenance, indent=2, sort_keys=True) + "\n"
-    if args.out_provenance:
-        with open(args.out_provenance, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(provenance, indent=2, sort_keys=True) + "\n", args.out_provenance or "-")
     return 0
 
 
@@ -287,7 +282,6 @@ def cmd_attack(args) -> int:
         speckle_mode=args.speckle_mode.replace("-", "_"),
         sigma_s=args.speckle_sigma,
         histogram_match=not args.no_histogram_match,
-        despeckle_hook=args.despeckle,
     )
     result = run_attack(image, config)
     write_raster(result.attacked, args.out)

@@ -24,6 +24,7 @@ from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
 from .raster import AmplitudeImage, atomic_open, read_raster, write_raster
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
+from .spectral import check_gaussian_kernel
 from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
 from .tables import csv_text
 
@@ -77,9 +78,18 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        _check_keys("config", raw)
         version = raw.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version!r}")
+        raw_edits = raw.get("edits", [{"kind": "none"}])
+        for key, value in (("manifest", raw["manifest"]), ("edits", raw_edits)):
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list of entries, got {value!r}")
+        if not _is_number(raw["master_seed"], int):
+            raise ValueError(f"master_seed must be an integer, got {raw['master_seed']!r}")
+        for entry in raw["manifest"]:
+            _check_keys("manifest", entry)
         manifest = [
             ManifestItem(
                 id=str(entry["id"]),
@@ -97,11 +107,10 @@ class ExperimentConfig:
                 raise FileNotFoundError(f"manifest path does not exist: {item.path}")
             if item.fingerprint and not Path(item.fingerprint).exists():
                 raise FileNotFoundError(f"fingerprint path does not exist: {item.fingerprint}")
-        raw_edits = raw.get("edits", [{"kind": "none"}])
         for e in raw_edits:
             _check_keys("edits", e)
             parameter = e.get("parameter")
-            if isinstance(parameter, bool) or not isinstance(parameter, (int, float, type(None))):
+            if parameter is not None and not _is_number(parameter):
                 raise ValueError(f"an edits entry's parameter must be a number or null, got {parameter!r}")
         edits = [
             EditOp(
@@ -115,17 +124,18 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             # labels key the per-item seed derivation and artifact names
             raise ValueError(f"edit labels must be unique, got {labels}")
-        region = tuple(raw.get("region", [128, 128]))
-        if any(side <= 0 for side in region):
-            raise ValueError(f"region sides must be positive, got {list(region)}")
+        region = raw.get("region", [128, 128])
+        if not (isinstance(region, list) and len(region) == 2
+                and all(_is_number(side, int) and side > 0 for side in region)):
+            raise ValueError(f"region must be two positive integers [height, width], got {region!r}")
         attack_plan = raw.get("attack")
         if attack_plan is not None:
             _validate_attack_plan(attack_plan)
         return cls(
             manifest=manifest,
             edits=edits,
-            region=(int(region[0]), int(region[1])),
-            master_seed=int(raw["master_seed"]),
+            region=tuple(region),
+            master_seed=raw["master_seed"],
             out_dir=str(raw["out_dir"]),
             attack_plan=attack_plan,
         )
@@ -138,19 +148,32 @@ _CONFIG_KEYS = {
     "estimate": {"strategy", "sources"},
     "smoothing": {"sigma", "kernel"},
 }
-_REQUIRED_KEYS = {"edits": {"kind"}}
+_REQUIRED_KEYS = {
+    "config": {"manifest", "master_seed", "out_dir"},
+    "manifest": {"id", "path"},
+    "edits": {"kind"},
+}
+_WHERE = {"config": "the config", "manifest": "a manifest entry", "edits": "an edits entry"}
 
 
 def _check_keys(section: str, value) -> None:
-    where = "an edits entry" if section == "edits" else f"attack plan {section!r}"
+    """``value`` is an object with every required key of ``section`` and, where
+    ``_CONFIG_KEYS`` lists the section's keys, no other key."""
+    where = _WHERE.get(section, f"attack plan {section!r}")
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object, got {value!r}")
-    for problem, keys in (("unknown", value.keys() - _CONFIG_KEYS[section]),
+    accepted = _CONFIG_KEYS.get(section)
+    unknown = value.keys() - accepted if accepted else set()
+    for problem, keys in (("unknown", unknown),
                           ("missing", _REQUIRED_KEYS.get(section, set()) - value.keys())):
         if keys:
-            raise ValueError(
-                f"{problem} key(s) {sorted(keys)} in {where}; accepted: {sorted(_CONFIG_KEYS[section])}"
-            )
+            hint = f"; accepted: {sorted(accepted)}" if accepted else ""
+            raise ValueError(f"{problem} key(s) {sorted(keys)} in {where}{hint}")
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """A JSON number of ``kind``; JSON's true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _validate_attack_plan(plan: dict) -> None:
@@ -160,12 +183,25 @@ def _validate_attack_plan(plan: dict) -> None:
         raise ValueError(
             f"unknown speckle mode {mode!r} in attack plan; accepted: {list(SPECKLE_MODES)}"
         )
-    _check_keys("smoothing", plan.get("smoothing", {}))
+    histogram = plan.get("histogram_match", True)
+    if not isinstance(histogram, bool):
+        raise ValueError(f"attack plan 'histogram_match' must be true or false, got {histogram!r}")
+    sigma_s = plan.get("sigma_s", DEFAULT_SIGMA_S)
+    if not (_is_number(sigma_s) and sigma_s > 0):
+        raise ValueError(f"attack plan 'sigma_s' must be a positive number, got {sigma_s!r}")
+    smoothing = plan.get("smoothing", {})
+    _check_keys("smoothing", smoothing)
+    try:
+        check_gaussian_kernel(smoothing.get("sigma"), smoothing.get("kernel"))
+    except ValueError as exc:
+        raise ValueError(f"attack plan 'smoothing': {exc}") from None
     flt = plan.get("filter")
     _check_keys("filter", flt)
     if len(flt) != 1:
         raise ValueError("attack plan filter must carry exactly one of 'known'/'estimate'")
     if "known" in flt:
+        if not isinstance(flt["known"], str):
+            raise ValueError(f"attack plan 'known' must be a raster path, got {flt['known']!r}")
         if not Path(flt["known"]).exists():
             raise FileNotFoundError(f"known filter path does not exist: {flt['known']}")
         return
@@ -175,6 +211,11 @@ def _validate_attack_plan(plan: dict) -> None:
         raise ValueError(f"invalid estimation strategy {est['strategy']!r}")
     sources = est.get("sources", "self")
     if sources != "self":
+        if not (isinstance(sources, list) and sources and all(isinstance(s, str) for s in sources)):
+            raise ValueError(
+                f"attack plan 'estimate' sources must be \"self\" or a nonempty list of raster "
+                f"paths, got {sources!r}"
+            )
         for src in sources:
             if not Path(src).exists():
                 raise FileNotFoundError(f"filter source does not exist: {src}")

@@ -7,8 +7,7 @@ ablation (scale round trips and zero-mean additive noises).
 
 Resampling is bicubic (Keys kernel, a = -0.5) in float64. Resize sampling
 clamps to the edge so constant inputs stay constant; rotation fills pixels
-falling outside the source frame with zero. Binary stencils are transformed
-with bilinear coverage and re-rasterized at a 0.5 threshold.
+falling outside the source frame with zero.
 """
 
 from __future__ import annotations
@@ -223,40 +222,6 @@ def rotate(values: np.ndarray, angle_deg: float) -> np.ndarray:
     """Bicubic rotation about the image center; same-size output, zero fill."""
     coords = _source_coords(values.shape, values.shape, angle_deg=angle_deg)
     return _bicubic_sample(values, *coords, border="zero")
-
-
-def _bilinear_sample_zero(src: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    h, w = src.shape
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    fr = rows - r0
-    fc = cols - c0
-    out = np.zeros(rows.shape, dtype=np.float64)
-    for dr, wy in ((0, 1.0 - fr), (1, fr)):
-        rr = r0 + dr
-        rv = (rr >= 0) & (rr < h)
-        rr_c = np.clip(rr, 0, h - 1)
-        for dc, wx in ((0, 1.0 - fc), (1, fc)):
-            cc = c0 + dc
-            valid = rv & (cc >= 0) & (cc < w)
-            cc_c = np.clip(cc, 0, w - 1)
-            out += wy * wx * valid * src[rr_c, cc_c]
-    return out
-
-
-def transform_stencil(stencil: np.ndarray, op: EditOp, parameter: float) -> np.ndarray:
-    """Carry a binary stencil through a geometric edit.
-
-    Coverage is estimated with bilinear interpolation of the {0,1} field and
-    re-rasterized at a 0.5 threshold, so donor and target regions stay
-    congruent after rotation or rescaling.
-    """
-    if op.kind in ("none", "gaussian_blur"):
-        return np.asarray(stencil, dtype=np.uint8)
-    field = np.asarray(stencil, dtype=np.float64)
-    angle = parameter if op.kind == "rotate" else None
-    coords = _source_coords(field.shape, edited_shape(field.shape, op, parameter), angle_deg=angle)
-    return (_bilinear_sample_zero(field, *coords) >= 0.5).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Damped Gauss-Newton (Levenberg-Marquardt) solver for nonlinear least squares.
 
 Minimizes ``sum(residual_fn(x)**2)`` with multiplicative damping adaptation,
-from normal equations (JᵀJ, Jᵀr) that a caller may build without the m x n
-Jacobian. Convergence is declared on a small relative step or a small relative
-residual reduction, and the result names the rule that stopped it; hitting
-the iteration cap without either raises :class:`FitDivergenceError` so
-callers can surface an explicit non-convergence instead of silently returning
-garbage parameters.
+from normal equations (JᵀJ, Jᵀr) that the caller builds, so the m x n
+Jacobian need never exist. Convergence is declared on a small relative step or
+a small relative residual reduction, and the result names the rule that
+stopped it; hitting the iteration cap without either raises
+:class:`FitDivergenceError` so callers can surface an explicit
+non-convergence instead of silently returning garbage parameters.
 """
 
 from __future__ import annotations
@@ -28,52 +28,25 @@ class LeastSquaresResult:
     stop: str  # "step", "cost", "damping" (no improving step left) or "exact" (zero cost)
 
 
-def finite_difference_jacobian(residual_fn, x, rel_step=1e-6, abs_floor=1e-9):
-    """Central-difference Jacobian of ``residual_fn`` at ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    r0 = np.asarray(residual_fn(x), dtype=np.float64)
-    jac = np.empty((r0.size, x.size))
-    for i in range(x.size):
-        h = max(rel_step * abs(x[i]), abs_floor)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (np.asarray(residual_fn(xp)) - np.asarray(residual_fn(xm))) / (2 * h)
-    return jac
+STEP_TOL = 1e-8  # relative parameter step
+RESIDUAL_TOL = 1e-10  # relative cost reduction
+INITIAL_DAMPING = 1e-3
 
 
-def least_squares(
-    residual_fn,
-    x0,
-    normal_equations=None,
-    max_iter: int = 200,
-    step_tol: float = 1e-8,
-    residual_tol: float = 1e-10,
-    damping: float = 1e-3,
-) -> LeastSquaresResult:
+def least_squares(residual_fn, x0, normal_equations, max_iter: int = 200) -> LeastSquaresResult:
     """Levenberg-Marquardt minimization of ``sum(residual_fn(x)**2)``.
 
     Args:
         residual_fn: maps a parameter vector to a 1D residual vector.
         x0: initial parameter vector.
-        normal_equations: optional callable ``(x, r) -> (JᵀJ, Jᵀr)`` at the
-            parameters ``x`` with residual ``r``; built from a finite-difference
-            Jacobian when omitted.
+        normal_equations: callable ``(x, r) -> (JᵀJ, Jᵀr)`` at the parameters
+            ``x`` with residual ``r``.
         max_iter: iteration cap; exceeding it raises FitDivergenceError.
-        step_tol: relative parameter-step tolerance.
-        residual_tol: relative cost-reduction tolerance.
-        damping: initial LM damping factor.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    if normal_equations is None:
-        def normal_equations(p, r):
-            jac = finite_difference_jacobian(residual_fn, p)
-            return jac.T @ jac, jac.T @ r
-
     r = np.asarray(residual_fn(x), dtype=np.float64).ravel()
     cost = float(r @ r)
-    lam = float(damping)
+    lam = INITIAL_DAMPING
 
     for iteration in range(1, max_iter + 1):
         jtj, jtr = normal_equations(x, r)
@@ -104,8 +77,8 @@ def least_squares(
 
         rel_step = np.linalg.norm(step) / max(np.linalg.norm(x), 1e-300)
         rel_improvement = improvement / max(cost + improvement, 1e-300)
-        for stop, met in (("exact", cost == 0.0), ("step", rel_step < step_tol),
-                          ("cost", rel_improvement < residual_tol)):
+        for stop, met in (("exact", cost == 0.0), ("step", rel_step < STEP_TOL),
+                          ("cost", rel_improvement < RESIDUAL_TOL)):
             if met:
                 return LeastSquaresResult(x, float(np.sqrt(cost)), iteration, stop)
 

@@ -268,7 +268,7 @@ def read_raster(path) -> RasterImage:
 
 def write_mask_pgm(mask: TamperMask, path) -> None:
     """Export a mask as binary PGM (0/255) for visual inspection."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii"))
         fh.write((mask.values * np.uint8(255)).tobytes())
 

@@ -7,6 +7,7 @@ stored DC-centered (bin ``(H//2, W//2)`` is DC).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,20 @@ def central_flip(values: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(flipped)
 
 
+def check_gaussian_kernel(sigma, size) -> None:
+    """Reject a ``size`` that is not a positive odd integer and a ``sigma`` that
+    is not a positive number; an argument given as None is not checked."""
+    if size is not None and (isinstance(size, bool) or not isinstance(size, numbers.Integral)
+                             or size < 1 or size % 2 != 1):
+        raise ValueError(f"kernel size must be a positive odd integer, got {size!r}")
+    if sigma is not None and (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)
+                              or not sigma > 0):
+        raise ValueError(f"sigma must be a positive number, got {sigma!r}")
+
+
 def gaussian_kernel_1d(sigma: float, size: int) -> np.ndarray:
     """Unit-sum sampled Gaussian of odd length ``size``."""
-    if size % 2 != 1:
-        raise ValueError(f"kernel size must be odd, got {size}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_gaussian_kernel(sigma, size)
     x = np.arange(size, dtype=np.float64) - size // 2
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()

@@ -391,7 +391,6 @@ def estimate_transfer_function(
     sources,
     strategy: str = STRATEGY_DIRECT,
     *,
-    known: TransferFunction | None = None,
     sigma: float | None = None,
     kernel_size: int | None = None,
 ) -> TransferFunction:
@@ -404,7 +403,7 @@ def estimate_transfer_function(
     spectra) and only as a single source.
     """
     tf, _ = estimate_transfer_function_with_params(
-        sources, strategy, known=known, sigma=sigma, kernel_size=kernel_size
+        sources, strategy, sigma=sigma, kernel_size=kernel_size
     )
     return tf
 
@@ -413,17 +412,12 @@ def estimate_transfer_function_with_params(
     sources,
     strategy: str = STRATEGY_DIRECT,
     *,
-    known: TransferFunction | None = None,
     sigma: float | None = None,
     kernel_size: int | None = None,
 ):
     """Like :func:`estimate_transfer_function` but also returns per-source fit params."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == STRATEGY_KNOWN:
-        if known is None:
-            raise ValueError("strategy 'known' requires a provided transfer function")
-        return known, []
+    if strategy not in ESTIMATORS:
+        raise ValueError(f"unknown estimation strategy {strategy!r}; accepted: {list(ESTIMATORS)}")
 
     if isinstance(sources, (ComplexImage, AmplitudeImage)):
         sources = [sources]

@@ -6,6 +6,7 @@ compares two genuinely different routes to the same number.
 """
 
 import builtins
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -61,6 +62,22 @@ def naive_convolve_reflect(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+def fd_normal_equations(residual_fn, rel_step=1e-6, abs_floor=1e-9):
+    """Solver oracle: ``(x, r) -> (JᵀJ, Jᵀr)`` from a central-difference
+    Jacobian of ``residual_fn``, for residuals without an analytic one."""
+    def normal_equations(x, r):
+        x = np.asarray(x, dtype=np.float64)
+        jac = np.empty((r.size, x.size))
+        for i in range(x.size):
+            h = max(rel_step * abs(x[i]), abs_floor)
+            step = np.zeros_like(x)
+            step[i] = h
+            jac[:, i] = (np.asarray(residual_fn(x + step)) - np.asarray(residual_fn(x - step))) / (2 * h)
+        return jac.T @ jac, jac.T @ r
+
+    return normal_equations
+
+
 def raised_cosine_filter(n: int, fc_fraction: float) -> TransferFunction:
     """Separable raised-cosine low-pass with unit DC gain and a hard cutoff."""
     axis = raised_cosine_axis(freq_grid(n), 0.5, 0.5, fc_fraction * nyquist_bins(n))
@@ -103,10 +120,14 @@ class _FailingWriter:
         raise OSError(28, "No space left on device")
 
 
-def fail_raster_module_writes(monkeypatch):
-    """Make every file that sarfx.raster opens for writing fail partway."""
+def fail_raster_module_writes(monkeypatch, target=None):
+    """Make every file that sarfx.raster opens for writing fail partway, or,
+    given ``target``, only the temp file of an atomic write to that file name."""
     def failing_open(path, mode="r", *args, **kwargs):
         fh = builtins.open(path, mode, *args, **kwargs)
-        return _FailingWriter(fh) if "w" in mode or "x" in mode else fh
+        writing = "w" in mode or "x" in mode
+        if writing and (target is None or Path(path).name.startswith(f".{target}.")):
+            return _FailingWriter(fh)
+        return fh
 
     monkeypatch.setattr(raster, "open", failing_open, raising=False)

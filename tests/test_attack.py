@@ -17,7 +17,6 @@ from sarfx import (
     forward_dft,
     histogram_match,
     random_splice,
-    register_despeckler,
     run_attack,
     simulate_pristine,
 )
@@ -181,22 +180,6 @@ def test_attack_config_validation():
         AttackConfig(seed=0)
     with pytest.raises(ValueError, match="speckle mode"):
         AttackConfig(seed=0, speckle_mode="sideways", transfer_function=_flat_filter(8))
-
-
-def test_despeckle_hook_registry():
-    image = AmplitudeImage(np.random.default_rng(10).uniform(10, 20, (32, 32)))
-    register_despeckler("halve", lambda img: AmplitudeImage(img.values / 2, img.dynamic_range_bits))
-    cfg = AttackConfig(
-        seed=5, transfer_function=_flat_filter(32), histogram_match=False, despeckle_hook="halve"
-    )
-    result = run_attack(image, cfg)
-    baseline = run_attack(
-        image,
-        AttackConfig(seed=5, transfer_function=_flat_filter(32), histogram_match=False),
-    )
-    assert np.allclose(result.attacked.values, baseline.attacked.values / 2, atol=1e-9)
-    with pytest.raises(KeyError, match="unknown despeckle hook"):
-        run_attack(image, AttackConfig(seed=5, transfer_function=_flat_filter(32), despeckle_hook="nope"))
 
 
 def test_attack_keeps_spliced_content():

@@ -276,6 +276,50 @@ def test_fit_failure_is_a_clean_error(tmp_path, product, capsys, monkeypatch, co
                    "iteration cap reached"]
 
 
+def _forge_argv(product, out, *extra):
+    return ["forge", "--target", str(product["amp0"]), "--donor", str(product["amp1"]),
+            "--edit", "gaussian_blur", "--region", "32x32", "--seed", "5",
+            "--out-image", str(out / "spliced.sarf"), "--out-mask", str(out / "mask.sarf"), *extra]
+
+
+# Each CLI output written outside sarfx.raster's rasters: its file name and its argv.
+_ATOMIC_CLI_OUTPUTS = {
+    "estimate-filter-sidecar": ("h.sarf.json", lambda product, out: [
+        "estimate-filter", "--strategy", "direct", "--sources", str(product["complex0"]),
+        "--out", str(out / "h.sarf"), "--smoothing-sigma", "5.0", "--smoothing-kernel", "31"]),
+    "forge-provenance": ("provenance.json", lambda product, out: _forge_argv(
+        product, out, "--out-provenance", str(out / "provenance.json"))),
+    "forge-mask-pgm": ("mask.pgm", lambda product, out: _forge_argv(
+        product, out, "--out-mask-pgm", str(out / "mask.pgm"))),
+    "spectrum-out": ("profile.csv", lambda product, out: [
+        "spectrum", "--input", str(product["amp0"]), "--out", str(out / "profile.csv")]),
+    "metrics-out": ("report.json", lambda product, out: [
+        "metrics", "--a", str(product["amp0"]), "--b", str(product["amp1"]),
+        "--out", str(out / "report.json")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ATOMIC_CLI_OUTPUTS))
+def test_cli_failed_output_write_leaves_no_partial_or_temp_file(tmp_path, product, capsys,
+                                                                monkeypatch, case):
+    name, argv = _ATOMIC_CLI_OUTPUTS[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(argv(product, out)) == 0
+    kept = (out / name).read_bytes()
+    files = sorted(p.name for p in out.iterdir())
+    fail_raster_module_writes(monkeypatch, name)
+    capsys.readouterr()
+    assert main(argv(product, out)) == 1
+    assert capsys.readouterr().err.splitlines() == ["sarfx: error: [Errno 28] No space left on device"]
+    # the old file survives a failed overwrite, and no temp file is left
+    assert (out / name).read_bytes() == kept
+    assert sorted(p.name for p in out.iterdir()) == files
+    (out / name).unlink()
+    assert main(argv(product, out)) == 1
+    assert sorted(p.name for p in out.iterdir()) == [f for f in files if f != name]
+
+
 # ---------------------------------------------------------------------------
 # Experiment orchestration
 # ---------------------------------------------------------------------------
@@ -554,6 +598,27 @@ _BAD_ATTACK_PLANS = {
         {"kind": "upscale", "range_class": "fixed", "parameter": "abc"}),
     "bool-edit-parameter": lambda c: c["edits"].append(
         {"kind": "rotate", "range_class": "fixed", "parameter": True}),
+    "string-region": lambda c: c.update({"region": "abc"}),
+    "one-side-region": lambda c: c.update({"region": [16]}),
+    "fractional-region": lambda c: c.update({"region": [16.5, 16]}),
+    "missing-master-seed": lambda c: c.pop("master_seed"),
+    "missing-out-dir": lambda c: c.pop("out_dir"),
+    "missing-manifest": lambda c: c.pop("manifest"),
+    "string-manifest": lambda c: c.update({"manifest": "t0.sarf"}),
+    "number-edits": lambda c: c.update({"edits": 5}),
+    "string-master-seed": lambda c: c.update({"master_seed": "abc"}),
+    "fractional-master-seed": lambda c: c.update({"master_seed": 1.5}),
+    "number-known-filter": lambda c: c["attack"].update({"filter": {"known": 5}}),
+    "manifest-entry-without-id": lambda c: c["manifest"][0].pop("id"),
+    "manifest-entry-without-path": lambda c: c["manifest"][1].pop("path"),
+    "string-histogram-match": lambda c: c["attack"].update({"histogram_match": "false"}),
+    "string-sigma-s": lambda c: c["attack"].update({"sigma_s": "x"}),
+    "bool-sigma-s": lambda c: c["attack"].update({"sigma_s": True}),
+    "zero-sigma-s": lambda c: c["attack"].update({"sigma_s": 0}),
+    "string-smoothing-sigma": lambda c: c["attack"]["smoothing"].update({"sigma": "x"}),
+    "negative-smoothing-sigma": lambda c: c["attack"]["smoothing"].update({"sigma": -2}),
+    "even-smoothing-kernel": lambda c: c["attack"]["smoothing"].update({"kernel": 4}),
+    "string-sources": lambda c: c["attack"]["filter"]["estimate"].update({"sources": "t0.sarf"}),
 }
 
 
@@ -578,7 +643,20 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     ("edit-without-kind",
      "missing key(s) ['kind'] in an edits entry; accepted: ['kind', 'parameter', 'range_class']"),
     ("string-edit-parameter", "an edits entry's parameter must be a number or null, got 'abc'"),
-], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter"])
+    ("missing-master-seed", "missing key(s) ['master_seed'] in the config"),
+    ("string-master-seed", "master_seed must be an integer, got 'abc'"),
+    ("manifest-entry-without-path", "missing key(s) ['path'] in a manifest entry"),
+    ("fractional-region", "region must be two positive integers [height, width], got [16.5, 16]"),
+    ("string-histogram-match", "attack plan 'histogram_match' must be true or false, got 'false'"),
+    ("string-sigma-s", "attack plan 'sigma_s' must be a positive number, got 'x'"),
+    ("even-smoothing-kernel",
+     "attack plan 'smoothing': kernel size must be a positive odd integer, got 4"),
+    ("string-sources",
+     "attack plan 'estimate' sources must be \"self\" or a nonempty list of raster paths, "
+     "got 't0.sarf'"),
+], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
+        "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
+        "string-histogram-match", "string-sigma-s", "even-smoothing-kernel", "string-sources"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())

@@ -12,7 +12,6 @@ from sarfx import (
     random_splice,
     sample_edit_parameter,
     splice,
-    transform_stencil,
 )
 from sarfx.forgery import EDIT_PARAMETER_RANGES, GLOBAL_NOISE_LEVEL, edited_shape, resize, rotate
 from sarfx.speckle import rng
@@ -215,18 +214,6 @@ def test_vehicle_style_stencil_splices_pixel_exact():
     sel = stencil == 1
     assert np.array_equal(out.values[70:86, 60:95][sel], donor.values[40:56, 50:85][sel])
     assert np.array_equal(out.values[~mask.values.astype(bool)], target.values[~mask.values.astype(bool)])
-
-
-def test_transform_stencil_rotation_and_resize():
-    stencil = np.zeros((21, 21), dtype=np.uint8)
-    stencil[8:13, 3:18] = 1  # 5x15 bar
-    quarter = transform_stencil(stencil, EditOp("rotate", 90.0, "fixed"), 90.0)
-    assert np.array_equal(quarter, np.rot90(stencil, 1))
-    doubled = transform_stencil(stencil, EditOp("upscale", 2.0, "fixed"), 2.0)
-    assert doubled.shape == (42, 42)
-    assert doubled.sum() == pytest.approx(4 * stencil.sum(), rel=0.15)
-    blurred = transform_stencil(stencil, EditOp("gaussian_blur"), 0.5)
-    assert np.array_equal(blurred, stencil)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from helpers import naive_dft2, naive_idft2
+from helpers import fd_normal_equations, naive_dft2, naive_idft2
 
 from sarfx import (
     AmplitudeImage,
@@ -335,11 +335,12 @@ def test_identical_sources_match_single_source():
     assert np.array_equal(single.values, double.values)
 
 
-def test_known_strategy_returns_input():
-    good = _gaussian_plane(16, 16, 4.0, 4.0)
-    tf = TransferFunction(good / good.max())
-    out = estimate_transfer_function([], "known", known=tf)
-    assert out is tf
+def test_known_is_not_an_estimation_strategy():
+    # a known H is built as a TransferFunction directly, never estimated
+    src = _speckled_source(16, 4)
+    with pytest.raises(ValueError, match=r"unknown estimation strategy 'known'; accepted: "
+                                         r"\['gaussian', 'raised_cosine', 'direct'\]"):
+        estimate_transfer_function([src], "known", sigma=3.0, kernel_size=9)
 
 
 def test_source_permutation_is_bit_invariant():
@@ -458,23 +459,26 @@ def test_solver_raises_on_iteration_cap():
     # cost keeps shrinking but never meets the relative tolerances
     residual = lambda p: np.array([np.exp(-p[0])])
     with pytest.raises(FitDivergenceError, match="convergence"):
-        least_squares(residual, [0.0], max_iter=50)
+        least_squares(residual, [0.0], fd_normal_equations(residual), max_iter=50)
 
 
 def test_solver_converges_on_quadratic():
     residual = lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)])
-    result = least_squares(residual, [0.0, 0.0])
+    result = least_squares(residual, [0.0, 0.0], fd_normal_equations(residual))
     assert result.params == pytest.approx([3.0, -1.0], abs=1e-10)
     assert result.residual_norm < 1e-10
 
 
 def test_solver_reports_why_it_stopped():
-    quadratic = least_squares(lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)]), [0.0, 0.0])
+    quadratic_fn = lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)])
+    quadratic = least_squares(quadratic_fn, [0.0, 0.0], fd_normal_equations(quadratic_fn))
     assert quadratic.stop == "step"
     # an inconsistent pair: the cost stalls at 2 while x keeps moving toward 0
-    stalled = least_squares(lambda p: np.array([p[0] - 1.0, p[0] + 1.0]), [5.0])
+    stalled_fn = lambda p: np.array([p[0] - 1.0, p[0] + 1.0])
+    stalled = least_squares(stalled_fn, [5.0], fd_normal_equations(stalled_fn))
     assert stalled.stop == "cost" and stalled.residual_norm == pytest.approx(np.sqrt(2.0))
-    assert least_squares(lambda p: np.array([p[0] - 2.0, p[1]]), [2.0, 0.0]).stop == "exact"
+    exact_fn = lambda p: np.array([p[0] - 2.0, p[1]])
+    assert least_squares(exact_fn, [2.0, 0.0], fd_normal_equations(exact_fn)).stop == "exact"
     # every trial step leaves the finite region, so damping saturates
     blocked = least_squares(
         lambda p: np.array([1.0 if p[0] == 0.0 else np.inf]), [0.0],
