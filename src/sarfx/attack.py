@@ -79,7 +79,11 @@ def histogram_match(source: AmplitudeImage, reference: AmplitudeImage) -> Amplit
             f"pixel count mismatch: {source.values.size} vs {reference.values.size}"
         )
     flat = source.values.ravel()
-    order = np.argsort(flat, kind="stable")
+    order = np.argsort(flat)  # unstable; the stable order sorts by (value, index)
+    ordered = np.sort(flat)
+    tied = ordered[1:] == ordered[:-1]
+    if tied.any():  # re-sort the indices inside each run of equal values
+        order = np.sort(np.cumsum(np.r_[False, ~tied]) * flat.size + order) % flat.size
     matched = np.empty_like(flat)
     matched[order] = np.sort(reference.values, axis=None)
     return AmplitudeImage(matched.reshape(source.shape), reference.dynamic_range_bits)

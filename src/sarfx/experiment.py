@@ -22,7 +22,7 @@ from pathlib import Path
 from .attack import AttackConfig, run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
-from .raster import AmplitudeImage, atomic_open, read_raster, write_raster
+from .raster import AmplitudeImage, atomic_open, read_header, read_raster, write_raster
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
 from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
@@ -128,6 +128,11 @@ class ExperimentConfig:
         if not (isinstance(region, list) and len(region) == 2
                 and all(_is_number(side, int) and side > 0 for side in region)):
             raise ValueError(f"region must be two positive integers [height, width], got {region!r}")
+        # one tile smaller than the region fails only its own jobs; reject a region none holds
+        headers = [read_header(item.path) for item in manifest]
+        if headers and not any(region[0] <= h.height and region[1] <= h.width for h in headers):
+            raise ValueError(f"region {region} is larger than every manifest tile; "
+                             f"{manifest[0].id!r} is {headers[0].height}x{headers[0].width}")
         attack_plan = raw.get("attack")
         if attack_plan is not None:
             _validate_attack_plan(attack_plan)

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .raster import (
     AmplitudeImage,
@@ -24,6 +23,7 @@ from .raster import (
     TamperMask,
     read_raster,
 )
+from .spectral import valid_convolver
 
 SSIM_WINDOW_SIZE = 11
 SSIM_WINDOW_SIGMA = 1.5
@@ -130,25 +130,21 @@ def gaussian_window(size: int = SSIM_WINDOW_SIZE, sigma: float = SSIM_WINDOW_SIG
     return k / k.sum()
 
 
-def _windowed(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
-    # Window is symmetric, so convolution equals correlation.
-    return signal.fftconvolve(plane, window, mode="valid")
-
-
 def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float):
-    window = gaussian_window()
     if a.shape[0] < SSIM_WINDOW_SIZE or a.shape[1] < SSIM_WINDOW_SIZE:
         raise ValueError(
             f"images of shape {a.shape} are smaller than the {SSIM_WINDOW_SIZE}x"
             f"{SSIM_WINDOW_SIZE} SSIM window"
         )
+    # the window is symmetric, so convolution equals correlation
+    windowed = valid_convolver(a.shape, gaussian_window(), (0, 1))
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
-    mu_a = _windowed(a, window)
-    mu_b = _windowed(b, window)
-    e_aa = _windowed(a * a, window)
-    e_bb = _windowed(b * b, window)
-    e_ab = _windowed(a * b, window)
+    mu_a = windowed(a)
+    mu_b = windowed(b)
+    e_aa = windowed(a * a)
+    e_bb = windowed(b * b)
+    e_ab = windowed(a * b)
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b

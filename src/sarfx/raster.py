@@ -246,24 +246,16 @@ def read_raster(path) -> RasterImage:
             f"{path}: payload size mismatch (got {len(payload)} bytes, header implies {expected})"
         )
     shape = (header.height, header.width)
-    if header.kind == KIND_AMPLITUDE_F64:
-        values = np.frombuffer(payload, dtype="<f8").reshape(shape)
-        if not np.all(np.isfinite(values)):
-            raise RasterError(f"{path}: NaN/Inf in payload")
-        bits = header.dynamic_range_bits if header.dynamic_range_bits else 16
-        return AmplitudeImage(values, bits)
-    if header.kind == KIND_COMPLEX_F64:
-        planes = np.frombuffer(payload, dtype="<f8")
-        n = header.height * header.width
-        re = planes[:n].reshape(shape)
-        im = planes[n:].reshape(shape)
-        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise RasterError(f"{path}: NaN/Inf in payload")
-        return ComplexImage(re, im)
-    values = np.frombuffer(payload, dtype=np.uint8).reshape(shape)
-    if not np.isin(values, (0, 1)).all():
-        raise RasterError(f"{path}: mask payload has values outside {{0,1}}")
-    return TamperMask(values)
+    try:  # the image types check finite values, the bits, the sign and the mask's {0,1}
+        if header.kind == KIND_AMPLITUDE_F64:
+            values = np.frombuffer(payload, dtype="<f8").reshape(shape)
+            return AmplitudeImage(values, header.dynamic_range_bits or 16)
+        if header.kind == KIND_COMPLEX_F64:
+            re, im = np.frombuffer(payload, dtype="<f8").reshape(2, *shape)
+            return ComplexImage(re, im)
+        return TamperMask(np.frombuffer(payload, dtype=np.uint8).reshape(shape))
+    except RasterError as exc:
+        raise RasterError(f"{path}: {exc}") from None
 
 
 def write_mask_pgm(mask: TamperMask, path) -> None:

@@ -11,7 +11,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sp_fft
 
 from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
 from .tables import csv_text
@@ -105,6 +105,17 @@ def gaussian_kernel_1d(sigma: float, size: int) -> np.ndarray:
     return k / k.sum()
 
 
+def valid_convolver(shape, kernel: np.ndarray, axes):
+    """``plane -> scipy.signal.fftconvolve(plane, kernel, "valid", axes=axes)`` for real
+    planes of ``shape``, bit-identical to it (same FFT sizes, product order and
+    crop), with the kernel transformed once."""
+    fshape = [sp_fft.next_fast_len(shape[a] + kernel.shape[a] - 1, True) for a in axes]
+    kernel_spectrum = sp_fft.rfftn(kernel, fshape, axes=axes)
+    crop = tuple(slice(k - 1, n) for n, k in zip(shape, kernel.shape))
+    return lambda plane: sp_fft.irfftn(
+        sp_fft.rfftn(plane, fshape, axes=axes) * kernel_spectrum, fshape, axes=axes)[crop]
+
+
 def smooth_spectrum(mag: np.ndarray, sigma: float, kernel_size: int) -> np.ndarray:
     """Convolve a magnitude plane with a unit-sum Gaussian, reflective padding.
 
@@ -119,9 +130,10 @@ def smooth_spectrum(mag: np.ndarray, sigma: float, kernel_size: int) -> np.ndarr
         raise ValueError("magnitude plane must be nonnegative")
     k = gaussian_kernel_1d(sigma, kernel_size)
     r = kernel_size // 2
-    out = signal.oaconvolve(np.pad(mag, ((r, r), (0, 0)), "symmetric"), k[:, None], "valid", axes=0)
-    out = signal.oaconvolve(np.pad(out, ((0, 0), (r, r)), "symmetric"), k[None, :], "valid", axes=1)
-    return np.maximum(out, 0.0)
+    for axis in (0, 1):
+        mag = np.pad(mag, [(r, r) if a == axis else (0, 0) for a in (0, 1)], "symmetric")
+        mag = valid_convolver(mag.shape, np.expand_dims(k, 1 - axis), (axis,))(mag)
+    return np.maximum(mag, 0.0)
 
 
 def azimuthal_profile(spectrum: Spectrum) -> RadialProfile:

@@ -113,6 +113,34 @@ def test_histogram_match_with_ties_is_stable():
     assert np.array_equal(out.values, np.array([[40.0, 50.0, 10.0], [60.0, 20.0, 30.0]]))
 
 
+def _signed_zeros(rng, shape):
+    return rng.choice([0.0, -0.0, 1.0, 2.5], shape)
+
+
+_TIE_CASES = {
+    "tie-free": lambda rng, shape: rng.uniform(0, 100, shape),
+    "one-in-seven-tied": lambda rng, shape: np.where(
+        rng.random(shape) < 1 / 7, 42.0, rng.uniform(0, 100, shape)),
+    "five-levels": lambda rng, shape: rng.integers(0, 5, shape).astype(np.float64),
+    "all-equal": lambda rng, shape: np.full(shape, 7.0),
+    "signed-zeros": _signed_zeros,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+def test_histogram_match_equals_stable_argsort(case):
+    # the unstable sort plus tie re-sort against the stable argsort it replaced
+    rng = np.random.default_rng(len(case))
+    source = _TIE_CASES[case](rng, (300, 200))
+    reference = rng.uniform(0, 1000, (300, 200))
+    expected = np.empty(source.size)
+    expected[np.argsort(source.ravel(), kind="stable")] = np.sort(reference, axis=None)
+    out = histogram_match(AmplitudeImage(source), AmplitudeImage(reference))
+    assert np.array_equal(out.values, expected.reshape(source.shape))
+    if case == "signed-zeros":
+        assert np.signbit(source).any()
+
+
 def test_histogram_match_size_mismatch():
     with pytest.raises(RasterError, match="count"):
         histogram_match(AmplitudeImage(np.ones((4, 4))), AmplitudeImage(np.ones((4, 5))))

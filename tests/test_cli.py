@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,16 @@ from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliErro
 from sarfx.experiment import ExperimentConfig, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp
 from sarfx.leastsq import FitDivergenceError
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal, with the scipy.stats it imports, would add about a second
+    # to every start of the command line
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, sarfx.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +614,7 @@ _BAD_ATTACK_PLANS = {
     "string-region": lambda c: c.update({"region": "abc"}),
     "one-side-region": lambda c: c.update({"region": [16]}),
     "fractional-region": lambda c: c.update({"region": [16.5, 16]}),
+    "region-beyond-every-tile": lambda c: c.update({"region": [200, 16]}),
     "missing-master-seed": lambda c: c.pop("master_seed"),
     "missing-out-dir": lambda c: c.pop("out_dir"),
     "missing-manifest": lambda c: c.pop("manifest"),
@@ -647,6 +661,8 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     ("string-master-seed", "master_seed must be an integer, got 'abc'"),
     ("manifest-entry-without-path", "missing key(s) ['path'] in a manifest entry"),
     ("fractional-region", "region must be two positive integers [height, width], got [16.5, 16]"),
+    ("region-beyond-every-tile",
+     "region [200, 16] is larger than every manifest tile; 't0' is 128x128"),
     ("string-histogram-match", "attack plan 'histogram_match' must be true or false, got 'false'"),
     ("string-sigma-s", "attack plan 'sigma_s' must be a positive number, got 'x'"),
     ("even-smoothing-kernel",
@@ -656,7 +672,8 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
      "got 't0.sarf'"),
 ], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
         "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
-        "string-histogram-match", "string-sigma-s", "even-smoothing-kernel", "string-sources"])
+        "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
+        "even-smoothing-kernel", "string-sources"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())

@@ -16,7 +16,9 @@ from sarfx import (
     ms_ssim,
     ssim,
 )
+from sarfx import metrics
 from sarfx.metrics import MSSSIM_WEIGHTS, _average_ranks, gaussian_window, ms_ssim_scale_count
+from sarfx.spectral import valid_convolver
 
 
 def _image(shape, seed, low=0.0, high=1000.0):
@@ -99,6 +101,23 @@ def test_ssim_matches_second_implementation():
     ours = ssim(a, b)
     oracle = _reference_ssim(a.values, b.values, 65535.0)
     assert ours == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (37, 53), (192, 176), (100, 100), (12, 17), (11, 11)])
+def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
+    # the one-window-spectrum path against the per-moment fftconvolve it replaced
+    from scipy import signal
+
+    rng = np.random.default_rng(sum(shape))
+    a, b = rng.uniform(0, 65535, (2, *shape))
+    window = gaussian_window()
+    windowed = valid_convolver(shape, window, (0, 1))
+    for plane in (a, b, a * a, b * b, a * b):
+        assert np.array_equal(windowed(plane), signal.fftconvolve(plane, window, "valid"))
+    fast = metrics._ssim_terms(a, b, 65535.0, ms_ssim_scale_count(shape))
+    monkeypatch.setattr(metrics, "valid_convolver", lambda _shape, kernel, _axes: (
+        lambda plane: signal.fftconvolve(plane, kernel, "valid")))
+    assert fast == metrics._ssim_terms(a, b, 65535.0, ms_ssim_scale_count(shape))
 
 
 def test_ssim_symmetry_and_bound():

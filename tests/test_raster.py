@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import fail_raster_module_writes
 
@@ -15,6 +16,7 @@ from sarfx import (
     write_mask_pgm,
     write_raster,
 )
+from sarfx.cli import main
 from sarfx.raster import HEADER_SIZE, read_header
 
 
@@ -224,3 +226,101 @@ def test_tile_preserves_kind_and_errors():
         tile(mask, 16, 0)
     with pytest.raises(RasterError, match="overlap"):
         tile(mask, 4, 4)
+
+
+# ---------------------------------------------------------------------------
+# malformed files
+# ---------------------------------------------------------------------------
+
+_ITEM_BYTES = {1: 8, 2: 16, 3: 1}
+
+
+def _container(kind=1, bits=16, height=3, width=4, payload=None) -> bytes:
+    """Header plus payload; the payload defaults to valid values of ``kind``."""
+    if payload is None:
+        n = height * width
+        payload = bytes(n) if kind == 3 else np.ones(n * _ITEM_BYTES[kind] // 8, "<f8").tobytes()
+    return struct.pack("<4sBB10xQQ", b"SARF", kind, bits, height, width) + payload
+
+
+def _set_item(data: bytes, index: int, value) -> bytes:
+    """``data`` with one payload item (a float64, or a byte for a mask) replaced."""
+    if isinstance(value, int):
+        item = bytes([value])
+    else:
+        item = struct.pack("<d", value)
+    start = HEADER_SIZE + index * len(item)
+    return data[:start] + item + data[start + len(item):]
+
+
+_DIMS = st.integers(1, 6)
+_HUGE = st.integers(2**32, 2**64 - 1) | st.just(2**63)
+
+
+@st.composite
+def malformed_containers(draw):
+    """A container with one defect that reading must reject."""
+    kind = draw(st.sampled_from([1, 2, 3]))
+    height, width = draw(_DIMS), draw(_DIMS)
+    valid = _container(kind, 16, height, width)
+    n_items = height * width * (2 if kind == 2 else 1)
+    defect = draw(st.sampled_from([
+        "truncated-header", "short-payload", "long-payload", "bad-magic", "bad-kind",
+        "zero-dimension", "huge-dimensions", "bad-bits", "nonfinite", "negative", "mask-byte",
+    ]))
+    if defect == "truncated-header":
+        return valid[:draw(st.integers(0, HEADER_SIZE - 1))]
+    if defect == "short-payload":
+        return valid[:draw(st.integers(HEADER_SIZE, len(valid) - 1))]
+    if defect == "long-payload":
+        return valid + draw(st.binary(min_size=1, max_size=40))
+    if defect == "bad-magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"SARF"))
+        return magic + valid[4:]
+    if defect == "bad-kind":
+        bad = draw(st.integers(0, 255).filter(lambda k: k not in _ITEM_BYTES))
+        return valid[:4] + bytes([bad]) + valid[5:]
+    if defect == "zero-dimension":
+        height, width = draw(st.sampled_from([(0, width), (height, 0), (0, 0)]))
+        return _container(kind, 16, height, width, payload=valid[HEADER_SIZE:])
+    if defect == "huge-dimensions":
+        height, width = draw(_HUGE), draw(_HUGE | _DIMS)
+        return _container(kind, 16, height, width, payload=valid[HEADER_SIZE:])
+    index = draw(st.integers(0, height * width - 1))
+    amplitude = _container(1, 16, height, width)
+    if defect == "bad-bits":
+        return _container(1, draw(st.integers(65, 255)), height, width)
+    if defect == "nonfinite":
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if kind == 2:
+            return _set_item(valid, draw(st.integers(0, n_items - 1)), value)
+        return _set_item(amplitude, index, value)
+    if defect == "negative":
+        return _set_item(amplitude, index, -draw(st.floats(1e-300, 1e300)))
+    return _set_item(_container(3, 0, height, width), index, draw(st.integers(2, 255)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=malformed_containers())
+def test_malformed_container_is_rejected_naming_the_path(tmp_path, data):
+    path = tmp_path / "fuzz.sarf"
+    path.write_bytes(data)
+    with pytest.raises((RasterError, OSError)) as excinfo:
+        read_raster(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("data, message", [
+    (_container()[:20], "truncated header (20 bytes)"),
+    (_container(kind=7, payload=bytes(96)), "unknown kind 7"),
+    (_container(height=2**63, width=2**63, payload=bytes(96)), f"payload size mismatch (got 96 bytes, header implies {2**129})"),
+    (_container(bits=200), "unsupported dynamic_range_bits 200"),
+    (_set_item(_container(), 5, -2.0), "amplitude values must be nonnegative"),
+    (_set_item(_container(kind=3), 2, 7), "mask values must be exactly 0 or 1"),
+], ids=["truncated-header", "bad-kind", "huge-dimensions", "bad-bits", "negative", "mask-byte"])
+def test_cli_malformed_input_is_one_error_line(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.sarf"
+    path.write_bytes(data)
+    assert main(["spectrum", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sarfx: error: {path}: {message}\n"

@@ -145,6 +145,24 @@ def test_smooth_matches_ndimage_reflect(shape, kernel_size, sigma):
     np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("shape, kernel_size, sigma", [
+    ((1024, 1024), 601, 100.0),
+    ((40, 30), 601, 100.0),  # the kernel is longer than either axis
+])
+def test_smooth_matches_oaconvolve(shape, kernel_size, sigma):
+    # the plain FFT convolution against the oaconvolve calls it replaced
+    from scipy import signal
+
+    plane = np.random.default_rng(kernel_size).uniform(0, 5, shape)
+    k = gaussian_kernel_1d(sigma, kernel_size)
+    r = kernel_size // 2
+    oracle = signal.oaconvolve(np.pad(plane, ((r, r), (0, 0)), "symmetric"), k[:, None], "valid",
+                               axes=0)
+    oracle = signal.oaconvolve(np.pad(oracle, ((0, 0), (r, r)), "symmetric"), k[None, :], "valid",
+                               axes=1)
+    np.testing.assert_allclose(smooth_spectrum(plane, sigma, kernel_size), oracle, rtol=1e-13, atol=0)
+
+
 def test_smooth_rejects_bad_inputs():
     with pytest.raises(ValueError, match="odd"):
         smooth_spectrum(np.ones((8, 8)), sigma=1.0, kernel_size=4)
