@@ -22,7 +22,6 @@ from .speckle import (
     generate_speckle,
     inject_speckle,
 )
-from .spectral import Spectrum, forward_dft, inverse_dft
 from .sysid import TransferFunction
 
 @dataclass(frozen=True)
@@ -64,8 +63,13 @@ def apply_system(signal: ComplexImage, h) -> ComplexImage:
     values = h.values if isinstance(h, TransferFunction) else np.asarray(h, dtype=np.float64)
     if signal.shape != values.shape:
         raise RasterError(f"dimension mismatch: signal {signal.shape} vs H {values.shape}")
-    spectrum = forward_dft(signal).values * values
-    return inverse_dft(Spectrum(spectrum))
+    # ifftshift(fftshift(F) * H) == F * ifftshift(H): no DC-centered round trip
+    spectrum = np.fft.fft2(signal.to_complex())
+    spectrum *= np.fft.ifftshift(values)
+    if not np.all(np.isfinite(spectrum)):
+        raise RasterError("spectrum contains NaN or Inf values")
+    z = np.fft.ifft2(spectrum)
+    return ComplexImage(z.real, z.imag)
 
 
 def histogram_match(source: AmplitudeImage, reference: AmplitudeImage) -> AmplitudeImage:

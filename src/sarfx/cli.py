@@ -64,6 +64,8 @@ def parse_region(text: str):
     if not match:
         raise CliError(f"bad region syntax {text!r}; expected WxH or WxH+x+y")
     w, h = int(match.group(1)), int(match.group(2))
+    if w < 1 or h < 1:
+        raise CliError(f"--region sides must be positive, got {text!r}")
     col = int(match.group(3)) if match.group(3) is not None else None
     row = int(match.group(4)) if match.group(4) is not None else None
     return h, w, col, row
@@ -194,6 +196,8 @@ def _emit(text: str, out: str) -> None:
 
 
 def cmd_tile(args) -> int:
+    if args.size < 1:
+        raise CliError(f"--size must be a positive integer, got {args.size}")
     image = read_raster(args.input)
     tiles = tile_raster(image, args.size, args.overlap)
     out_dir = Path(args.out_dir)
@@ -206,6 +210,8 @@ def cmd_tile(args) -> int:
 
 def cmd_spectrum(args) -> int:
     image = read_raster(args.input)
+    if isinstance(image, TamperMask):
+        raise CliError(f"{args.input}: a mask raster has no spectrum")
     profile = azimuthal_profile(forward_dft(image))
     _emit(profile_to_csv(profile), args.out)
     return 0
@@ -308,6 +314,11 @@ def cmd_metrics(args) -> int:
         return 0
 
     with open(args.pairs) as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("id", "a", "b") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CliError(f"{args.pairs}: missing column(s) {','.join(missing)}; "
+                           "a pairs CSV needs the columns id,a,b")
         rows = [
             {
                 "id": record["id"],
@@ -318,7 +329,7 @@ def cmd_metrics(args) -> int:
                     record.get("mask") or None,
                 ).columns(),
             }
-            for record in csv.DictReader(fh)
+            for record in reader
         ]
     _emit(csv_text(("id",) + METRIC_COLUMNS, rows), args.out)
     return 0

@@ -10,6 +10,7 @@ ties counting one half.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -130,39 +131,45 @@ def gaussian_window(size: int = SSIM_WINDOW_SIZE, sigma: float = SSIM_WINDOW_SIG
     return k / k.sum()
 
 
-def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float):
+@functools.lru_cache(maxsize=16)
+def _window_convolver(shape):
+    # the window is symmetric, so convolution equals correlation
+    return valid_convolver(shape, gaussian_window(), (0, 1))
+
+
+def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminance: bool):
+    """``(mean(lum*cs), mean(cs))``, the first None unless ``luminance``; var and cov
+    reuse the moments' buffers, and both means run over fresh contiguous arrays."""
     if a.shape[0] < SSIM_WINDOW_SIZE or a.shape[1] < SSIM_WINDOW_SIZE:
         raise ValueError(
             f"images of shape {a.shape} are smaller than the {SSIM_WINDOW_SIZE}x"
             f"{SSIM_WINDOW_SIZE} SSIM window"
         )
-    # the window is symmetric, so convolution equals correlation
-    windowed = valid_convolver(a.shape, gaussian_window(), (0, 1))
+    windowed = _window_convolver(a.shape)
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
-    mu_a = windowed(a)
-    mu_b = windowed(b)
-    e_aa = windowed(a * a)
-    e_bb = windowed(b * b)
-    e_ab = windowed(a * b)
-    var_a = e_aa - mu_a * mu_a
-    var_b = e_bb - mu_b * mu_b
-    cov = e_ab - mu_a * mu_b
-    luminance = (2 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
+    mu_a, mu_b = windowed(a), windowed(b)
+    var_a, var_b, cov = windowed(a * a), windowed(b * b), windowed(a * b)
+    var_a -= mu_a * mu_a
+    var_b -= mu_b * mu_b
+    cov -= mu_a * mu_b
     cs = (2 * cov + c2) / (var_a + var_b + c2)
-    return luminance, cs
+    if not luminance:
+        return None, float(np.mean(cs))
+    lum_cs = (2 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1) * cs
+    return float(np.mean(lum_cs)), float(np.mean(cs))
 
 
 def _ssim_terms(pa: np.ndarray, pb: np.ndarray, dynamic_range: float, n_scales: int):
-    """``(mean(lum*cs), mean(cs))`` at each of the first ``n_scales`` dyadic scales.
+    """``(mean(lum*cs), mean(cs))`` at each of the first ``n_scales`` dyadic scales,
+    ``mean(lum*cs)`` None except at the first scale (SSIM) and the last (MS-SSIM).
 
     The full-resolution scale is always computed, so a plane smaller than the
     window raises the window error whatever ``n_scales`` is.
     """
     terms = []
     while True:
-        lum, cs = _ssim_components(pa, pb, dynamic_range)
-        terms.append((float(np.mean(lum * cs)), float(np.mean(cs))))
+        terms.append(_ssim_components(pa, pb, dynamic_range, len(terms) in (0, n_scales - 1)))
         if len(terms) >= n_scales:
             return terms
         pa, pb = _downsample2(pa), _downsample2(pb)
@@ -275,24 +282,15 @@ def auc_roc(fingerprint, mask: TamperMask, polarity: str = "max") -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("mask must contain both classes")
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[labels].sum())
-    auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    # 1-based ranks of the positives, tied scores sharing their group's mean rank
+    ordered = np.sort(scores)
+    positives = scores[labels]
+    ranks = 0.5 * (np.searchsorted(ordered, positives, "left")
+                   + np.searchsorted(ordered, positives, "right") + 1)
+    auc = (float(ranks.sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     if polarity == "max":
         return float(max(auc, 1.0 - auc))
     return float(auc)
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied scores sharing their group's mean rank (ties
-    contribute 0.5); equal to ``scipy.stats.rankdata(scores)``."""
-    order = np.argsort(scores)
-    ordered = scores[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], scores.size]
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
-    return ranks
 
 
 def read_fingerprint(path) -> np.ndarray:

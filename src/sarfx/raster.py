@@ -201,21 +201,20 @@ def atomic_open(path, mode: str):
 
 def write_raster(image: RasterImage, path) -> None:
     """Serialize an image to the SARF container at ``path``."""
+    dtype = "<f8"
     if isinstance(image, AmplitudeImage):
-        kind, bits = KIND_AMPLITUDE_F64, image.dynamic_range_bits
-        payload = image.values.astype("<f8").tobytes()
+        kind, bits, planes = KIND_AMPLITUDE_F64, image.dynamic_range_bits, (image.values,)
     elif isinstance(image, ComplexImage):
-        kind, bits = KIND_COMPLEX_F64, 0
-        payload = image.re.astype("<f8").tobytes() + image.im.astype("<f8").tobytes()
+        kind, bits, planes = KIND_COMPLEX_F64, 0, (image.re, image.im)
     elif isinstance(image, TamperMask):
-        kind, bits = KIND_MASK_U8, 0
-        payload = image.values.astype(np.uint8).tobytes()
+        kind, bits, planes, dtype = KIND_MASK_U8, 0, (image.values,), np.uint8
     else:
         raise RasterError(f"cannot serialize object of type {type(image).__name__}")
     header = struct.pack(_HEADER_FMT, MAGIC, kind, bits, image.height, image.width)
     with atomic_open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for plane in planes:  # no copy when the plane is already little-endian and contiguous
+            fh.write(np.ascontiguousarray(plane, dtype))
 
 
 def read_header(path) -> RasterHeader:

@@ -82,14 +82,11 @@ def generate_speckle(
     gen = rng(seed)
     phase = gen.uniform(0.0, 2.0 * np.pi, size=(height, width))
     if mode == MODE_PHASE_ONLY:
-        amp = 1.0
-        sigma = None
-    else:
-        # Rayleigh via inverse CDF of the uniform draw; u < 1 keeps the log finite.
-        u = gen.random(size=(height, width))
-        amp = sigma_s * np.sqrt(-2.0 * np.log1p(-u))
-        sigma = float(sigma_s)
-    return SpeckleField(amp * np.cos(phase), amp * np.sin(phase), mode, sigma)
+        return SpeckleField(np.cos(phase), np.sin(phase), mode)
+    # Rayleigh via inverse CDF of the uniform draw; u < 1 keeps the log finite.
+    u = gen.random(size=(height, width))
+    amp = sigma_s * np.sqrt(-2.0 * np.log1p(-u))
+    return SpeckleField(amp * np.cos(phase), amp * np.sin(phase), mode, float(sigma_s))
 
 
 def inject_speckle(amplitude: AmplitudeImage, field: SpeckleField) -> ComplexImage:

@@ -458,16 +458,15 @@ def estimate_transfer_function_with_params(
             params = fit_raised_cosine(normalize_energy(f_k))
             fit_params.append(params)
             tf = raised_cosine_response(params, shape)
-        responses.append(tf.values)
+        responses.append(tf)
 
     if len(responses) == 1:
-        combined = responses[0]
-    else:
-        # Per-pixel sort before summation makes the mean exactly
-        # permutation-invariant and bit-reproducible.
-        stack = np.sort(np.stack(responses), axis=0)
-        combined = stack.sum(axis=0) / len(responses)
-    return _normalized_response(combined, strategy), fit_params
+        # already max-normalized: its peak is exactly 1.0, so renormalizing is a no-op
+        return responses[0], fit_params
+    # Per-pixel sort before summation makes the mean exactly
+    # permutation-invariant and bit-reproducible.
+    stack = np.sort(np.stack([tf.values for tf in responses]), axis=0)
+    return _normalized_response(stack.sum(axis=0) / len(responses), strategy), fit_params
 
 
 def normalized_cross_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -14,8 +14,10 @@ from sarfx import (
     TransferFunction,
     apply_system,
     azimuthal_profile,
+    central_flip,
     forward_dft,
     histogram_match,
+    inverse_dft,
     random_splice,
     run_attack,
     simulate_pristine,
@@ -62,6 +64,30 @@ def test_ideal_low_pass_kills_out_of_band_tone():
     inband = np.exp(2j * np.pi * 5 * x[None, :] / n) * np.ones((n, 1))
     kept = apply_system(ComplexImage(inband.real, inband.imag), h)
     assert np.abs(kept.to_complex() - inband).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 33), (24, 41), (1, 7)])
+@pytest.mark.parametrize("bare", [False, True])
+def test_apply_system_equals_centered_round_trip(shape, bare):
+    # filtering the raw spectrum by ifftshift(H) against the DC-centered round trip it replaced
+    rng = np.random.default_rng(shape[0] * shape[1])
+    signal = _random_complex(shape, shape[1])
+    h = rng.uniform(0.0, 3.0, shape)
+    if not bare:
+        h = (h + central_flip(h)) / 2.0
+        h = TransferFunction(h / h.max())
+    values = h.values if isinstance(h, TransferFunction) else h
+    old = inverse_dft(Spectrum(forward_dft(signal).values * values))
+    new = apply_system(signal, h)
+    assert np.array_equal(new.re, old.re) and np.array_equal(new.im, old.im)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_apply_system_rejects_nonfinite_spectrum(bad):
+    h = np.ones((8, 8))
+    h[3, 5] = bad
+    with pytest.raises(RasterError, match="^spectrum contains NaN or Inf values$"):
+        apply_system(_random_complex((8, 8), 4), h)
 
 
 def test_apply_system_dimension_mismatch():

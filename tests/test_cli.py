@@ -86,6 +86,9 @@ def test_region_parsing():
     assert parse_region("64x32+10+20") == (32, 64, 10, 20)
     with pytest.raises(CliError, match="syntax"):
         parse_region("128by128")
+    for text in ("16x0", "0x16", "0x0+1+1"):
+        with pytest.raises(CliError, match="^--region sides must be positive"):
+            parse_region(text)
 
 
 def test_metrics_requires_pair_or_batch():
@@ -238,6 +241,48 @@ def test_cli_error_paths(tmp_path):
     bad.write_bytes(b"junkjunkjunk")
     rc = main(["spectrum", "--input", str(bad)])
     assert rc == 1
+
+
+def test_cli_spectrum_rejects_a_mask(tmp_path, capsys):
+    path = tmp_path / "mask.sarf"
+    write_raster(TamperMask(np.eye(16, dtype=np.uint8)), path)
+    assert main(["spectrum", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sarfx: error: {path}: a mask raster has no spectrum\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("header, missing", [
+    ("id,a", "b"), ("a,b,fingerprint,mask", "id"), ("pair,left,right", "id,a,b"), ("", "id,a,b"),
+])
+def test_cli_pairs_csv_missing_columns(tmp_path, product, capsys, header, missing):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"{header}\np0,{product['amp0']}\n" if header else "")
+    assert main(["metrics", "--pairs", str(pairs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"sarfx: error: {pairs}: missing column(s) {missing}; "
+                            "a pairs CSV needs the columns id,a,b\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("region", ["16x0", "0x16", "0x0+2+2"])
+def test_forge_rejects_an_empty_region(tmp_path, product, capsys, region):
+    out = tmp_path / "out.sarf"
+    argv = ["forge", "--target", str(product["amp0"]), "--donor", str(product["amp1"]),
+            "--region", region, "--out-image", str(out), "--out-mask", str(tmp_path / "m.sarf")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"sarfx: error: --region sides must be positive, got {region!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-4"])
+def test_tile_rejects_a_nonpositive_size(tmp_path, product, capsys, size):
+    out_dir = tmp_path / "tiles"
+    argv = ["tile", "--input", str(product["amp0"]), "--size", size, "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"sarfx: error: --size must be a positive integer, got {size}\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

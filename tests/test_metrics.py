@@ -17,7 +17,7 @@ from sarfx import (
     ssim,
 )
 from sarfx import metrics
-from sarfx.metrics import MSSSIM_WEIGHTS, _average_ranks, gaussian_window, ms_ssim_scale_count
+from sarfx.metrics import MSSSIM_WEIGHTS, gaussian_window, ms_ssim_scale_count
 from sarfx.spectral import valid_convolver
 
 
@@ -103,9 +103,28 @@ def test_ssim_matches_second_implementation():
     assert ours == pytest.approx(oracle, abs=1e-9)
 
 
-@pytest.mark.parametrize("shape", [(64, 64), (37, 53), (192, 176), (100, 100), (12, 17), (11, 11)])
+def _fftconvolve_ssim_terms(a, b, drange, n_scales):
+    """The replaced SSIM pass: per-moment fftconvolve, whole luminance and cs planes."""
+    from scipy import signal
+
+    c1, c2 = (0.01 * drange) ** 2, (0.03 * drange) ** 2
+    terms = []
+    for level in range(n_scales):
+        if level:
+            a, b = metrics._downsample2(a), metrics._downsample2(b)
+        mu_a, mu_b, e_aa, e_bb, e_ab = (
+            signal.fftconvolve(p, gaussian_window(), "valid") for p in (a, b, a * a, b * b, a * b))
+        luminance = (2 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
+        cs = (2 * (e_ab - mu_a * mu_b) + c2) / ((e_aa - mu_a * mu_a) + (e_bb - mu_b * mu_b) + c2)
+        full = float(np.mean(luminance * cs)) if level in (0, n_scales - 1) else None
+        terms.append((full, float(np.mean(cs))))
+    return terms
+
+
+@pytest.mark.parametrize(
+    "shape", [(64, 64), (37, 53), (192, 176), (100, 100), (12, 17), (11, 11), (300, 400)])
 def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
-    # the one-window-spectrum path against the per-moment fftconvolve it replaced
+    # the cached one-window-spectrum path against the per-moment fftconvolve it replaced
     from scipy import signal
 
     rng = np.random.default_rng(sum(shape))
@@ -114,10 +133,19 @@ def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
     windowed = valid_convolver(shape, window, (0, 1))
     for plane in (a, b, a * a, b * b, a * b):
         assert np.array_equal(windowed(plane), signal.fftconvolve(plane, window, "valid"))
-    fast = metrics._ssim_terms(a, b, 65535.0, ms_ssim_scale_count(shape))
-    monkeypatch.setattr(metrics, "valid_convolver", lambda _shape, kernel, _axes: (
-        lambda plane: signal.fftconvolve(plane, kernel, "valid")))
-    assert fast == metrics._ssim_terms(a, b, 65535.0, ms_ssim_scale_count(shape))
+    n_scales = ms_ssim_scale_count(shape)
+    fast = metrics._ssim_terms(a, b, 65535.0, n_scales)
+    assert fast == _fftconvolve_ssim_terms(a, b, 65535.0, n_scales)
+    # the convolver is cached per shape, so patch the cached entry point itself
+    calls = []
+
+    def oracle(plane):
+        calls.append(plane.shape)
+        return signal.fftconvolve(plane, window, "valid")
+
+    monkeypatch.setattr(metrics, "_window_convolver", lambda _shape: oracle)
+    assert fast == metrics._ssim_terms(a, b, 65535.0, n_scales)
+    assert len(calls) == 5 * n_scales
 
 
 def test_ssim_symmetry_and_bound():
@@ -265,11 +293,34 @@ def test_auc_average_ranks_equal_rankdata(ties):
     }[ties]
     labels = mask.values.ravel().astype(bool)
     ranks = rankdata(scores.ravel())
-    assert np.array_equal(_average_ranks(scores.ravel()), ranks)
     n_pos, n_neg = int(labels.sum()), int((~labels).sum())
     expected = (float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     assert auc_roc(scores, mask, polarity="positive") == expected
     assert auc_roc(scores, mask) == max(expected, 1.0 - expected)
+
+
+@pytest.mark.parametrize("ties", ["untied", "rounded", "signed-zeros"])
+@pytest.mark.parametrize("shape", [(64, 64), (33, 70), (1, 50)])
+def test_auc_equals_rankdata_construction(shape, ties):
+    # sort + searchsorted ranks of the positives against the full rankdata table
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(shape[0] * shape[1])
+    scores = {
+        "untied": rng.standard_normal(shape),
+        "rounded": np.round(rng.standard_normal(shape), 1),
+        "signed-zeros": rng.integers(-1, 2, shape) * np.where(rng.random(shape) < 0.5, 0.0, 1.0),
+    }[ties]
+    assert ties != "signed-zeros" or np.signbit(scores[scores == 0]).any()
+    ranks = rankdata(scores.ravel())
+    for share in (0.01, 0.1, 0.5, 0.9, 0.97):
+        labels = rng.random(scores.size) < share
+        labels[:2] = True, False
+        n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+        expected = (float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        mask = TamperMask(labels.reshape(shape).astype(np.uint8))
+        assert auc_roc(scores, mask, polarity="positive") == expected
+        assert auc_roc(scores, mask) == max(expected, 1.0 - expected)
 
 
 def test_auc_constant_scores_give_half():

@@ -20,6 +20,25 @@ from sarfx.cli import main
 from sarfx.raster import HEADER_SIZE, read_header
 
 
+def test_write_raster_payload_equals_astype_tobytes(tmp_path):
+    # planes go to the file as they are; the bytes must equal the old converted copies,
+    # also for images built from non-contiguous views
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((9, 14)) + 1j * rng.standard_normal((9, 14))
+    cases = [
+        (AmplitudeImage(rng.uniform(0, 9, (20, 30))[::2, ::3], 12), lambda im: [im.values], "<f8"),
+        (AmplitudeImage(rng.uniform(0, 9, (6, 5)).T), lambda im: [im.values], "<f8"),
+        (ComplexImage(z.real, z.imag), lambda im: [im.re, im.im], "<f8"),
+        (TamperMask((rng.random((13, 8)) < 0.5).astype(np.int64).T), lambda im: [im.values],
+         np.uint8),
+    ]
+    for k, (image, planes, dtype) in enumerate(cases):
+        path = tmp_path / f"{k}.sarf"
+        write_raster(image, path)
+        payload = b"".join(plane.astype(dtype).tobytes() for plane in planes(image))
+        assert path.read_bytes()[HEADER_SIZE:] == payload
+
+
 def test_amplitude_round_trip_constant(tmp_path):
     image = AmplitudeImage(np.full((4, 4), 7.0))
     path = tmp_path / "a.sarf"

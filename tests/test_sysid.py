@@ -426,6 +426,18 @@ def test_estimate_matches_stored_old_path_result(strategy):
     assert np.abs(tf.values - old).max() <= 1e-12
 
 
+@pytest.mark.parametrize("strategy", ["direct", "gaussian", "raised_cosine"])
+def test_single_source_estimate_is_not_renormalized(strategy):
+    # the per-source H is returned as is; renormalizing it, as the combined path
+    # does, must change no bit
+    src = _numpy_source(64, 64)
+    tf, _ = estimate_transfer_function_with_params(src, strategy)
+    assert tf.values.max() == 1.0 and tf.strategy == strategy
+    again = sysid._normalized_response(tf.values, strategy)
+    assert np.array_equal(tf.values, again.values)
+    assert np.array_equal(estimate_transfer_function([src], strategy).values, tf.values)
+
+
 def test_default_smoothing_scaling():
     assert default_smoothing(1024) == (601, 100.0)
     assert default_smoothing(2048) == (601, 100.0)
