@@ -63,13 +63,17 @@ def apply_system(signal: ComplexImage, h) -> ComplexImage:
     values = h.values if isinstance(h, TransferFunction) else np.asarray(h, dtype=np.float64)
     if signal.shape != values.shape:
         raise RasterError(f"dimension mismatch: signal {signal.shape} vs H {values.shape}")
-    # ifftshift(fftshift(F) * H) == F * ifftshift(H): no DC-centered round trip
-    spectrum = np.fft.fft2(signal.to_complex())
-    spectrum *= np.fft.ifftshift(values)
-    if not np.all(np.isfinite(spectrum)):
+    # one work plane, transformed in place; ifftshift(fftshift(F) * H) == F * ifftshift(H)
+    buf = signal.to_complex().copy()
+    np.fft.fft2(buf, out=buf)
+    buf *= np.fft.ifftshift(values)
+    if not np.all(np.isfinite(buf)):
         raise RasterError("spectrum contains NaN or Inf values")
-    z = np.fft.ifft2(spectrum)
-    return ComplexImage(z.real, z.imag)
+    # the inverse one axis at a time, as ifft2 runs it: on numpy 2.4 ifft2(buf, out=buf)
+    # returns a correct new array and leaves wrong values in buf
+    np.fft.ifft(buf, axis=1, out=buf)
+    np.fft.ifft(buf, axis=0, out=buf)
+    return ComplexImage.from_complex(buf, copy=False)
 
 
 def histogram_match(source: AmplitudeImage, reference: AmplitudeImage) -> AmplitudeImage:
@@ -88,22 +92,23 @@ def histogram_match(source: AmplitudeImage, reference: AmplitudeImage) -> Amplit
     tied = ordered[1:] == ordered[:-1]
     if tied.any():  # re-sort the indices inside each run of equal values
         order = np.sort(np.cumsum(np.r_[False, ~tied]) * flat.size + order) % flat.size
+    ordered[:] = reference.values.ravel()  # the sorted buffer now takes the reference's values
+    ordered.sort()
     matched = np.empty_like(flat)
-    matched[order] = np.sort(reference.values, axis=None)
-    return AmplitudeImage(matched.reshape(source.shape), reference.dynamic_range_bits)
+    matched[order] = ordered
+    return AmplitudeImage(matched.reshape(source.shape), reference.dynamic_range_bits, copy=False)
 
 
 def run_attack(image: AmplitudeImage, config: AttackConfig) -> AttackResult:
     """Run the full pipeline on an amplitude image; deterministic under the seed."""
-    field = generate_speckle(
-        image.height, image.width, config.speckle_mode, config.sigma_s, config.seed
-    )
-    speckled = inject_speckle(image, field)
     h = config.transfer_function
     if h.shape != image.shape:
         raise RasterError(f"transfer function {h.shape} does not match image {image.shape}")
-    filtered = apply_system(speckled, h)
-    filtered_amplitude = filtered.amplitude(image.dynamic_range_bits)
+    # neither the speckle field nor the filtered complex image outlives its use
+    field = generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)
+    speckled = inject_speckle(image, field)
+    del field
+    filtered_amplitude = apply_system(speckled, h).amplitude(image.dynamic_range_bits)
     if config.histogram_match:
         attacked = histogram_match(filtered_amplitude, image)
     else:
@@ -123,7 +128,5 @@ def simulate_pristine(
     filtered through the known system response; the amplitude of the output
     plays the role of a released pristine product in closure experiments.
     """
-    field = generate_speckle(
-        reflectivity.height, reflectivity.width, MODE_FULL, sigma_s, seed
-    )
+    field = generate_speckle(*reflectivity.shape, MODE_FULL, sigma_s, seed)
     return apply_system(inject_speckle(reflectivity, field), h_true)

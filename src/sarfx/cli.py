@@ -319,18 +319,14 @@ def cmd_metrics(args) -> int:
         if missing:
             raise CliError(f"{args.pairs}: missing column(s) {','.join(missing)}; "
                            "a pairs CSV needs the columns id,a,b")
-        rows = [
-            {
-                "id": record["id"],
-                **_score(
-                    record["a"],
-                    record["b"],
-                    record.get("fingerprint") or None,
-                    record.get("mask") or None,
-                ).columns(),
-            }
-            for record in reader
-        ]
+        rows = []
+        for record in reader:  # a short row leaves None, an empty cell ""
+            for column in ("id", "a", "b"):
+                if not record[column]:
+                    raise CliError(f"{args.pairs}:{reader.line_num}: no value for column {column}")
+            report = _score(record["a"], record["b"], record.get("fingerprint") or None,
+                            record.get("mask") or None)
+            rows.append({"id": record["id"], **report.columns()})
     _emit(csv_text(("id",) + METRIC_COLUMNS, rows), args.out)
     return 0
 

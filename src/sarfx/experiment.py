@@ -244,10 +244,6 @@ class ExperimentResult:
     rows: list[dict]
     errors: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
 
 def _load_shared_filter(plan: dict) -> TransferFunction | None:
     """The H every job shares: the known response, or one estimate from the

@@ -268,7 +268,7 @@ def edit_donor(donor: AmplitudeImage, op: EditOp, seed: int = 0, window=None) ->
         angle = parameter if op.kind == "rotate" else None
         coords = _source_coords(donor.shape, frame, (r0, c0, bh, bw), angle)
         edited = _bicubic_sample(values, *coords, border="replicate" if angle is None else "zero")
-    return AmplitudeImage(np.maximum(edited, 0.0), donor.dynamic_range_bits)
+    return AmplitudeImage(np.maximum(edited, 0.0), donor.dynamic_range_bits, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def splice(
     out[tr : tr + bh, tc : tc + bw][sel] = edited_donor.values[dr : dr + bh, dc : dc + bw][sel]
     mask = np.zeros(target.shape, dtype=np.uint8)
     mask[tr : tr + bh, tc : tc + bw][sel] = 1
-    return AmplitudeImage(out, target.dynamic_range_bits), TamperMask(mask)
+    return AmplitudeImage(out, target.dynamic_range_bits, copy=False), TamperMask(mask, copy=False)
 
 
 def draw_origins(gen, donor_shape, target_shape, box, target_origin=None, disjoint=False):
@@ -413,4 +413,5 @@ def global_edit(image: AmplitudeImage, op: GlobalEditOp, seed: int = 0) -> Ampli
         half = GLOBAL_UNIFORM_HALF_WIDTH if op.parameter is None else float(op.parameter)
         out = values + gen.uniform(-half, half, size=values.shape)
 
-    return AmplitudeImage(np.clip(out, 0.0, image.dynamic_range), image.dynamic_range_bits)
+    out = np.clip(out, 0.0, image.dynamic_range)
+    return AmplitudeImage(out, image.dynamic_range_bits, copy=False)

@@ -45,7 +45,8 @@ def least_squares(residual_fn, x0, normal_equations, max_iter: int = 200) -> Lea
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     r = np.asarray(residual_fn(x), dtype=np.float64).ravel()
-    cost = float(r @ r)
+    # costs by an unthreaded einsum: BLAS ddot (r @ r) rounds by its thread count
+    cost = float(np.einsum("i,i->", r, r))
     lam = INITIAL_DAMPING
 
     for iteration in range(1, max_iter + 1):
@@ -62,7 +63,7 @@ def least_squares(residual_fn, x0, normal_equations, max_iter: int = 200) -> Lea
                 continue
             x_try = x + step
             r_try = np.asarray(residual_fn(x_try), dtype=np.float64).ravel()
-            cost_try = float(r_try @ r_try)
+            cost_try = float(np.einsum("i,i->", r_try, r_try))
             if np.isfinite(cost_try) and cost_try <= cost:
                 improvement = cost - cost_try
                 x, r, cost = x_try, r_try, cost_try

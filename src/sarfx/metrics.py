@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .raster import (
     PlaneShape,
     RasterError,
     TamperMask,
+    _check_plane,
+    _locked,
     read_raster,
 )
 from .spectral import valid_convolver
@@ -50,12 +52,8 @@ class FingerprintMap(PlaneShape):
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, order="C", copy=True)
-        if values.ndim != 2 or min(values.shape) < 1:
-            raise RasterError(f"fingerprint must be 2D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise RasterError("fingerprint contains NaN/Inf")
-        values.flags.writeable = False
+        values = _locked(self.values, np.float64)
+        _check_plane(values, "fingerprint")
         object.__setattr__(self, "values", values)
 
 
@@ -84,22 +82,11 @@ class MetricReport:
             raise ValueError(f"auc out of range: {self.auc}")
 
     def to_dict(self) -> dict:
-        return {
-            "ssim": self.ssim,
-            "msssim": self.msssim,
-            "enl_source": self.enl_source,
-            "enl_reference": self.enl_reference,
-            "delta_enl_pct": self.delta_enl_pct,
-            "auc": self.auc,
-            "auc_polarity": self.auc_polarity,
-        }
+        return asdict(self)
 
     def columns(self) -> dict:
-        """The report's values keyed by ``METRIC_COLUMNS``."""
-        values = (
-            self.ssim, self.msssim, self.enl_source, self.enl_reference, self.delta_enl_pct, self.auc
-        )
-        return dict(zip(METRIC_COLUMNS, values))
+        """The report's values keyed by ``METRIC_COLUMNS``, its first six fields."""
+        return dict(zip(METRIC_COLUMNS, astuple(self)[: len(METRIC_COLUMNS)]))
 
 
 def _as_plane(image, what: str) -> np.ndarray:
@@ -138,25 +125,45 @@ def _window_convolver(shape):
 
 
 def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminance: bool):
-    """``(mean(lum*cs), mean(cs))``, the first None unless ``luminance``; var and cov
-    reuse the moments' buffers, and both means run over fresh contiguous arrays."""
+    """``(mean(lum*cs), mean(cs))``, the first None unless ``luminance``. One zero-padded
+    buffer takes each moment's input in turn and var_b is folded into the denominator
+    before cov is windowed, so at most four moment planes are live; every operation
+    keeps its operands and order, and both means run over fresh contiguous arrays."""
     if a.shape[0] < SSIM_WINDOW_SIZE or a.shape[1] < SSIM_WINDOW_SIZE:
         raise ValueError(
             f"images of shape {a.shape} are smaller than the {SSIM_WINDOW_SIZE}x"
             f"{SSIM_WINDOW_SIZE} SSIM window"
         )
     windowed = _window_convolver(a.shape)
+    pad = np.zeros(windowed.padded)
+    inner = pad[: a.shape[0], : a.shape[1]]
+
+    def moment(x, y=None):
+        if y is None:
+            inner[...] = x
+        else:
+            np.multiply(x, y, out=inner)
+        return windowed(pad)
+
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
-    mu_a, mu_b = windowed(a), windowed(b)
-    var_a, var_b, cov = windowed(a * a), windowed(b * b), windowed(a * b)
+    mu_a, mu_b = moment(a), moment(b)
+    var_a = moment(a, a)
     var_a -= mu_a * mu_a
-    var_b -= mu_b * mu_b
+    den = moment(b, b)  # var_b, then var_a + var_b + c2
+    den -= mu_b * mu_b
+    den += var_a
+    den += c2
+    del var_a
+    cov = moment(a, b)
     cov -= mu_a * mu_b
-    cs = (2 * cov + c2) / (var_a + var_b + c2)
+    cs = (2 * cov + c2) / den
+    del cov, den
     if not luminance:
         return None, float(np.mean(cs))
-    lum_cs = (2 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1) * cs
+    # mu_a**2 and mu_b**2 overwrite the means, which nothing reads after
+    lum_cs = ((2 * mu_a * mu_b + c1)
+              / (np.square(mu_a, out=mu_a) + np.square(mu_b, out=mu_b) + c1) * cs)
     return float(np.mean(lum_cs)), float(np.mean(cs))
 
 

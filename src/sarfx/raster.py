@@ -3,7 +3,7 @@
 The three image kinds used throughout the package are thin immutable wrappers
 around float64/uint8 numpy planes:
 
-* :class:`ComplexImage`   -- full complex signal, stored as re/im planes
+* :class:`ComplexImage`   -- full complex signal, one complex128 plane
 * :class:`AmplitudeImage` -- nonnegative real product (what gets released)
 * :class:`TamperMask`     -- binary {0,1} plane marking spliced pixels
 
@@ -18,7 +18,7 @@ import os
 import struct
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +42,9 @@ class RasterError(ValueError):
     """Malformed raster file or image invariant violation."""
 
 
-def _locked(values, dtype) -> np.ndarray:
-    """Return a C-contiguous read-only copy of ``values``."""
-    arr = np.array(values, dtype=dtype, order="C", copy=True)
+def _locked(values, dtype, copy: bool = True) -> np.ndarray:
+    """``values`` as a read-only C-contiguous plane; ``copy=False`` keeps an array that fits."""
+    arr = np.array(values, dtype=dtype, order="C", copy=copy or None)
     arr.flags.writeable = False
     return arr
 
@@ -52,7 +52,7 @@ def _locked(values, dtype) -> np.ndarray:
 def _check_plane(arr: np.ndarray, name: str) -> None:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise RasterError(f"{name} must be a 2D plane of at least 1x1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):  # an integer plane is finite
         raise RasterError(f"{name} contains NaN or Inf values")
 
 
@@ -77,7 +77,8 @@ class PlaneShape:
 
 @dataclass(frozen=True)
 class ComplexImage(PlaneShape):
-    """2D complex raster, the full SAR signal; re/im are float64 planes."""
+    """2D complex raster, the full SAR signal: one complex128 plane, of which
+    ``re`` and ``im`` are read-only float64 views."""
 
     _plane = "re"
 
@@ -85,38 +86,48 @@ class ComplexImage(PlaneShape):
     im: np.ndarray
 
     def __post_init__(self):
-        re = _locked(self.re, np.float64)
-        im = _locked(self.im, np.float64)
-        _check_plane(re, "re")
-        _check_plane(im, "im")
+        re, im = np.asarray(self.re, np.float64), np.asarray(self.im, np.float64)
         if re.shape != im.shape:
             raise RasterError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        z = np.empty(re.shape, np.complex128)
+        z.real, z.imag = re, im
+        self._hold(z, copy=False)
+
+    def _hold(self, z, copy: bool) -> None:
+        z = _locked(z, np.complex128, copy)
+        _check_plane(z, "signal")
+        for name, plane in (("_z", z), ("re", z.real), ("im", z.imag)):
+            object.__setattr__(self, name, plane)
 
     def to_complex(self) -> np.ndarray:
-        """Dense complex128 view of the signal (copy)."""
-        return self.re + 1j * self.im
+        """The signal's read-only complex128 plane."""
+        return self._z
 
     def amplitude(self, dynamic_range_bits: int = 16) -> "AmplitudeImage":
         """|z| per pixel; always nonnegative by construction."""
-        return AmplitudeImage(np.hypot(self.re, self.im), dynamic_range_bits)
+        return AmplitudeImage(np.hypot(self.re, self.im), dynamic_range_bits, copy=False)
 
     @classmethod
-    def from_complex(cls, z) -> "ComplexImage":
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(z.real, z.imag)
+    def from_complex(cls, z, copy: bool = True) -> "ComplexImage":
+        """Image of the complex plane ``z``. With ``copy=False`` a C-contiguous
+        complex128 ``z`` is held, not copied: nothing may write to it after."""
+        image = object.__new__(cls)
+        image._hold(z, copy)
+        return image
 
 
 @dataclass(frozen=True)
 class AmplitudeImage(PlaneShape):
-    """2D nonnegative real raster, the released SAR product."""
+    """2D nonnegative real raster, the released SAR product. ``values`` is copied;
+    with ``copy=False`` (as for ``TamperMask`` and ``SpeckleField``) a plane the
+    caller has just computed is held as it is, and nothing may write to it after."""
 
     values: np.ndarray
     dynamic_range_bits: int = 16
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        values = _locked(self.values, np.float64)
+    def __post_init__(self, copy):
+        values = _locked(self.values, np.float64, copy)
         _check_plane(values, "values")
         if np.any(values < 0):
             raise RasterError("amplitude values must be nonnegative")
@@ -146,13 +157,14 @@ class TamperMask(PlaneShape):
     """Binary {0,1} plane marking manipulated pixels."""
 
     values: np.ndarray
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy):
         raw = np.asarray(self.values)
-        if not np.isin(raw, (0, 1)).all():
+        if not ((raw == 0) | (raw == 1)).all():
             raise RasterError("mask values must be exactly 0 or 1")
-        values = _locked(raw, np.uint8)
-        _check_plane(values.astype(np.float64), "mask")
+        values = _locked(raw, np.uint8, copy)
+        _check_plane(values, "mask")
         object.__setattr__(self, "values", values)
 
 
@@ -164,10 +176,6 @@ class RasterHeader:
     height: int
     width: int
     dynamic_range_bits: int
-
-    @property
-    def kind_name(self) -> str:
-        return _KIND_NAMES[self.kind]
 
 
 RasterImage = ComplexImage | AmplitudeImage | TamperMask
@@ -245,14 +253,14 @@ def read_raster(path) -> RasterImage:
             f"{path}: payload size mismatch (got {len(payload)} bytes, header implies {expected})"
         )
     shape = (header.height, header.width)
-    try:  # the image types check finite values, the bits, the sign and the mask's {0,1}
+    try:  # the image types check each plane; one over the immutable payload is not copied
         if header.kind == KIND_AMPLITUDE_F64:
             values = np.frombuffer(payload, dtype="<f8").reshape(shape)
-            return AmplitudeImage(values, header.dynamic_range_bits or 16)
+            return AmplitudeImage(values, header.dynamic_range_bits or 16, copy=False)
         if header.kind == KIND_COMPLEX_F64:
             re, im = np.frombuffer(payload, dtype="<f8").reshape(2, *shape)
             return ComplexImage(re, im)
-        return TamperMask(np.frombuffer(payload, dtype=np.uint8).reshape(shape))
+        return TamperMask(np.frombuffer(payload, dtype=np.uint8).reshape(shape), copy=False)
     except RasterError as exc:
         raise RasterError(f"{path}: {exc}") from None
 
@@ -283,14 +291,8 @@ def tile(image: RasterImage, tile_size: int, overlap: int):
     def crop(r0, c0):
         sl = (slice(r0, r0 + tile_size), slice(c0, c0 + tile_size))
         if isinstance(image, ComplexImage):
-            return ComplexImage(image.re[sl], image.im[sl])
-        if isinstance(image, AmplitudeImage):
-            return AmplitudeImage(image.values[sl], image.dynamic_range_bits)
-        return TamperMask(image.values[sl])
+            return ComplexImage.from_complex(image.to_complex()[sl])
+        return replace(image, values=image.values[sl])
 
-    out = []
-    for i in range(n_rows):
-        for j in range(n_cols):
-            r0, c0 = i * stride, j * stride
-            out.append((crop(r0, c0), r0, c0))
-    return out
+    origins = [(i * stride, j * stride) for i in range(n_rows) for j in range(n_cols)]
+    return [(crop(r0, c0), r0, c0) for r0, c0 in origins]

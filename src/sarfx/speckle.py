@@ -11,11 +11,11 @@ block-parallel generation stays possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
+from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError, _locked
 
 MODE_FULL = "full"
 MODE_PHASE_ONLY = "phase_only"
@@ -46,16 +46,14 @@ class SpeckleField(PlaneShape):
     im: np.ndarray
     mode: str
     sigma_s: float | None = None
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        re = np.array(self.re, dtype=np.float64, order="C", copy=True)
-        im = np.array(self.im, dtype=np.float64, order="C", copy=True)
+    def __post_init__(self, copy):
+        re, im = _locked(self.re, np.float64, copy), _locked(self.im, np.float64, copy)
         if re.shape != im.shape or re.ndim != 2:
             raise RasterError("speckle planes must be congruent 2D arrays")
         if self.mode not in SPECKLE_MODES:
             raise ValueError(f"unknown speckle mode {self.mode!r}")
-        re.flags.writeable = False
-        im.flags.writeable = False
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -82,18 +80,20 @@ def generate_speckle(
     gen = rng(seed)
     phase = gen.uniform(0.0, 2.0 * np.pi, size=(height, width))
     if mode == MODE_PHASE_ONLY:
-        return SpeckleField(np.cos(phase), np.sin(phase), mode)
+        return SpeckleField(np.cos(phase), np.sin(phase), mode, copy=False)
     # Rayleigh via inverse CDF of the uniform draw; u < 1 keeps the log finite.
     u = gen.random(size=(height, width))
     amp = sigma_s * np.sqrt(-2.0 * np.log1p(-u))
-    return SpeckleField(amp * np.cos(phase), amp * np.sin(phase), mode, float(sigma_s))
+    return SpeckleField(amp * np.cos(phase), amp * np.sin(phase), mode, float(sigma_s), copy=False)
 
 
 def inject_speckle(amplitude: AmplitudeImage, field: SpeckleField) -> ComplexImage:
-    """Element-wise product of a real amplitude with a complex speckle field."""
+    """Product of a real amplitude and a complex speckle field, filled into one complex plane."""
     if amplitude.shape != field.shape:
         raise RasterError(
             f"dimension mismatch: amplitude {amplitude.shape} vs field {field.shape}"
         )
-    a = amplitude.values
-    return ComplexImage(a * field.re, a * field.im)
+    z = np.empty(amplitude.shape, np.complex128)
+    np.multiply(amplitude.values, field.re, out=z.real)
+    np.multiply(amplitude.values, field.im, out=z.imag)
+    return ComplexImage.from_complex(z, copy=False)

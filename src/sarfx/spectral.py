@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
+from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError, _check_plane, _locked
 from .tables import csv_text
 
 
@@ -24,12 +24,8 @@ class Spectrum(PlaneShape):
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.complex128, order="C", copy=True)
-        if values.ndim != 2 or min(values.shape) < 1:
-            raise RasterError(f"spectrum must be a 2D plane, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise RasterError("spectrum contains NaN or Inf values")
-        values.flags.writeable = False
+        values = _locked(self.values, np.complex128)
+        _check_plane(values, "spectrum")
         object.__setattr__(self, "values", values)
 
     def magnitude(self) -> np.ndarray:
@@ -59,24 +55,16 @@ class RadialProfile:
             object.__setattr__(self, name, arr)
 
 
-def _as_complex_plane(image) -> np.ndarray:
-    if isinstance(image, ComplexImage):
-        return image.to_complex()
-    if isinstance(image, AmplitudeImage):
-        return image.values.astype(np.complex128)
-    return np.asarray(image, dtype=np.complex128)
-
-
 def forward_dft(image) -> Spectrum:
     """Unnormalized forward 2D DFT of an image, returned DC-centered."""
-    plane = _as_complex_plane(image)
-    return Spectrum(np.fft.fftshift(np.fft.fft2(plane)))
+    if isinstance(image, (ComplexImage, AmplitudeImage)):
+        image = image.to_complex() if isinstance(image, ComplexImage) else image.values
+    return Spectrum(np.fft.fftshift(np.fft.fft2(np.asarray(image, np.complex128))))
 
 
 def inverse_dft(spectrum: Spectrum) -> ComplexImage:
     """Inverse 2D DFT with 1/(N*M) scaling; exact inverse of :func:`forward_dft`."""
-    z = np.fft.ifft2(np.fft.ifftshift(spectrum.values))
-    return ComplexImage(z.real, z.imag)
+    return ComplexImage.from_complex(np.fft.ifft2(np.fft.ifftshift(spectrum.values)), copy=False)
 
 
 def central_flip(values: np.ndarray) -> np.ndarray:
@@ -108,12 +96,22 @@ def gaussian_kernel_1d(sigma: float, size: int) -> np.ndarray:
 def valid_convolver(shape, kernel: np.ndarray, axes):
     """``plane -> scipy.signal.fftconvolve(plane, kernel, "valid", axes=axes)`` for real
     planes of ``shape``, bit-identical to it (same FFT sizes, product order and
-    crop), with the kernel transformed once."""
-    fshape = [sp_fft.next_fast_len(shape[a] + kernel.shape[a] - 1, True) for a in axes]
+    crop), with the kernel transformed once and the product taken in place. Its
+    ``padded`` is the shape the FFTs zero-pad ``shape`` to: a plane of ``shape``
+    already zero-padded to it gives the same output, and is not copied."""
+    padded = [sp_fft.next_fast_len(n + k - 1, True) if a in axes else n
+              for a, (n, k) in enumerate(zip(shape, kernel.shape))]
+    fshape = [padded[a] for a in axes]
     kernel_spectrum = sp_fft.rfftn(kernel, fshape, axes=axes)
     crop = tuple(slice(k - 1, n) for n, k in zip(shape, kernel.shape))
-    return lambda plane: sp_fft.irfftn(
-        sp_fft.rfftn(plane, fshape, axes=axes) * kernel_spectrum, fshape, axes=axes)[crop]
+
+    def convolve(plane):
+        spectrum = sp_fft.rfftn(plane, fshape, axes=axes)
+        spectrum *= kernel_spectrum
+        return sp_fft.irfftn(spectrum, fshape, axes=axes, overwrite_x=True)[crop]
+
+    convolve.padded = tuple(padded)
+    return convolve
 
 
 def smooth_spectrum(mag: np.ndarray, sigma: float, kernel_size: int) -> np.ndarray:

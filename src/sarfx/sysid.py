@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leastsq import FitDivergenceError, least_squares
-from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError
+from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError, _check_plane, _locked
 from .spectral import central_flip, forward_dft, smooth_spectrum
 
 STRATEGY_GAUSSIAN = "gaussian"
@@ -47,11 +47,8 @@ class TransferFunction(PlaneShape):
     strategy: str = STRATEGY_KNOWN
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, order="C", copy=True)
-        if values.ndim != 2 or min(values.shape) < 1:
-            raise RasterError(f"transfer function must be 2D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise RasterError("transfer function contains NaN/Inf")
+        values = _locked(self.values, np.float64)
+        _check_plane(values, "transfer function")
         if np.any(values < 0):
             raise RasterError("transfer function must be nonnegative everywhere")
         peak = values.max()
@@ -62,7 +59,6 @@ class TransferFunction(PlaneShape):
             raise RasterError(f"transfer function breaks central symmetry by {asym:.3e}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 

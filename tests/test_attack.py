@@ -82,6 +82,19 @@ def test_apply_system_equals_centered_round_trip(shape, bare):
     assert np.array_equal(new.re, old.re) and np.array_equal(new.im, old.im)
 
 
+@pytest.mark.parametrize("shape", [(32, 32), (33, 33), (24, 41), (1, 7), (7, 1)])
+def test_in_place_transforms_equal_allocating_ones(shape):
+    # apply_system's in-place fft2 and its per-axis in-place inverse against the
+    # allocating fft2 and ifft2
+    z = _random_complex(shape, 5).to_complex()
+    buf = z.copy()
+    np.fft.fft2(buf, out=buf)
+    assert np.array_equal(buf, np.fft.fft2(z))
+    np.fft.ifft(buf, axis=1, out=buf)
+    np.fft.ifft(buf, axis=0, out=buf)
+    assert np.array_equal(buf, np.fft.ifft2(np.fft.fft2(z)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_apply_system_rejects_nonfinite_spectrum(bad):
     h = np.ones((8, 8))

@@ -265,6 +265,21 @@ def test_cli_pairs_csv_missing_columns(tmp_path, product, capsys, header, missin
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("row, column", [
+    ("p1,{a}", "b"), ("p1,,{a}", "a"), ("p1,{a},", "b"), (",{a},{a}", "id"),
+])
+def test_cli_pairs_csv_row_without_a_value(tmp_path, product, capsys, row, column):
+    # a row shorter than the header, or with an empty cell, names the CSV line
+    # and the column; the good row before it does not hide it
+    pairs = tmp_path / "pairs.csv"
+    a = product["amp0"]
+    pairs.write_text(f"id,a,b\np0,{a},{a}\n{row.format(a=a)}\n")
+    assert main(["metrics", "--pairs", str(pairs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sarfx: error: {pairs}:3: no value for column {column}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("region", ["16x0", "0x16", "0x0+2+2"])
 def test_forge_rejects_an_empty_region(tmp_path, product, capsys, region):
     out = tmp_path / "out.sarf"

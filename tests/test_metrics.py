@@ -132,18 +132,29 @@ def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
     window = gaussian_window()
     windowed = valid_convolver(shape, window, (0, 1))
     for plane in (a, b, a * a, b * b, a * b):
-        assert np.array_equal(windowed(plane), signal.fftconvolve(plane, window, "valid"))
+        expected = signal.fftconvolve(plane, window, "valid")
+        assert np.array_equal(windowed(plane), expected)
+        padded = np.zeros(windowed.padded)
+        padded[: shape[0], : shape[1]] = plane
+        assert np.array_equal(windowed(padded), expected)
     n_scales = ms_ssim_scale_count(shape)
     fast = metrics._ssim_terms(a, b, 65535.0, n_scales)
     assert fast == _fftconvolve_ssim_terms(a, b, 65535.0, n_scales)
-    # the convolver is cached per shape, so patch the cached entry point itself
+    # the convolver is cached per shape, so patch the cached entry point itself;
+    # each moment reaches it zero-padded to the convolver's ``padded`` shape
     calls = []
 
-    def oracle(plane):
-        calls.append(plane.shape)
-        return signal.fftconvolve(plane, window, "valid")
+    def patched(scale_shape):
+        def oracle(plane):
+            calls.append(plane.shape)
+            h, w = scale_shape
+            assert not plane[h:].any() and not plane[:, w:].any()
+            return signal.fftconvolve(plane[:h, :w], window, "valid")
 
-    monkeypatch.setattr(metrics, "_window_convolver", lambda _shape: oracle)
+        oracle.padded = valid_convolver(scale_shape, window, (0, 1)).padded
+        return oracle
+
+    monkeypatch.setattr(metrics, "_window_convolver", patched)
     assert fast == metrics._ssim_terms(a, b, 65535.0, n_scales)
     assert len(calls) == 5 * n_scales
 

@@ -18,6 +18,7 @@ from sarfx import (
 )
 from sarfx.cli import main
 from sarfx.raster import HEADER_SIZE, read_header
+from sarfx.speckle import MODE_FULL, SpeckleField
 
 
 def test_write_raster_payload_equals_astype_tobytes(tmp_path):
@@ -153,6 +154,42 @@ def test_images_are_immutable():
     image = AmplitudeImage(np.ones((2, 2)))
     with pytest.raises(ValueError):
         image.values[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (7, 9), (1, 6), (5, 1)])
+def test_complex_image_holds_one_plane(shape):
+    # re/im are views of one complex plane filled part by part; it equals
+    # re + 1j*im, and |z| over the strided views equals hypot of contiguous planes
+    rng = np.random.default_rng(sum(shape))
+    re, im = rng.standard_normal((2, *shape))
+    image = ComplexImage(re, im)
+    z = image.to_complex()
+    assert z.dtype == np.complex128 and not z.flags.writeable
+    assert np.shares_memory(image.re, z) and np.shares_memory(image.im, z)
+    assert np.array_equal(z, re + 1j * im)
+    assert np.array_equal(image.amplitude().values, np.hypot(re, im))
+    assert np.array_equal(ComplexImage.from_complex(re + 1j * im).to_complex(), z)
+
+
+def test_images_do_not_share_a_callers_arrays():
+    # every constructor copies what a caller passes: writing to those arrays
+    # afterwards leaves the image as it was
+    rng = np.random.default_rng(5)
+    values, real, imag = rng.uniform(1.0, 2.0, (3, 6, 7))
+    z = real + 1j * imag
+    mask = (values > 1.5).astype(np.uint8)
+    images = [AmplitudeImage(values), ComplexImage(real, imag), ComplexImage.from_complex(z),
+              SpeckleField(real, imag, MODE_FULL, 1.0), TamperMask(mask)]
+
+    def planes():
+        return [np.copy(getattr(image, name)) for image in images
+                for name in ("values", "re", "im") if hasattr(image, name)]
+
+    before = planes()
+    for arr in (values, real, imag, z):
+        arr[...] = -7.0
+    mask ^= 1
+    assert all(np.array_equal(a, b) for a, b in zip(planes(), before, strict=True))
 
 
 def test_amplitude_extraction_nonnegative():

@@ -90,6 +90,19 @@ def test_inject_matches_scalar_loop_oracle():
     assert np.abs(np.abs(out.to_complex()) - amplitude.values * field.magnitude()).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (7, 9), (1, 6), (5, 1)])
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_PHASE_ONLY])
+def test_inject_fill_equals_re_plus_i_im(shape, mode):
+    # the products written into the parts of one complex plane against the
+    # separate product planes combined as re + 1j*im
+    amplitude = AmplitudeImage(np.random.default_rng(8).uniform(0, 50, shape))
+    field = generate_speckle(*shape, mode, seed=9)
+    a = amplitude.values
+    out = inject_speckle(amplitude, field)
+    assert np.array_equal(out.to_complex(), a * field.re + 1j * (a * field.im))
+    assert np.array_equal(out.re, a * field.re) and np.array_equal(out.im, a * field.im)
+
+
 def test_inject_dimension_mismatch():
     field = generate_speckle(4, 4, MODE_PHASE_ONLY, seed=0)
     with pytest.raises(RasterError, match="mismatch"):

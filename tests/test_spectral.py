@@ -15,7 +15,25 @@ from sarfx import (
     inverse_dft,
     smooth_spectrum,
 )
-from sarfx.spectral import gaussian_kernel_1d, profile_to_csv
+from sarfx.spectral import gaussian_kernel_1d, profile_to_csv, valid_convolver
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (15, 17), (9, 30), (1, 40)])
+@pytest.mark.parametrize("axes", [(1,), (0,), (0, 1)])
+def test_valid_convolver_equals_fftconvolve(shape, axes):
+    # the in-place spectrum product against scipy's allocating fftconvolve, on the
+    # plane itself and on the plane zero-padded to the convolver's FFT shape
+    from scipy import signal
+
+    rng = np.random.default_rng(sum(shape))
+    plane = rng.uniform(0.0, 9.0, shape)
+    kernel = rng.uniform(0.0, 1.0, [min(n, 5) if a in axes else 1 for a, n in enumerate(shape)])
+    convolve = valid_convolver(shape, kernel, axes)
+    expected = signal.fftconvolve(plane, kernel, "valid", axes=axes)
+    padded = np.zeros(convolve.padded)
+    padded[: shape[0], : shape[1]] = plane
+    assert np.array_equal(convolve(plane), expected)
+    assert np.array_equal(convolve(padded), expected)
 
 
 def test_constant_image_is_dc_only():

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +428,36 @@ def test_estimate_matches_stored_old_path_result(strategy):
         assert params.iterations == int(stored[f"{strategy}_iterations"])
         assert params.stop in ("step", "cost", "damping", "exact")
     assert np.abs(tf.values - old).max() <= 1e-12
+
+
+_FIT_IN_CHILD = """
+import dataclasses, json
+from test_sysid import _numpy_source
+from sarfx.sysid import estimate_transfer_function_with_params
+out = {}
+for strategy in ("gaussian", "raised_cosine"):
+    _, (params,) = estimate_transfer_function_with_params(_numpy_source(), strategy)
+    out[strategy] = {k: v.hex() if isinstance(v, float) else v
+                     for k, v in dataclasses.asdict(params).items()}
+print(json.dumps(out))
+"""
+
+
+def test_curve_fits_do_not_depend_on_blas_threads():
+    # the fixture's source fitted in children that differ only in the BLAS thread
+    # count: parameters, iterations and the residual agree to the bit
+    tests = Path(__file__).resolve().parent
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join((str(tests.parent / "src"), str(tests))))
+        result = subprocess.run([sys.executable, "-c", _FIT_IN_CHILD], env=env,
+                                capture_output=True, text=True, check=True)
+        fits.append(json.loads(result.stdout))
+    assert fits[0] == fits[1]
+    stored = np.load(tests / "data" / "sysid_old_path_128.npz")
+    for strategy, fit in fits[0].items():
+        assert fit["iterations"] == int(stored[f"{strategy}_iterations"])
 
 
 @pytest.mark.parametrize("strategy", ["direct", "gaussian", "raised_cosine"])
