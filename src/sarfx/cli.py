@@ -66,8 +66,7 @@ def parse_region(text: str):
     w, h = int(match.group(1)), int(match.group(2))
     if w < 1 or h < 1:
         raise CliError(f"--region sides must be positive, got {text!r}")
-    col = int(match.group(3)) if match.group(3) is not None else None
-    row = int(match.group(4)) if match.group(4) is not None else None
+    col, row = (None if offset is None else int(offset) for offset in match.group(3, 4))
     return h, w, col, row
 
 
@@ -336,6 +335,8 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         config.master_seed = args.seed
     if args.out_dir is not None:
+        if not args.out_dir:
+            raise CliError("--out-dir must be a nonempty path")
         config.out_dir = args.out_dir
     result = run_experiment(config)
     print(f"report: {result.report_path}")

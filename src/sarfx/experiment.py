@@ -88,12 +88,16 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be a list of entries, got {value!r}")
         if not _is_number(raw["master_seed"], int):
             raise ValueError(f"master_seed must be an integer, got {raw['master_seed']!r}")
+        _check_path("'out_dir'", raw["out_dir"])
         for entry in raw["manifest"]:
             _check_keys("manifest", entry)
+            _check_path("a manifest entry's 'path'", entry["path"])
+            if entry.get("fingerprint") is not None:
+                _check_path("a manifest entry's 'fingerprint'", entry["fingerprint"])
         manifest = [
             ManifestItem(
                 id=str(entry["id"]),
-                path=str(entry["path"]),
+                path=entry["path"],
                 product=str(entry.get("product", entry["id"])),
                 fingerprint=entry.get("fingerprint"),
             )
@@ -141,7 +145,7 @@ class ExperimentConfig:
             edits=edits,
             region=tuple(region),
             master_seed=raw["master_seed"],
-            out_dir=str(raw["out_dir"]),
+            out_dir=raw["out_dir"],
             attack_plan=attack_plan,
         )
 
@@ -181,6 +185,11 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _check_path(where: str, value) -> None:
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{where} must be a nonempty path string, got {value!r}")
+
+
 def _validate_attack_plan(plan: dict) -> None:
     _check_keys("attack", plan)
     mode = plan.get("speckle_mode", MODE_PHASE_ONLY)
@@ -205,8 +214,7 @@ def _validate_attack_plan(plan: dict) -> None:
     if len(flt) != 1:
         raise ValueError("attack plan filter must carry exactly one of 'known'/'estimate'")
     if "known" in flt:
-        if not isinstance(flt["known"], str):
-            raise ValueError(f"attack plan 'known' must be a raster path, got {flt['known']!r}")
+        _check_path("attack plan 'known'", flt["known"])
         if not Path(flt["known"]).exists():
             raise FileNotFoundError(f"known filter path does not exist: {flt['known']}")
         return
@@ -216,7 +224,7 @@ def _validate_attack_plan(plan: dict) -> None:
         raise ValueError(f"invalid estimation strategy {est['strategy']!r}")
     sources = est.get("sources", "self")
     if sources != "self":
-        if not (isinstance(sources, list) and sources and all(isinstance(s, str) for s in sources)):
+        if not (isinstance(sources, list) and sources and all(isinstance(s, str) and s for s in sources)):
             raise ValueError(
                 f"attack plan 'estimate' sources must be \"self\" or a nonempty list of raster "
                 f"paths, got {sources!r}"

@@ -31,11 +31,7 @@ KIND_AMPLITUDE_F64 = 1
 KIND_COMPLEX_F64 = 2
 KIND_MASK_U8 = 3
 
-_KIND_NAMES = {
-    KIND_AMPLITUDE_F64: "amplitude_f64",
-    KIND_COMPLEX_F64: "complex_f64",
-    KIND_MASK_U8: "mask_u8",
-}
+_PIXEL_BYTES = {KIND_AMPLITUDE_F64: 8, KIND_COMPLEX_F64: 16, KIND_MASK_U8: 1}
 
 
 class RasterError(ValueError):
@@ -181,17 +177,6 @@ class RasterHeader:
 RasterImage = ComplexImage | AmplitudeImage | TamperMask
 
 
-def _payload_bytes(kind: int, height: int, width: int) -> int:
-    n = height * width
-    if kind == KIND_AMPLITUDE_F64:
-        return 8 * n
-    if kind == KIND_COMPLEX_F64:
-        return 16 * n
-    if kind == KIND_MASK_U8:
-        return n
-    raise RasterError(f"unknown raster kind {kind}")
-
-
 @contextmanager
 def atomic_open(path, mode: str):
     """Write through a temp file beside ``path`` that replaces it on success, so
@@ -234,7 +219,7 @@ def read_header(path) -> RasterHeader:
     magic, kind, bits, height, width = struct.unpack(_HEADER_FMT, raw)
     if magic != MAGIC:
         raise RasterError(f"{path}: bad magic {magic!r}")
-    if kind not in _KIND_NAMES:
+    if kind not in _PIXEL_BYTES:
         raise RasterError(f"{path}: unknown kind {kind}")
     if height < 1 or width < 1:
         raise RasterError(f"{path}: degenerate dimensions {height}x{width}")
@@ -247,7 +232,7 @@ def read_raster(path) -> RasterImage:
     with open(path, "rb") as fh:
         fh.seek(HEADER_SIZE)
         payload = fh.read()
-    expected = _payload_bytes(header.kind, header.height, header.width)
+    expected = _PIXEL_BYTES[header.kind] * header.height * header.width
     if len(payload) != expected:
         raise RasterError(
             f"{path}: payload size mismatch (got {len(payload)} bytes, header implies {expected})"

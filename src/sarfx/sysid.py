@@ -334,18 +334,13 @@ def _normalized_response(plane: np.ndarray, strategy: str) -> TransferFunction:
 
 def gaussian_response(params: GaussianFitParams, shape: tuple[int, int]) -> TransferFunction:
     """Evaluate a fitted Gaussian on the DC-centered grid, symmetrized per axis."""
-    h, w = shape
-    fx, fy = freq_grid(w), freq_grid(h)
-    # Average over f and -f per axis so nonzero fitted means cannot break
-    # the central symmetry required of a transfer function.
-    gx = 0.5 * (
-        gaussian_axis(fx, params.gain_x, params.mean_x, params.std_x)
-        + gaussian_axis(-fx, params.gain_x, params.mean_x, params.std_x)
-    )
-    gy = 0.5 * (
-        gaussian_axis(fy, params.gain_y, params.mean_y, params.std_y)
-        + gaussian_axis(-fy, params.gain_y, params.mean_y, params.std_y)
-    )
+    def symmetric(f, gain, mean, std):
+        # averaged over f and -f, so nonzero fitted means cannot break the
+        # central symmetry required of a transfer function
+        return 0.5 * (gaussian_axis(f, gain, mean, std) + gaussian_axis(-f, gain, mean, std))
+
+    gx = symmetric(freq_grid(shape[1]), params.gain_x, params.mean_x, params.std_x)
+    gy = symmetric(freq_grid(shape[0]), params.gain_y, params.mean_y, params.std_y)
     return _normalized_response(np.outer(gy, gx), STRATEGY_GAUSSIAN)
 
 
@@ -376,10 +371,7 @@ def default_smoothing(min_dim: int) -> tuple[int, float]:
     scaled proportionally below it."""
     if min_dim >= 1024:
         return 601, 100.0
-    k = int(np.ceil(0.587 * min_dim))
-    if k % 2 == 0:
-        k += 1
-    k = max(k, 3)
+    k = max(int(np.ceil(0.587 * min_dim)) | 1, 3)  # rounded up to odd
     return k, k / 6.01
 
 
@@ -444,16 +436,14 @@ def estimate_transfer_function_with_params(
     for src in sources:
         f_k = smooth_spectrum(magnitude_spectrum(src), sigma, kernel_size)
         if strategy == STRATEGY_DIRECT:
-            tf = estimate_direct(f_k)
-            fit_params.append(None)
+            params, tf = None, estimate_direct(f_k)
         elif strategy == STRATEGY_GAUSSIAN:
             params = fit_gaussian(normalize_energy(f_k))
-            fit_params.append(params)
             tf = gaussian_response(params, shape)
         else:
             params = fit_raised_cosine(normalize_energy(f_k))
-            fit_params.append(params)
             tf = raised_cosine_response(params, shape)
+        fit_params.append(params)
         responses.append(tf)
 
     if len(responses) == 1:

@@ -6,6 +6,7 @@ compares two genuinely different routes to the same number.
 """
 
 import builtins
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -131,3 +132,13 @@ def fail_raster_module_writes(monkeypatch, target=None):
         return fh
 
     monkeypatch.setattr(raster, "open", failing_open, raising=False)
+
+
+def assert_threaded_equals_serial(fn, inputs, workers=4, rounds=2):
+    """``fn`` over ``inputs`` on a thread pool, ``rounds`` times, gives exactly the
+    serial results: shared caches may hold no per-call work buffers."""
+    serial = [fn(*args) for args in inputs]
+    for _ in range(rounds):
+        with ThreadPoolExecutor(workers) as pool:
+            threaded = list(pool.map(lambda args: fn(*args), inputs))
+        np.testing.assert_equal(threaded, serial)

@@ -693,6 +693,14 @@ _BAD_ATTACK_PLANS = {
     "negative-smoothing-sigma": lambda c: c["attack"]["smoothing"].update({"sigma": -2}),
     "even-smoothing-kernel": lambda c: c["attack"]["smoothing"].update({"kernel": 4}),
     "string-sources": lambda c: c["attack"]["filter"]["estimate"].update({"sources": "t0.sarf"}),
+    "empty-source": lambda c: c["attack"]["filter"]["estimate"].update({"sources": [""]}),
+    "empty-known-filter": lambda c: c["attack"].update({"filter": {"known": ""}}),
+    "null-out-dir": lambda c: c.update({"out_dir": None}),
+    "empty-out-dir": lambda c: c.update({"out_dir": ""}),
+    "list-manifest-path": lambda c: c["manifest"][0].update({"path": ["t.sarf"]}),
+    "number-fingerprint": lambda c: c["manifest"][0].update({"fingerprint": 5}),
+    "list-fingerprint": lambda c: c["manifest"][1].update({"fingerprint": ["a"]}),
+    "empty-fingerprint": lambda c: c["manifest"][1].update({"fingerprint": ""}),
 }
 
 
@@ -730,10 +738,15 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     ("string-sources",
      "attack plan 'estimate' sources must be \"self\" or a nonempty list of raster paths, "
      "got 't0.sarf'"),
+    ("null-out-dir", "'out_dir' must be a nonempty path string, got None"),
+    ("list-manifest-path", "a manifest entry's 'path' must be a nonempty path string, got ['t.sarf']"),
+    ("number-fingerprint", "a manifest entry's 'fingerprint' must be a nonempty path string, got 5"),
+    ("list-fingerprint", "a manifest entry's 'fingerprint' must be a nonempty path string, got ['a']"),
 ], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
         "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
         "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
-        "even-smoothing-kernel", "string-sources"])
+        "even-smoothing-kernel", "string-sources", "null-out-dir", "list-manifest-path",
+        "number-fingerprint", "list-fingerprint"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())
@@ -742,6 +755,22 @@ def test_experiment_config_error_names_accepted_values(tmp_path, product, case, 
     with pytest.raises(ValueError) as excinfo:
         ExperimentConfig.from_json(path)
     assert str(excinfo.value) == message
+
+
+def test_experiment_empty_out_dir_override_is_rejected(tmp_path, product, capsys, monkeypatch):
+    path = _experiment_config(tmp_path, product)
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "--config", str(path), "--out-dir", ""]) == 1
+    assert capsys.readouterr().err == "sarfx: error: --out-dir must be a nonempty path\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_experiment_null_fingerprint_means_none(tmp_path, product):
+    path = _experiment_config(tmp_path, product)
+    config = json.loads(path.read_text())
+    config["manifest"][0]["fingerprint"] = None
+    path.write_text(json.dumps(config))
+    assert ExperimentConfig.from_json(path).manifest[0].fingerprint is None
 
 
 def test_experiment_rejects_missing_paths(tmp_path):

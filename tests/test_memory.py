@@ -2,8 +2,14 @@
 
 tracemalloc sees every numpy allocation, so the peak above the level at entry
 counts the planes a stage holds at once. At 256² the attack peaks at 6.26
-planes and the scoring at 6.74; when every image type copied its planes and
-each SSIM moment had its own padded buffers, they peaked at 11.26 and 9.38.
+planes and the scoring at 6.23; when every image type copied its planes and
+each SSIM moment had its own padded buffers, they peaked at 11.26 and 9.38,
+and with one zero-padded input buffer per scale the scoring peaked at 6.74.
+
+tracemalloc cannot see the buffers pocketfft allocates inside a transform,
+such as the complex intermediate of scipy's multi-axis ``irfftn``. Most of
+the resident-memory drop from transforming the SSIM moments with numpy's
+single-axis transforms in place is there, so these bounds understate it.
 """
 
 import tracemalloc
@@ -37,4 +43,4 @@ def test_attack_and_scoring_peaks_in_planes():
     assert np.array_equal(result.attacked.values, attacked.values)
     _, scoring_peak = _peak_planes(lambda: evaluate_pair(attacked, image))
     assert attack_peak <= 6.5
-    assert scoring_peak <= 7.0
+    assert scoring_peak <= 6.5

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import assert_threaded_equals_serial
+
 from sarfx import (
     AmplitudeImage,
     DegenerateRegionError,
@@ -132,31 +134,34 @@ def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
     window = gaussian_window()
     windowed = valid_convolver(shape, window, (0, 1))
     for plane in (a, b, a * a, b * b, a * b):
-        expected = signal.fftconvolve(plane, window, "valid")
-        assert np.array_equal(windowed(plane), expected)
-        padded = np.zeros(windowed.padded)
-        padded[: shape[0], : shape[1]] = plane
-        assert np.array_equal(windowed(padded), expected)
+        assert np.array_equal(windowed(plane), signal.fftconvolve(plane, window, "valid"))
     n_scales = ms_ssim_scale_count(shape)
     fast = metrics._ssim_terms(a, b, 65535.0, n_scales)
     assert fast == _fftconvolve_ssim_terms(a, b, 65535.0, n_scales)
     # the convolver is cached per shape, so patch the cached entry point itself;
-    # each moment reaches it zero-padded to the convolver's ``padded`` shape
+    # each moment reaches it as a plane of the scale's shape
     calls = []
 
     def patched(scale_shape):
         def oracle(plane):
             calls.append(plane.shape)
-            h, w = scale_shape
-            assert not plane[h:].any() and not plane[:, w:].any()
-            return signal.fftconvolve(plane[:h, :w], window, "valid")
+            assert plane.shape == scale_shape
+            return signal.fftconvolve(plane, window, "valid")
 
-        oracle.padded = valid_convolver(scale_shape, window, (0, 1)).padded
         return oracle
 
     monkeypatch.setattr(metrics, "_window_convolver", patched)
     assert fast == metrics._ssim_terms(a, b, 65535.0, n_scales)
     assert len(calls) == 5 * n_scales
+
+
+def test_evaluate_pair_on_shared_convolvers_is_thread_safe():
+    # the window convolvers are cached per shape and shared by every job thread
+    pairs = []
+    for seed, shape in enumerate([(256, 256), (192, 320)] * 3):
+        a, b = np.random.default_rng(seed).uniform(0, 65535, (2, *shape))
+        pairs.append((a, b))
+    assert_threaded_equals_serial(lambda a, b: evaluate_pair(a, b, dynamic_range=65535.0), pairs)
 
 
 def test_ssim_symmetry_and_bound():

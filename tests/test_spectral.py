@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from helpers import naive_convolve_reflect, naive_dft2
+from helpers import assert_threaded_equals_serial, naive_convolve_reflect, naive_dft2
 
 from sarfx import (
     AmplitudeImage,
@@ -15,25 +15,49 @@ from sarfx import (
     inverse_dft,
     smooth_spectrum,
 )
+from sarfx.metrics import gaussian_window
 from sarfx.spectral import gaussian_kernel_1d, profile_to_csv, valid_convolver
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (15, 17), (9, 30), (1, 40)])
 @pytest.mark.parametrize("axes", [(1,), (0,), (0, 1)])
 def test_valid_convolver_equals_fftconvolve(shape, axes):
-    # the in-place spectrum product against scipy's allocating fftconvolve, on the
-    # plane itself and on the plane zero-padded to the convolver's FFT shape
+    # the pruned in-place transforms against scipy's allocating fftconvolve
     from scipy import signal
 
     rng = np.random.default_rng(sum(shape))
     plane = rng.uniform(0.0, 9.0, shape)
     kernel = rng.uniform(0.0, 1.0, [min(n, 5) if a in axes else 1 for a, n in enumerate(shape)])
     convolve = valid_convolver(shape, kernel, axes)
-    expected = signal.fftconvolve(plane, kernel, "valid", axes=axes)
-    padded = np.zeros(convolve.padded)
-    padded[: shape[0], : shape[1]] = plane
-    assert np.array_equal(convolve(plane), expected)
-    assert np.array_equal(convolve(padded), expected)
+    assert np.array_equal(convolve(plane), signal.fftconvolve(plane, kernel, "valid", axes=axes))
+
+
+_SSIM_WINDOW = gaussian_window()
+_SMOOTHING_TAPS = gaussian_kernel_1d(100.0, 601)
+
+
+@pytest.mark.parametrize("shape, kernel, axes, fft_sizes", [
+    # one kept row
+    ((11, 11), _SSIM_WINDOW, (0, 1), (24, 24)),
+    ((11, 40), _SSIM_WINDOW, (0, 1), (24, 50)),
+    # the SSIM scale chain of a 1024-pixel tile
+    ((1024, 1024), _SSIM_WINDOW, (0, 1), (1080, 1080)),
+    ((512, 512), _SSIM_WINDOW, (0, 1), (540, 540)),
+    ((256, 256), _SSIM_WINDOW, (0, 1), (270, 270)),
+    ((128, 128), _SSIM_WINDOW, (0, 1), (144, 144)),
+    ((64, 64), _SSIM_WINDOW, (0, 1), (75, 75)),
+    # the two passes of a 601-tap smoothing of a 1024-pixel spectrum
+    ((1624, 1024), _SMOOTHING_TAPS[:, None], (0,), (2250,)),
+    ((1024, 1624), _SMOOTHING_TAPS[None, :], (1,), (2250,)),
+], ids=["11x11", "11x40", "1024", "512", "256", "128", "64", "601-taps-axis0", "601-taps-axis1"])
+def test_valid_convolver_equals_fftconvolve_at_job_sizes(shape, kernel, axes, fft_sizes):
+    from scipy import fft as sp_fft
+    from scipy import signal
+
+    assert tuple(sp_fft.next_fast_len(shape[a] + kernel.shape[a] - 1, True) for a in axes) == fft_sizes
+    plane = np.random.default_rng(shape[1]).uniform(0.0, 65535.0, shape)
+    out = valid_convolver(shape, kernel, axes)(plane)
+    assert np.array_equal(out, signal.fftconvolve(plane, kernel, "valid", axes=axes))
 
 
 def test_constant_image_is_dc_only():
@@ -106,6 +130,18 @@ def test_real_input_magnitude_central_symmetric(shape):
     assert np.abs(mag - central_flip(mag)).max() <= 1e-12 * mag.max()
 
 
+def _shift_flip_oracle(values):
+    # the flip through ifftshift, index reversal, a roll by one and fftshift
+    a = np.fft.ifftshift(values)
+    return np.fft.fftshift(np.roll(a[::-1, ::-1], (1, 1), axis=(0, 1)))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (7, 7), (8, 9), (9, 8), (6, 11), (1, 7), (1, 8), (2, 1)])
+def test_central_flip_equals_shift_composition(shape):
+    plane = np.random.default_rng(sum(shape)).standard_normal(shape)
+    assert np.array_equal(central_flip(plane), _shift_flip_oracle(plane))
+
+
 def test_central_flip_is_index_negation():
     plane = np.zeros((8, 10))
     plane[4 + 2, 5 + 3] = 1.0  # (+2, +3) in centered coordinates
@@ -119,6 +155,12 @@ def test_central_flip_is_index_negation():
 # ---------------------------------------------------------------------------
 # Spectrum smoothing
 # ---------------------------------------------------------------------------
+
+
+def test_smooth_spectrum_is_thread_safe():
+    planes = [(np.random.default_rng(seed).uniform(0, 9, shape),)
+              for seed, shape in enumerate([(128, 128), (96, 160)] * 3)]
+    assert_threaded_equals_serial(lambda mag: smooth_spectrum(mag, 8.0, 61), planes)
 
 
 def test_smooth_constant_plane_unchanged():
