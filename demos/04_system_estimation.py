@@ -17,13 +17,7 @@ from sarfx import (
     normalized_cross_correlation,
     simulate_pristine,
 )
-from sarfx.sysid import (
-    estimate_transfer_function_with_params,
-    freq_grid,
-    nyquist_bins,
-    raised_cosine_axis,
-)
-from sarfx.sysid import TransferFunction
+from sarfx.sysid import TransferFunction, freq_grid, nyquist_bins, raised_cosine_axis
 
 n = 256
 
@@ -53,12 +47,10 @@ for strategy in ("direct", "gaussian", "raised_cosine"):
         ncc = normalized_cross_correlation(tf.values, h_true.values)
         print(f"  {strategy:13s} {count:7d}   {ncc:.4f}")
 
-# Fitted parameters are reported alongside the response.
-tf, params = estimate_transfer_function_with_params(
-    sources[:1], "raised_cosine", sigma=10.0, kernel_size=61
-)
-fit = params[0]
-print(f"\nraised-cosine fit on one source:")
+# The response records how it was made: the smoothing used and the fit per source.
+tf = estimate_transfer_function(sources[:1], "raised_cosine", sigma=10.0, kernel_size=61)
+fit = tf.fit_params[0]
+print(f"\nraised-cosine fit on one source, smoothing (kernel, sigma) = {tf.smoothing}:")
 print(f"  cutoff_x = {fit.cutoff_x:6.2f} bins   (truth {0.6 * nyquist_bins(n):6.2f})")
 print(f"  cutoff_y = {fit.cutoff_y:6.2f} bins")
 print(f"  B/A ratio = {fit.b_x / fit.a_x:.3f}   (truth 1.000 for the A=B lobe)")

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .attack import AttackConfig, run_attack
-from .experiment import ExperimentConfig, run_experiment
+from .attack import run_attack
+from .experiment import ExperimentConfig, attack_config, check_attack_plan, load_filter, run_experiment
 from .forgery import (
     EDIT_KINDS,
     EditOp,
@@ -40,14 +40,7 @@ from .raster import (
 )
 from .spectral import azimuthal_profile, forward_dft, profile_to_csv
 from .speckle import DEFAULT_SIGMA_S, rng
-from .sysid import (
-    STRATEGY_KNOWN,
-    FitNonConvergenceError,
-    TransferFunction,
-    default_smoothing,
-    estimate_transfer_function,
-    estimate_transfer_function_with_params,
-)
+from .sysid import FitNonConvergenceError, estimate_transfer_function
 from .raster import tile as tile_raster
 from .tables import csv_text
 
@@ -71,7 +64,8 @@ def parse_region(text: str):
 
 
 def parse_filter_spec(text: str):
-    """Parse ``known:<path>`` or ``estimate:<strategy>:<p1,p2,...>``."""
+    """Parse ``known:<path>`` or ``estimate:<strategy>:<p1,p2,...>`` into the
+    ``filter`` of an experiment config's attack plan."""
     kind, _, rest = text.partition(":")
     if kind == "known":
         if not rest:
@@ -79,11 +73,10 @@ def parse_filter_spec(text: str):
         return {"known": rest}
     if kind == "estimate":
         strategy, _, paths = rest.partition(":")
-        strategy = strategy.replace("-", "_")
         sources = [p for p in paths.split(",") if p]
         if not strategy or not sources:
             raise CliError("estimate filter needs estimate:<strategy>:<path,path,...>")
-        return {"strategy": strategy, "sources": sources}
+        return {"estimate": {"strategy": strategy, "sources": sources}}
     raise CliError(f"unknown filter spec {text!r}; use known:<path> or estimate:...")
 
 
@@ -218,18 +211,17 @@ def cmd_spectrum(args) -> int:
 
 def cmd_estimate_filter(args) -> int:
     sources = [read_raster(p) for p in args.sources]
-    strategy = args.strategy.replace("-", "_")
-    tf, fit_params = estimate_transfer_function_with_params(
-        sources, strategy, sigma=args.smoothing_sigma, kernel_size=args.smoothing_kernel
+    h = estimate_transfer_function(
+        sources, args.strategy.replace("-", "_"),
+        sigma=args.smoothing_sigma, kernel_size=args.smoothing_kernel,
     )
-    write_raster(AmplitudeImage(tf.values, 16), args.out)
-    default_kernel, default_sigma = default_smoothing(min(sources[0].shape))
+    write_raster(AmplitudeImage(h.values, 16), args.out)
     sidecar = {
-        "strategy": strategy,
+        "strategy": h.strategy,
         "sources": list(args.sources),
-        "smoothing_sigma": args.smoothing_sigma if args.smoothing_sigma is not None else default_sigma,
-        "smoothing_kernel": args.smoothing_kernel if args.smoothing_kernel is not None else default_kernel,
-        "fit_params": [None if p is None else p.__dict__ for p in fit_params],
+        "smoothing_kernel": h.smoothing[0],
+        "smoothing_sigma": h.smoothing[1],
+        "fit_params": [None if p is None else p.__dict__ for p in h.fit_params],
     }
     with atomic_open(str(args.out) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -270,25 +262,17 @@ def cmd_forge(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    # the flags form an experiment's attack plan, checked and loaded the same way
+    plan = {
+        "filter": args.filter_spec,
+        "smoothing": {"sigma": args.smoothing_sigma, "kernel": args.smoothing_kernel},
+        "speckle_mode": args.speckle_mode.replace("-", "_"),
+        "sigma_s": args.speckle_sigma,
+        "histogram_match": not args.no_histogram_match,
+    }
+    check_attack_plan(plan)
     image = _read_amplitude(args.input)
-    spec = args.filter_spec
-    if "known" in spec:
-        h = TransferFunction(read_raster(spec["known"]).values, STRATEGY_KNOWN)
-    else:
-        h = estimate_transfer_function(
-            [read_raster(p) for p in spec["sources"]],
-            spec["strategy"],
-            sigma=args.smoothing_sigma,
-            kernel_size=args.smoothing_kernel,
-        )
-    config = AttackConfig(
-        seed=args.seed,
-        transfer_function=h,
-        speckle_mode=args.speckle_mode.replace("-", "_"),
-        sigma_s=args.speckle_sigma,
-        histogram_match=not args.no_histogram_match,
-    )
-    result = run_attack(image, config)
+    result = run_attack(image, attack_config(plan, args.seed, load_filter(plan)))
     write_raster(result.attacked, args.out)
     if args.dump_intermediates:
         write_raster(result.speckled, str(args.out) + ".speckled.sarf")

@@ -22,7 +22,7 @@ from pathlib import Path
 from .attack import AttackConfig, run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
-from .raster import AmplitudeImage, atomic_open, read_header, read_raster, write_raster
+from .raster import KIND_AMPLITUDE_F64, AmplitudeImage, atomic_open, read_header, read_raster, write_raster
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
 from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
@@ -107,6 +107,9 @@ class ExperimentConfig:
         if len(set(ids)) != len(ids):
             raise ValueError("manifest ids must be unique")
         for item in manifest:
+            if item.id in ("", ".", "..") or any(c in item.id for c in "/\\\0"):  # an id names files
+                raise ValueError(f"a manifest entry's 'id' must be a file name without '/', '\\' "
+                                 f"or NUL, and not '.' or '..', got {item.id!r}")
             if not Path(item.path).exists():
                 raise FileNotFoundError(f"manifest path does not exist: {item.path}")
             if item.fingerprint and not Path(item.fingerprint).exists():
@@ -134,12 +137,15 @@ class ExperimentConfig:
             raise ValueError(f"region must be two positive integers [height, width], got {region!r}")
         # one tile smaller than the region fails only its own jobs; reject a region none holds
         headers = [read_header(item.path) for item in manifest]
+        for item, header in zip(manifest, headers):
+            if header.kind != KIND_AMPLITUDE_F64:
+                raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
         if headers and not any(region[0] <= h.height and region[1] <= h.width for h in headers):
             raise ValueError(f"region {region} is larger than every manifest tile; "
                              f"{manifest[0].id!r} is {headers[0].height}x{headers[0].width}")
         attack_plan = raw.get("attack")
         if attack_plan is not None:
-            _validate_attack_plan(attack_plan)
+            check_attack_plan(attack_plan)
         return cls(
             manifest=manifest,
             edits=edits,
@@ -190,7 +196,8 @@ def _check_path(where: str, value) -> None:
         raise ValueError(f"{where} must be a nonempty path string, got {value!r}")
 
 
-def _validate_attack_plan(plan: dict) -> None:
+def check_attack_plan(plan: dict) -> None:
+    """Check an ``attack`` plan, the config's or one ``sarfx attack`` builds from its flags."""
     _check_keys("attack", plan)
     mode = plan.get("speckle_mode", MODE_PHASE_ONLY)
     if mode not in SPECKLE_MODES:
@@ -221,7 +228,7 @@ def _validate_attack_plan(plan: dict) -> None:
     est = flt["estimate"]
     _check_keys("estimate", est)
     if _strategy(plan) not in ESTIMATORS:
-        raise ValueError(f"invalid estimation strategy {est['strategy']!r}")
+        raise ValueError(f"invalid estimation strategy {est['strategy']!r}; accepted: {list(ESTIMATORS)}")
     sources = est.get("sources", "self")
     if sources != "self":
         if not (isinstance(sources, list) and sources and all(isinstance(s, str) and s for s in sources)):
@@ -245,6 +252,17 @@ def _estimate_filter(plan: dict, sources: list) -> TransferFunction:
     )
 
 
+def attack_config(plan: dict, seed: int, h: TransferFunction) -> AttackConfig:
+    """The attack a checked plan runs with one seed through the response ``h``."""
+    return AttackConfig(
+        seed=seed,
+        transfer_function=h,
+        speckle_mode=plan.get("speckle_mode", MODE_PHASE_ONLY),
+        sigma_s=plan.get("sigma_s", DEFAULT_SIGMA_S),
+        histogram_match=plan.get("histogram_match", True),
+    )
+
+
 @dataclass
 class ExperimentResult:
     report_path: str
@@ -253,9 +271,10 @@ class ExperimentResult:
     errors: dict = field(default_factory=dict)
 
 
-def _load_shared_filter(plan: dict) -> TransferFunction | None:
-    """The H every job shares: the known response, or one estimate from the
-    shared sources. None when each job estimates its own from its splice."""
+def load_filter(plan: dict) -> TransferFunction | None:
+    """The H every attack of a checked plan shares: the known response, or one
+    estimate from the shared sources. None when each job estimates its own
+    from its splice."""
     flt = plan["filter"]
     if "known" in flt:
         return TransferFunction(read_raster(flt["known"]).values)
@@ -284,14 +303,8 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         h = shared["filter"]
         if h is None:
             h = _estimate_filter(config.attack_plan, [spliced])
-        attack_config = AttackConfig(
-            seed=derive_seed(config.master_seed, key, "attack"),
-            transfer_function=h,
-            speckle_mode=config.attack_plan.get("speckle_mode", MODE_PHASE_ONLY),
-            sigma_s=config.attack_plan.get("sigma_s", DEFAULT_SIGMA_S),
-            histogram_match=config.attack_plan.get("histogram_match", True),
-        )
-        attacked = run_attack(spliced, attack_config).attacked
+        seed = derive_seed(config.master_seed, key, "attack")
+        attacked = run_attack(spliced, attack_config(config.attack_plan, seed, h)).attacked
 
     # Read before any artifact is written, so a bad fingerprint leaves none.
     fingerprint = read_fingerprint(item.fingerprint) if item.fingerprint else None
@@ -314,18 +327,18 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured experiment and write report/summary CSVs."""
     workers = worker_count()
-    out_dir = Path(config.out_dir)
-    images_dir = out_dir / "images"
-    images_dir.mkdir(parents=True, exist_ok=True)
-
     products: dict[str, list[AmplitudeImage]] = {}
     index_in_product: dict[str, int] = {}
     for item in config.manifest:
         image = read_raster(item.path)
         if not isinstance(image, AmplitudeImage):
-            raise ValueError(f"manifest item {item.id} is not an amplitude raster")
+            raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
         index_in_product[item.id] = len(products.setdefault(item.product, []))
         products[item.product].append(image)
+
+    out_dir = Path(config.out_dir)
+    images_dir = out_dir / "images"
+    images_dir.mkdir(parents=True, exist_ok=True)
 
     shared = {"products": products, "index_in_product": index_in_product}
     jobs = [(item, edit) for item in config.manifest for edit in config.edits]
@@ -342,7 +355,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     outcomes = []
     if config.attack_plan is not None:
         try:
-            shared["filter"] = _load_shared_filter(config.attack_plan)
+            shared["filter"] = load_filter(config.attack_plan)
         except Exception as exc:  # without the shared H every job fails alike
             outcomes = [failure(exc)] * len(jobs)
     if jobs and not outcomes:

@@ -41,10 +41,17 @@ class DegenerateSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class TransferFunction(PlaneShape):
-    """Nonnegative, central-symmetric, max-gain-1 frequency response (DC-centered)."""
+    """Nonnegative, central-symmetric, max-gain-1 frequency response (DC-centered).
+
+    An estimate records how it was made: the ``(kernel_size, sigma)`` smoothing
+    used, and one fit-parameter record per source (``None`` for the direct
+    strategy). A known H has neither: ``smoothing`` is None, ``fit_params`` empty.
+    """
 
     values: np.ndarray
     strategy: str = STRATEGY_KNOWN
+    smoothing: tuple[int, float] | None = None
+    fit_params: tuple = ()
 
     def __post_init__(self):
         values = _locked(self.values, np.float64)
@@ -388,22 +395,9 @@ def estimate_transfer_function(
     estimate; multiple sources are averaged after per-source max
     normalization, then renormalized. Amplitude-only input is accepted only
     with the direct strategy (the curve fits do not converge on amplitude
-    spectra) and only as a single source.
+    spectra) and only as a single source. The returned H records the
+    smoothing used and the per-source fit parameters.
     """
-    tf, _ = estimate_transfer_function_with_params(
-        sources, strategy, sigma=sigma, kernel_size=kernel_size
-    )
-    return tf
-
-
-def estimate_transfer_function_with_params(
-    sources,
-    strategy: str = STRATEGY_DIRECT,
-    *,
-    sigma: float | None = None,
-    kernel_size: int | None = None,
-):
-    """Like :func:`estimate_transfer_function` but also returns per-source fit params."""
     if strategy not in ESTIMATORS:
         raise ValueError(f"unknown estimation strategy {strategy!r}; accepted: {list(ESTIMATORS)}")
 
@@ -448,11 +442,16 @@ def estimate_transfer_function_with_params(
 
     if len(responses) == 1:
         # already max-normalized: its peak is exactly 1.0, so renormalizing is a no-op
-        return responses[0], fit_params
-    # Per-pixel sort before summation makes the mean exactly
-    # permutation-invariant and bit-reproducible.
-    stack = np.sort(np.stack([tf.values for tf in responses]), axis=0)
-    return _normalized_response(stack.sum(axis=0) / len(responses), strategy), fit_params
+        h = responses[0]
+    else:
+        # Per-pixel sort before summation makes the mean exactly
+        # permutation-invariant and bit-reproducible.
+        stack = np.sort(np.stack([tf.values for tf in responses]), axis=0)
+        h = _normalized_response(stack.sum(axis=0) / len(responses), strategy)
+    # recorded on the H just built, so H is validated once
+    object.__setattr__(h, "smoothing", (kernel_size, sigma))
+    object.__setattr__(h, "fit_params", tuple(fit_params))
+    return h
 
 
 def normalized_cross_correlation(a: np.ndarray, b: np.ndarray) -> float:

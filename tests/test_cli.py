@@ -18,7 +18,7 @@ from sarfx import (
     simulate_pristine,
     write_raster,
 )
-from sarfx import sysid
+from sarfx import experiment, sysid
 from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliError
 from sarfx.experiment import ExperimentConfig, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp
@@ -64,10 +64,11 @@ def test_filter_spec_round_trip():
         "attack", "--input", "x.sarf", "--seed", "7",
         "--filter", "estimate:direct:a.sarf,b.sarf", "--out", "y.sarf",
     ])
-    assert args.filter_spec == {"strategy": "direct", "sources": ["a.sarf", "b.sarf"]}
+    # the flag parses into the filter of an experiment config's attack plan
+    assert args.filter_spec == {"estimate": {"strategy": "direct", "sources": ["a.sarf", "b.sarf"]}}
     known = parse_filter_spec("known:h.sarf")
     assert known == {"known": "h.sarf"}
-    assert parse_filter_spec("estimate:raised-cosine:s.sarf")["strategy"] == "raised_cosine"
+    assert parse_filter_spec("estimate:raised-cosine:s.sarf")["estimate"]["strategy"] == "raised-cosine"
 
 
 def test_malformed_filter_spec_exits_2():
@@ -314,6 +315,33 @@ def test_out_of_range_seed_is_a_clean_error(tmp_path, product, capsys, command, 
     assert main(argv + ["--seed", seed]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("sarfx: error: seed must be in [0, 2**64)")
+
+
+# Each bad sarfx attack flag: its argv tail and the one error line it prints.
+_BAD_ATTACK_FLAGS = {
+    "missing-known-filter": (["--filter", "known:missing.sarf"],
+                             "known filter path does not exist: missing.sarf"),
+    "unknown-strategy": (["--filter", "estimate:wiener:x.sarf"],
+                         "invalid estimation strategy 'wiener'; "
+                         "accepted: ['gaussian', 'raised_cosine', 'direct']"),
+    "even-smoothing-kernel": (["--filter", "estimate:direct:{complex1}", "--smoothing-kernel", "4"],
+                              "attack plan 'smoothing': kernel size must be a positive odd "
+                              "integer, got 4"),
+    "zero-speckle-sigma": (["--filter", "estimate:direct:{complex1}", "--speckle-sigma", "0"],
+                           "attack plan 'sigma_s' must be a positive number, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ATTACK_FLAGS))
+def test_attack_flags_are_checked_like_the_config_attack_plan(tmp_path, product, capsys,
+                                                             monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    tail, message = _BAD_ATTACK_FLAGS[case]
+    tail = [arg.format(complex1=product["complex1"]) for arg in tail]
+    assert main(["attack", "--input", str(product["amp0"]), "--seed", "1",
+                 "--out", "out.sarf", *tail]) == 1
+    assert capsys.readouterr().err == f"sarfx: error: {message}\n"
+    assert not list(tmp_path.glob("out.sarf*"))
 
 
 @pytest.mark.parametrize("strategy, fields", [
@@ -607,13 +635,13 @@ def test_experiment_estimates_a_shared_filter_once(tmp_path, product, monkeypatc
     # two items x two edits share one sibling source: one estimate per call,
     # and the run equals one that is handed that estimate as a known H
     calls = []
-    estimate = sysid.estimate_transfer_function_with_params
+    estimate = experiment.estimate_transfer_function
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(sysid, "estimate_transfer_function_with_params", counted)
+    monkeypatch.setattr(experiment, "estimate_transfer_function", counted)
     sibling = str(product["complex1"])
     flt = {"estimate": {"strategy": "raised-cosine", "sources": [sibling]}}
     rc, shared_dir = _shared_filter_run(tmp_path, product, "shared", flt)
@@ -701,6 +729,12 @@ _BAD_ATTACK_PLANS = {
     "number-fingerprint": lambda c: c["manifest"][0].update({"fingerprint": 5}),
     "list-fingerprint": lambda c: c["manifest"][1].update({"fingerprint": ["a"]}),
     "empty-fingerprint": lambda c: c["manifest"][1].update({"fingerprint": ""}),
+    "escaping-id": lambda c: c["manifest"][0].update({"id": "../escape"}),
+    "empty-id": lambda c: c["manifest"][0].update({"id": ""}),
+    "dot-id": lambda c: c["manifest"][0].update({"id": "."}),
+    "dot-dot-id": lambda c: c["manifest"][1].update({"id": ".."}),
+    "backslash-id": lambda c: c["manifest"][1].update({"id": "a\\b"}),
+    "nul-id": lambda c: c["manifest"][1].update({"id": "a\0b"}),
 }
 
 
@@ -742,11 +776,17 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     ("list-manifest-path", "a manifest entry's 'path' must be a nonempty path string, got ['t.sarf']"),
     ("number-fingerprint", "a manifest entry's 'fingerprint' must be a nonempty path string, got 5"),
     ("list-fingerprint", "a manifest entry's 'fingerprint' must be a nonempty path string, got ['a']"),
+    ("escaping-id", "a manifest entry's 'id' must be a file name without '/', '\\' or NUL, "
+                    "and not '.' or '..', got '../escape'"),
+    ("dot-dot-id", "a manifest entry's 'id' must be a file name without '/', '\\' or NUL, "
+                   "and not '.' or '..', got '..'"),
+    ("unknown-strategy",
+     "invalid estimation strategy 'wiener'; accepted: ['gaussian', 'raised_cosine', 'direct']"),
 ], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
         "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
         "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
         "even-smoothing-kernel", "string-sources", "null-out-dir", "list-manifest-path",
-        "number-fingerprint", "list-fingerprint"])
+        "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "unknown-strategy"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())
@@ -755,6 +795,23 @@ def test_experiment_config_error_names_accepted_values(tmp_path, product, case, 
     with pytest.raises(ValueError) as excinfo:
         ExperimentConfig.from_json(path)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("kind", ["complex", "mask"])
+def test_experiment_non_amplitude_manifest_raster_is_rejected_at_load(tmp_path, product, capsys,
+                                                                       kind):
+    path = _experiment_config(tmp_path, product, "bad")
+    config = json.loads(path.read_text())
+    if kind == "mask":
+        write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
+    config["manifest"][1]["path"] = str(product["complex1"] if kind == "complex"
+                                        else tmp_path / "mask.sarf")
+    path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == [f"sarfx: error: manifest item t1 is not an amplitude raster: "
+                   f"{config['manifest'][1]['path']}"]
+    assert not (tmp_path / "bad").exists()
 
 
 def test_experiment_empty_out_dir_override_is_rejected(tmp_path, product, capsys, monkeypatch):

@@ -12,7 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from sarfx import AmplitudeImage, ComplexImage, TamperMask, write_raster
+from helpers import raised_cosine_filter, smooth_reflectivity
+
+from sarfx import AmplitudeImage, ComplexImage, TamperMask, simulate_pristine, write_raster
 from sarfx.cli import main
 
 
@@ -181,3 +183,54 @@ def test_experiment_artifacts_pinned(workdir):
     (workdir / "config.json").write_text(json.dumps(config))
     assert main(["experiment", "--config", "config.json"]) == 1
     assert _tree_digests(workdir / "run") == EXPERIMENT_PINS
+
+
+def _complex_siblings(workdir, n=64):
+    """Two pristine complex tiles of one synthetic product, seen through a known H."""
+    h_true = raised_cosine_filter(n, 0.7)
+    for k in range(2):
+        write_raster(simulate_pristine(smooth_reflectivity(n, 30 + k), h_true, seed=40 + k),
+                     workdir / f"c{k}.sarf")
+    write_raster(AmplitudeImage(h_true.values), workdir / "h_true.sarf")
+
+
+ESTIMATE_FILTER_PINS = {
+    "default": {"h.sarf": "e49a1b99274a38b9", "h.sarf.json": "d21b318bf1388143"},
+    "explicit": {"h.sarf": "b2c6fc637d92cf41", "h.sarf.json": "205d968eb967b0e3"},
+}
+
+
+@pytest.mark.parametrize("smoothing", list(ESTIMATE_FILTER_PINS))
+def test_estimate_filter_outputs_pinned(workdir, smoothing):
+    _complex_siblings(workdir)
+    if smoothing == "default":
+        args = ["--strategy", "raised-cosine", "--sources", "c0.sarf", "c1.sarf"]
+    else:
+        args = ["--strategy", "gaussian", "--sources", "c0.sarf",
+                "--smoothing-sigma", "4.5", "--smoothing-kernel", "27"]
+    assert main(["estimate-filter", *args, "--out", "h.sarf"]) == 0
+    pins = ESTIMATE_FILTER_PINS[smoothing]
+    assert {name: _digest(workdir / name) for name in pins} == pins
+
+
+ATTACK_PINS = {
+    "known": {
+        "out.sarf": "8d467ba381deddac",
+        "out.sarf.speckled.sarf": "2e06e5cf978a2d51",
+        "out.sarf.filtered.sarf": "a6aaa2e9e16ca3e5",
+    },
+    "estimate": {"out.sarf": "90b3a6b97d3a3543"},
+}
+
+
+@pytest.mark.parametrize("h", list(ATTACK_PINS))
+def test_attack_outputs_pinned(workdir, h):
+    _complex_siblings(workdir)
+    _amplitude(workdir / "in.sarf", (64, 64), 12)
+    if h == "known":
+        args = ["--filter", "known:h_true.sarf", "--dump-intermediates"]
+    else:
+        args = ["--filter", "estimate:raised-cosine:c0.sarf,c1.sarf", "--speckle-mode", "full"]
+    assert main(["attack", "--input", "in.sarf", "--seed", "13", *args, "--out", "out.sarf"]) == 0
+    pins = ATTACK_PINS[h]
+    assert {name: _digest(workdir / name) for name in pins} == pins

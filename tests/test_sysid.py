@@ -32,7 +32,6 @@ from sarfx import (
 from sarfx import sysid
 from sarfx.leastsq import FitDivergenceError, least_squares
 from sarfx.sysid import (
-    estimate_transfer_function_with_params,
     freq_grid,
     gaussian_axis,
     nyquist_bins,
@@ -419,10 +418,11 @@ def test_estimate_matches_stored_old_path_result(strategy):
     stored = np.load(Path(__file__).parent / "data" / "sysid_old_path_128.npz")
     src = _numpy_source()
     if strategy == "direct":
-        tf, _ = estimate_transfer_function_with_params(src.amplitude(), strategy)
+        tf = estimate_transfer_function(src.amplitude(), strategy)
         old = stored["direct"]
     else:
-        tf, (params,) = estimate_transfer_function_with_params(src, strategy)
+        tf = estimate_transfer_function(src, strategy)
+        (params,) = tf.fit_params
         cls, response = _FIT_RESPONSES[strategy]
         old = response(cls(*stored[f"{strategy}_params"]), tf.shape).values
         assert params.iterations == int(stored[f"{strategy}_iterations"])
@@ -433,10 +433,10 @@ def test_estimate_matches_stored_old_path_result(strategy):
 _FIT_IN_CHILD = """
 import dataclasses, json
 from test_sysid import _numpy_source
-from sarfx.sysid import estimate_transfer_function_with_params
+from sarfx.sysid import estimate_transfer_function
 out = {}
 for strategy in ("gaussian", "raised_cosine"):
-    _, (params,) = estimate_transfer_function_with_params(_numpy_source(), strategy)
+    (params,) = estimate_transfer_function(_numpy_source(), strategy).fit_params
     out[strategy] = {k: v.hex() if isinstance(v, float) else v
                      for k, v in dataclasses.asdict(params).items()}
 print(json.dumps(out))
@@ -465,11 +465,36 @@ def test_single_source_estimate_is_not_renormalized(strategy):
     # the per-source H is returned as is; renormalizing it, as the combined path
     # does, must change no bit
     src = _numpy_source(64, 64)
-    tf, _ = estimate_transfer_function_with_params(src, strategy)
+    tf = estimate_transfer_function(src, strategy)
     assert tf.values.max() == 1.0 and tf.strategy == strategy
     again = sysid._normalized_response(tf.values, strategy)
     assert np.array_equal(tf.values, again.values)
     assert np.array_equal(estimate_transfer_function([src], strategy).values, tf.values)
+
+
+@pytest.mark.parametrize("strategy, kernel_size, sources, validations", [
+    ("direct", None, 2, 3),
+    ("raised_cosine", 13, 1, 1),
+])
+def test_estimate_records_how_it_was_made(monkeypatch, strategy, kernel_size, sources, validations):
+    # H carries the smoothing used (defaults filled in) and one fit record per
+    # source, and is validated once per response built: per source, and once
+    # more for the mean of several
+    checks = []
+    validate = TransferFunction.__post_init__
+    monkeypatch.setattr(TransferFunction, "__post_init__",
+                        lambda self: checks.append(self.strategy) or validate(self))
+    src = _numpy_source(64, 64)
+    tf = estimate_transfer_function([src] * sources, strategy, kernel_size=kernel_size)
+    assert len(checks) == validations
+    assert tf.smoothing == (kernel_size or default_smoothing(64)[0], default_smoothing(64)[1])
+    if strategy == "direct":
+        assert tf.fit_params == (None,) * sources
+    else:
+        (params,) = tf.fit_params
+        assert isinstance(params, RaisedCosineFitParams) and params.iterations >= 1
+    known = TransferFunction(tf.values)
+    assert known.strategy == "known" and known.smoothing is None and known.fit_params == ()
 
 
 def test_default_smoothing_scaling():
