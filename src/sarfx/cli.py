@@ -38,7 +38,7 @@ from .raster import (
     write_mask_pgm,
     write_raster,
 )
-from .spectral import azimuthal_profile, forward_dft, profile_to_csv
+from .spectral import azimuthal_profile, check_gaussian_kernel, forward_dft, profile_to_csv
 from .speckle import DEFAULT_SIGMA_S, rng
 from .sysid import FitNonConvergenceError, estimate_transfer_function
 from .raster import tile as tile_raster
@@ -210,6 +210,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_estimate_filter(args) -> int:
+    for flag, sigma, size in (("--smoothing-sigma", args.smoothing_sigma, None),
+                              ("--smoothing-kernel", None, args.smoothing_kernel)):
+        try:
+            check_gaussian_kernel(sigma, size)
+        except ValueError as exc:
+            raise CliError(f"{flag}: {exc}") from None
     sources = [read_raster(p) for p in args.sources]
     h = estimate_transfer_function(
         sources, args.strategy.replace("-", "_"),

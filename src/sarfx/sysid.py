@@ -12,6 +12,7 @@ height/azimuth axis (rows). Frequencies are measured in DC-centered bins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,7 @@ def _check_fit_input(data: np.ndarray) -> np.ndarray:
         raise ValueError("fit input must be a 2D plane")
     if np.any(data < 0):
         raise ValueError("fit input must be nonnegative")
-    energy = float(np.sum(data * data))
+    energy = float(np.einsum("ij,ij->", data, data))
     if abs(energy - 1.0) > 1e-8:
         raise ValueError(f"fit input must have unit energy, got sum of squares {energy!r}")
     return data
@@ -174,51 +175,196 @@ def _marginal_moments(marginal: np.ndarray, f: np.ndarray) -> tuple[float, float
     return mean, max(np.sqrt(var), 0.5)
 
 
-def _prescan_cutoff(marginal: np.ndarray, f: np.ndarray, nyq: float):
-    """Scan candidate cutoffs against a 1D marginal profile.
+_DET_MIN = 1e-12  # a candidate whose 2x2 Gram determinant is at most this is skipped
+_SCREEN_CHUNK = 1 << 13  # candidate-by-bin entries the screen holds at once
+_EPS = np.finfo(np.float64).eps
 
-    For a fixed cutoff the axis model ``alpha - beta*cos(pi(|f|-fc)/fc)`` is
-    linear in (alpha, beta), so each candidate costs one 2x2 solve. The scan
-    sidesteps the spurious local minima that the moving support boundary
-    creates for derivative-based steps.
+
+def _gamma(n: int) -> float:
+    """Higham's γ_n = nu/(1 - nu): relative rounding bound of an n-term sum or product."""
+    return n * _EPS / (1.0 - n * _EPS)
+
+
+def _cutoff_candidate(marginal: np.ndarray, fa: np.ndarray, fc: float):
+    """Least-squares fit of ``alpha - beta*cos(pi(|f|-fc)/fc)`` on ``|f| <= fc``
+    to a 1D marginal: ``(cost, fc, alpha, beta)``, or None when the 2x2 system
+    is singular. The model is linear in (alpha, beta) for a fixed cutoff."""
+    inside = (fa <= fc).astype(np.float64)
+    b1 = -np.cos(np.pi * (fa - fc) / fc) * inside
+    g00 = inside @ inside
+    g01 = inside @ b1
+    g11 = b1 @ b1
+    r0 = inside @ marginal
+    r1 = b1 @ marginal
+    det = g00 * g11 - g01 * g01
+    if det <= _DET_MIN:
+        return None
+    alpha = (g11 * r0 - g01 * r1) / det
+    beta = (g00 * r1 - g01 * r0) / det
+    model = alpha * inside + beta * b1
+    return float(np.sum((model - marginal) ** 2)), float(fc), float(alpha), float(beta)
+
+
+def _screen_cutoffs(marginal: np.ndarray, fa: np.ndarray, candidates: np.ndarray):
+    """Every candidate's least-squares cost ‖m‖² − αr₀ − βr₁ at once, from the
+    marginal folded onto k = |f|, with an absolute bound on its distance from
+    what ``_cutoff_candidate`` computes; and each Gram determinant with its bound.
+
+    On the half-axis the basis vector is ``-cos(pi(k-fc)/fc) = cos(pi k/fc)``,
+    evaluated as the loop does, so the screen and the loop sum the same terms
+    and differ only in summation order and in the 2x2 solve. The screen drops
+    the basis's sign, which flips β, r₁ and g01 and leaves the cost alone.
     """
-    fa = np.abs(f)
-    best = None
-    for fc in np.arange(1.5, nyq + 0.25, 0.25):
-        inside = (fa <= fc).astype(np.float64)
-        b1 = -np.cos(np.pi * (fa - fc) / fc) * inside
-        g00 = inside @ inside
-        g01 = inside @ b1
-        g11 = b1 @ b1
-        r0 = inside @ marginal
-        r1 = b1 @ marginal
-        det = g00 * g11 - g01 * g01
-        if det <= 1e-12:
-            continue
+    k_of = fa.astype(np.intp)
+    k = np.arange(k_of.max() + 1, dtype=np.float64)
+    counts = np.bincount(k_of).astype(np.float64)
+    folded = np.bincount(k_of, weights=marginal)
+    mm = float(np.einsum("i,i->", marginal, marginal))
+    last = np.floor(candidates).astype(np.intp)  # the largest k inside each candidate
+    g00 = np.cumsum(counts)[last]
+    r0 = np.cumsum(folded)[last]
+    g01, g11, r1 = (np.empty_like(candidates) for _ in range(3))
+    rows = max(1, _SCREEN_CHUNK // k.size)
+    for start in range(0, candidates.size, rows):
+        fc = candidates[start : start + rows, None]
+        basis = np.cos(np.pi * (k - fc) / fc)  # the loop's basis with the sign flipped
+        basis[k > fc] = 0.0
+        chunk = slice(start, start + rows)
+        g01[chunk] = basis @ counts
+        r1[chunk] = basis @ folded
+        basis *= basis
+        g11[chunk] = basis @ counts
+    det = g00 * g11 - g01 * g01
+    gram = g00 * g11 + g01 * g01
+    gamma = _gamma(fa.size + 8)
+    det_bound = 8.0 * gamma * gram
+    with np.errstate(divide="ignore", invalid="ignore"):
         alpha = (g11 * r0 - g01 * r1) / det
         beta = (g00 * r1 - g01 * r0) / det
-        model = alpha * inside + beta * b1
-        cost = float(np.sum((model - marginal) ** 2))
-        if best is None or cost < best[0]:
-            best = (cost, float(fc), float(alpha), float(beta))
-    if best is None:
+        cost = mm - alpha * r0 - beta * r1
+        # first order in every rounded sum, each within γ of a sum of |terms|
+        # that Cauchy-Schwarz bounds by (‖m‖ + |α|√g00 + |β|√g11)², and in the
+        # 2x2 solve, whose error the Gram matrix's condition gram/det scales;
+        # 8x covers the loop's own rounding of its cost as well
+        size = (math.sqrt(mm) + np.abs(alpha) * np.sqrt(g00) + np.abs(beta) * np.sqrt(g11)) ** 2
+        cost_bound = 8.0 * gamma * (gram / det) * size
+    return cost, cost_bound, det, det_bound
+
+
+def _prescan_cutoff(marginal: np.ndarray, f: np.ndarray, nyq: float):
+    """Best candidate cutoff for a 1D marginal profile: ``(fc, alpha, beta)``.
+
+    Candidate cutoffs run from 1.5 bins to Nyquist in quarter bins; for each
+    the axis model ``alpha - beta*cos(pi(|f|-fc)/fc)`` is fitted by linear least
+    squares, and the first candidate of least cost wins. The scan sidesteps the
+    spurious local minima that the moving support boundary creates for
+    derivative-based steps.
+
+    A vectorised screen bounds every candidate's cost. ``_cutoff_candidate``
+    then runs on the screen's best candidate, whose cost C bounds the winner's
+    from above, and on every candidate the screen cannot rule out: a lower
+    bound at most C, or a determinant within its bound of the threshold. The
+    result is the one a loop of ``_cutoff_candidate`` over all candidates gives.
+    """
+    fa = np.abs(f)
+    candidates = np.arange(1.5, nyq + 0.25, 0.25)
+    results = []
+    if candidates.size:
+        cost, cost_bound, det, det_bound = _screen_cutoffs(marginal, fa, candidates)
+        valid = det > _DET_MIN + det_bound
+        recheck = ~valid & (det > _DET_MIN - det_bound)
+        if valid.any():
+            first = int(np.argmin(np.where(valid, cost, np.inf)))
+            results.append(_cutoff_candidate(marginal, fa, candidates[first]))
+            ceiling = results[0][0] if results[0] else np.inf
+            recheck |= valid & (cost - cost_bound <= ceiling)
+            recheck[first] = False
+        results += [_cutoff_candidate(marginal, fa, fc) for fc in candidates[recheck]]
+    results = [r for r in results if r is not None]
+    if not results:
         return 0.9 * nyq, 1.0, 1.0
-    return best[1], best[2], best[3]
+    return min(results)[1:]  # least cost, then the first candidate
 
 
-def _run_fit(data: np.ndarray, model_fn, x0, columns):
-    """LM fit of a separable model whose Jacobian columns are outer products u ⊗ v,
-    given as (u, v) pairs by ``columns(p)``: JᵀJ[i, j] = (uᵢ·uⱼ)(vᵢ·vⱼ) and
-    Jᵀr[i] = uᵢᵀ R vᵢ for the residual plane R, without the dense Jacobian."""
-    residual = lambda p: (model_fn(p) - data).ravel()
+def _run_fit(data: np.ndarray, x0, columns):
+    """LM fit of a rank-one model g·p_y⊗p_x to the plane D, in projection space.
 
-    def normal_equations(p, r):
-        u, v = (np.array(factors) for factors in zip(*columns(p)))
-        return (u @ u.T) * (v @ v.T), ((u @ r.reshape(data.shape)) * v).sum(axis=1)
+    The gain g is ``p[0]``, and ``columns(p)`` gives the Jacobian columns as
+    outer products uᵢ⊗vᵢ, as (u, v) pairs, the first being ∂/∂g = p_y⊗p_x. Then
+
+        cost     = ‖D‖² − 2g·p_yᵀDp_x + g²‖p_y‖²‖p_x‖²
+        JᵀJ[i,j] = (uᵢ·uⱼ)(vᵢ·vⱼ)
+        Jᵀr[i]   = g(uᵢ·p_y)(vᵢ·p_x) − uᵢᵀDvᵢ
+
+    so an evaluation costs a few matrix-vector products and no plane. The
+    closed-form cost cancels to the small residual, so it carries a rounding
+    bound against the plane cost Σ(g·p_y⊗p_x − D)², which the solver evaluates
+    where the bound leaves a decision open and once at the solution. Every sum
+    is an unthreaded ``einsum``, so the fit does not depend on the BLAS thread
+    count.
+    """
+    h, w = data.shape
+    dd = math.fsum(np.einsum("ij,ij->i", data, data))
+    gamma_closed, gamma_plane = _gamma(h + w + 8), _gamma(h * w + 2)
+
+    def rank_one(p):
+        return (p[0], *columns(p)[0])
+
+    def cost(p):
+        g, py, px = rank_one(p)
+        ab = np.einsum("i,i->", py, py) * np.einsum("i,i->", px, px)
+        quad = g * g * ab
+        value = dd - 2.0 * g * np.einsum("i,i->", py, np.einsum("ij,j->i", data, px)) + quad
+        # closed form: each sum within γ of Σ|terms| ≤ (‖D‖ + |g|‖p_y‖‖p_x‖)²
+        # (Cauchy-Schwarz, D ≥ 0); plane: its sum of squares, and the rounding
+        # of each residual relative to the model
+        closed = gamma_closed * (math.sqrt(dd) + abs(g) * math.sqrt(ab)) ** 2
+        plane = max(value, 0.0) + closed
+        return value, 2.0 * (closed + gamma_plane * plane + 5.0 * _EPS * math.sqrt(plane * quad))
+
+    def exact_cost(p):
+        g, py, px = rank_one(p)
+        r = np.outer(py, px)
+        r *= g
+        r -= data
+        r = r.ravel()
+        # an unthreaded einsum: BLAS ddot (r @ r) rounds by its thread count
+        return float(np.einsum("i,i->", r, r))
+
+    def normal_equations(p):
+        us, vs = zip(*columns(p))
+        g, py, px = p[0], us[0], vs[0]
+        dv = {id(vi): vi for vi in vs}  # D·vᵢ once per factor: both models reuse p_x
+        dv = {key: np.einsum("ij,j->i", data, vi) for key, vi in dv.items()}
+        udv = np.array([np.einsum("i,i->", ui, dv[id(vi)]) for ui, vi in zip(us, vs)])
+        u, v = np.array(us), np.array(vs)
+        jtr = g * np.einsum("ki,i->k", u, py) * np.einsum("ki,i->k", v, px) - udv
+        return (u @ u.T) * (v @ v.T), jtr
+
     try:
-        return least_squares(residual, x0, normal_equations=normal_equations)
+        return least_squares(cost, x0, normal_equations, exact_cost)
     except FitDivergenceError as exc:
         raise FitNonConvergenceError(f"iterative least-squares fit did not converge: {exc}") from exc
+
+
+def _axis_cutoffs(data: np.ndarray, strategy: str):
+    """The prescan's ``(fc, alpha, beta)`` for the x and the y marginal.
+
+    A white spectrum has no low-pass to fit: its best cutoff lies at Nyquist
+    with a flat lobe, and the LM would wander to its iteration cap. That is
+    rejected here, before any fit, on either axis.
+    """
+    h, w = data.shape
+    fits = []
+    for marginal, n in ((data.sum(axis=0), w), (data.sum(axis=1), h)):
+        fc, alpha, beta = _prescan_cutoff(marginal, freq_grid(n), nyquist_bins(n))
+        if fc >= nyquist_bins(n) - 1.0 and abs(beta) <= 0.05 * alpha:
+            raise DegenerateSpectrumError(
+                f"{strategy} fit: the spectrum is flat up to Nyquist (white), so it has no "
+                f"low-pass response to fit; use the direct strategy"
+            )
+        fits.append((fc, alpha, beta))
+    return fits
 
 
 def fit_gaussian(f_kn: np.ndarray) -> GaussianFitParams:
@@ -228,6 +374,7 @@ def fit_gaussian(f_kn: np.ndarray) -> GaussianFitParams:
     gain is fitted as a single parameter and split evenly across axes.
     """
     data = _check_fit_input(f_kn)
+    _axis_cutoffs(data, STRATEGY_GAUSSIAN)  # rejects a white spectrum
     h, w = data.shape
     fx, fy = freq_grid(w), freq_grid(h)
     mu_x0, sd_x0 = _marginal_moments(data.sum(axis=0), fx)
@@ -237,10 +384,6 @@ def fit_gaussian(f_kn: np.ndarray) -> GaussianFitParams:
     def bells(p):
         g, mx, sx, my, sy = p
         return np.exp(-((fx - mx) ** 2) / (2.0 * sx**2)), np.exp(-((fy - my) ** 2) / (2.0 * sy**2))
-
-    def model(p):
-        gx, gy = bells(p)
-        return p[0] * np.outer(gy, gx)
 
     def columns(p):
         g, mx, sx, my, sy = p
@@ -253,7 +396,7 @@ def fit_gaussian(f_kn: np.ndarray) -> GaussianFitParams:
             (g * gy * (fy - my) ** 2 / sy**3, gx),
         ]
 
-    result = _run_fit(data, model, [g0, mu_x0, sd_x0, mu_y0, sd_y0], columns)
+    result = _run_fit(data, [g0, mu_x0, sd_x0, mu_y0, sd_y0], columns)
     g, mx, sx, my, sy = result.params
     if g <= 0:
         raise FitNonConvergenceError(f"fit converged to nonpositive gain {g!r}")
@@ -281,15 +424,10 @@ def fit_raised_cosine(f_kn: np.ndarray) -> RaisedCosineFitParams:
     h, w = data.shape
     fx, fy = freq_grid(w), freq_grid(h)
     peak = max(float(data.max()), 1e-12)
-    fc_x0, alpha_x, beta_x = _prescan_cutoff(data.sum(axis=0), fx, nyquist_bins(w))
-    fc_y0, alpha_y, beta_y = _prescan_cutoff(data.sum(axis=1), fy, nyquist_bins(h))
+    (fc_x0, alpha_x, beta_x), (fc_y0, alpha_y, beta_y) = _axis_cutoffs(data, STRATEGY_RAISED_COSINE)
     a_x0 = float(np.clip(beta_x / alpha_x, 0.05, 3.0)) if alpha_x > 0 else 1.0
     a_y0 = float(np.clip(beta_y / alpha_y, 0.05, 3.0)) if alpha_y > 0 else 1.0
     g0 = peak / ((1.0 + a_x0) * (1.0 + a_y0))
-
-    def model(p):
-        g, ax, fcx, ay, fcy = p
-        return g * np.outer(_rc_shape(fy, ay, fcy)[0], _rc_shape(fx, ax, fcx)[0])
 
     def columns(p):
         # Support membership is held fixed within an iteration; the moving
@@ -300,7 +438,7 @@ def fit_raised_cosine(f_kn: np.ndarray) -> RaisedCosineFitParams:
         py, dpy_da, dpy_dfc = _rc_shape(fy, ay, fcy)
         return [(py, px), (g * py, dpx_da), (g * py, dpx_dfc), (g * dpy_da, px), (g * dpy_dfc, px)]
 
-    result = _run_fit(data, model, [g0, a_x0, fc_x0, a_y0, fc_y0], columns)
+    result = _run_fit(data, [g0, a_x0, fc_x0, a_y0, fc_y0], columns)
     g, ax, fcx, ay, fcy = result.params
     if g <= 0 or ax <= 0 or ay <= 0:
         raise FitNonConvergenceError("fit converged to nonpositive gain parameters")

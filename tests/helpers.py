@@ -64,10 +64,11 @@ def naive_convolve_reflect(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def fd_normal_equations(residual_fn, rel_step=1e-6, abs_floor=1e-9):
-    """Solver oracle: ``(x, r) -> (JᵀJ, Jᵀr)`` from a central-difference
-    Jacobian of ``residual_fn``, for residuals without an analytic one."""
-    def normal_equations(x, r):
+    """Solver oracle: ``x -> (JᵀJ, Jᵀr)`` from a central-difference Jacobian of
+    ``residual_fn``, for residuals without an analytic one."""
+    def normal_equations(x):
         x = np.asarray(x, dtype=np.float64)
+        r = np.asarray(residual_fn(x), dtype=np.float64)
         jac = np.empty((r.size, x.size))
         for i in range(x.size):
             h = max(rel_step * abs(x[i]), abs_floor)
@@ -77,6 +78,50 @@ def fd_normal_equations(residual_fn, rel_step=1e-6, abs_floor=1e-9):
         return jac.T @ jac, jac.T @ r
 
     return normal_equations
+
+
+def sum_of_squares(residual_fn):
+    """``(cost, exact_cost)`` of ``sum(residual_fn(x)**2)`` for the solver: the
+    cost is exact, with bound 0."""
+    def exact_cost(x):
+        r = np.asarray(residual_fn(x), dtype=np.float64)
+        return float(np.sum(r * r))
+
+    return (lambda x: (exact_cost(x), 0.0)), exact_cost
+
+
+def plane_cost_and_jtr(data, model, jacobian):
+    """The plane path the projection-space fit replaces: the residual plane
+    R = model − D, its sum of squares, and Jᵀr for the dense (h·w, n) Jacobian."""
+    r = (model - data).ravel()
+    return float(r @ r), jacobian.T @ r
+
+
+def prescan_cutoff_loop(marginal, f, nyq):
+    """The cutoff prescan as a plain loop over the candidates: the oracle the
+    screened prescan must match tuple for tuple."""
+    fa = np.abs(f)
+    best = None
+    for fc in np.arange(1.5, nyq + 0.25, 0.25):
+        inside = (fa <= fc).astype(np.float64)
+        b1 = -np.cos(np.pi * (fa - fc) / fc) * inside
+        g00 = inside @ inside
+        g01 = inside @ b1
+        g11 = b1 @ b1
+        r0 = inside @ marginal
+        r1 = b1 @ marginal
+        det = g00 * g11 - g01 * g01
+        if det <= 1e-12:
+            continue
+        alpha = (g11 * r0 - g01 * r1) / det
+        beta = (g00 * r1 - g01 * r0) / det
+        model = alpha * inside + beta * b1
+        cost = float(np.sum((model - marginal) ** 2))
+        if best is None or cost < best[0]:
+            best = (cost, float(fc), float(alpha), float(beta))
+    if best is None:
+        return 0.9 * nyq, 1.0, 1.0
+    return best[1], best[2], best[3]
 
 
 def raised_cosine_filter(n: int, fc_fraction: float) -> TransferFunction:

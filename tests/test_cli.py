@@ -344,6 +344,18 @@ def test_attack_flags_are_checked_like_the_config_attack_plan(tmp_path, product,
     assert not list(tmp_path.glob("out.sarf*"))
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--smoothing-kernel", "4"], "--smoothing-kernel: kernel size must be a positive odd integer, got 4"),
+    (["--smoothing-sigma", "-1"], "--smoothing-sigma: sigma must be a positive number, got -1.0"),
+], ids=["even-kernel", "negative-sigma"])
+def test_estimate_filter_smoothing_errors_name_the_flag(tmp_path, product, capsys, flags, message):
+    out = tmp_path / "h.sarf"
+    assert main(["estimate-filter", "--strategy", "raised-cosine", "--sources", str(product["complex0"]),
+                 "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"sarfx: error: {message}\n"
+    assert not list(tmp_path.glob("h.sarf*"))
+
+
 @pytest.mark.parametrize("strategy, fields", [
     ("gaussian", ["gain_x", "mean_x", "std_x", "gain_y", "mean_y", "std_y"]),
     ("raised-cosine", ["a_x", "b_x", "cutoff_x", "a_y", "b_y", "cutoff_y"]),

@@ -1,10 +1,13 @@
-"""Peak allocation of a job's attack and scoring stages, in float64 planes.
+"""Peak allocation of a job's attack and scoring stages and of the curve fits,
+in float64 planes.
 
 tracemalloc sees every numpy allocation, so the peak above the level at entry
 counts the planes a stage holds at once. At 256² the attack peaks at 6.26
 planes and the scoring at 6.23; when every image type copied its planes and
 each SSIM moment had its own padded buffers, they peaked at 11.26 and 9.38,
 and with one zero-padded input buffer per scale the scoring peaked at 6.74.
+The curve fits peak at 1.28 planes, the plane cost that the LM evaluates at
+the solution; when every LM cost built a residual plane they peaked at 3.01.
 
 tracemalloc cannot see the buffers pocketfft allocates inside a transform,
 such as the complex intermediate of scipy's multi-axis ``irfftn``. Most of
@@ -18,7 +21,18 @@ import numpy as np
 
 from helpers import raised_cosine_filter, smooth_reflectivity
 
-from sarfx import AttackConfig, evaluate_pair, run_attack
+from sarfx import (
+    AttackConfig,
+    default_smoothing,
+    evaluate_pair,
+    fit_gaussian,
+    fit_raised_cosine,
+    magnitude_spectrum,
+    normalize_energy,
+    run_attack,
+    simulate_pristine,
+)
+from sarfx.spectral import smooth_spectrum
 
 N = 256
 PLANE_BYTES = 8 * N * N
@@ -44,3 +58,13 @@ def test_attack_and_scoring_peaks_in_planes():
     _, scoring_peak = _peak_planes(lambda: evaluate_pair(attacked, image))
     assert attack_peak <= 6.5
     assert scoring_peak <= 6.5
+
+
+def test_curve_fit_peaks_in_planes():
+    source = simulate_pristine(smooth_reflectivity(N, 1), raised_cosine_filter(N, 0.7), seed=5)
+    kernel, sigma = default_smoothing(N)
+    data = normalize_energy(smooth_spectrum(magnitude_spectrum(source), sigma, kernel))
+    for fit in (fit_raised_cosine, fit_gaussian):
+        params, peak = _peak_planes(lambda: fit(data))
+        assert params == fit(data)
+        assert peak <= 2.0, fit.__name__

@@ -195,8 +195,8 @@ def _complex_siblings(workdir, n=64):
 
 
 ESTIMATE_FILTER_PINS = {
-    "default": {"h.sarf": "e49a1b99274a38b9", "h.sarf.json": "d21b318bf1388143"},
-    "explicit": {"h.sarf": "b2c6fc637d92cf41", "h.sarf.json": "205d968eb967b0e3"},
+    "default": {"h.sarf": "9d880abf718a6eb4", "h.sarf.json": "a5796a893a911e02"},
+    "explicit": {"h.sarf": "36d6e2429a0c2974", "h.sarf.json": "205e1ae99f0a61ff"},
 }
 
 

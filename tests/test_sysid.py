@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from helpers import fd_normal_equations, naive_dft2, naive_idft2
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    fd_normal_equations,
+    naive_dft2,
+    naive_idft2,
+    plane_cost_and_jtr,
+    prescan_cutoff_loop,
+    sum_of_squares,
+)
 
 from sarfx import (
     AmplitudeImage,
@@ -32,6 +41,7 @@ from sarfx import (
 from sarfx import sysid
 from sarfx.leastsq import FitDivergenceError, least_squares
 from sarfx.sysid import (
+    DegenerateSpectrumError,
     freq_grid,
     gaussian_axis,
     nyquist_bins,
@@ -208,34 +218,91 @@ def _random_rc_params(rng):
             rng.uniform(0.2, 0.9), rng.uniform(5.3, 15.7)]
 
 
-@pytest.mark.parametrize("fit, plane, dense, draw", [
+_FITS = pytest.mark.parametrize("fit, plane, dense, draw", [
     (fit_gaussian, lambda h, w: _gaussian_plane(h, w, 9.0, 6.0), _dense_gaussian_jacobian,
      _random_gaussian_params),
     (fit_raised_cosine, lambda h, w: _rc_plane(h, w, 0.6, 0.4, 13.0, 9.0), _dense_rc_jacobian,
      _random_rc_params),
 ], ids=["gaussian", "raised_cosine"])
-def test_separable_normal_equations_match_dense_jacobian(monkeypatch, fit, plane, dense, draw):
-    # capture the fit's residual and normal equations, then check them at
-    # random parameters against JᵀJ and Jᵀr of the explicit (h·w, 5) Jacobian
+
+
+def _captured_problem(monkeypatch, fit, data):
+    """The (cost, normal_equations, exact_cost) that ``fit`` hands the solver."""
     captured = []
 
-    def spy(residual_fn, x0, normal_equations=None, **kwargs):
-        captured.append((residual_fn, normal_equations))
-        return least_squares(residual_fn, x0, normal_equations=normal_equations, **kwargs)
+    def spy(cost, x0, normal_equations, exact_cost, **kwargs):
+        captured.append((cost, normal_equations, exact_cost))
+        return least_squares(cost, x0, normal_equations, exact_cost, **kwargs)
 
     monkeypatch.setattr(sysid, "least_squares", spy)
+    fit(data)
+    return captured[0]
+
+
+@_FITS
+def test_separable_normal_equations_match_dense_jacobian(monkeypatch, fit, plane, dense, draw):
+    # the fit's projection-space cost and normal equations at random parameters
+    # against the plane path: the residual plane's sum of squares (within 1e-12
+    # relative, and within the cost's own bound), and JᵀJ and Jᵀr of the
+    # explicit (h·w, 5) Jacobian
     h, w = 36, 41
-    fit(normalize_energy(plane(h, w)))
-    residual_fn, normal_equations = captured[0]
+    data = normalize_energy(plane(h, w))
+    cost, normal_equations, exact_cost = _captured_problem(monkeypatch, fit, data)
     rng = np.random.default_rng(6)
-    for _ in range(5):
+    for _ in range(10):
         p = np.array(draw(rng))
-        r = residual_fn(p)
-        jtj, jtr = normal_equations(p, r)
         jac = dense(p, freq_grid(w), freq_grid(h))
+        # the first column is the unit-gain model
+        want_cost, want_jtr = plane_cost_and_jtr(data, p[0] * jac[:, 0].reshape(h, w), jac)
+        value, bound = cost(p)
+        assert abs(value - want_cost) <= 1e-12 * want_cost
+        assert abs(value - exact_cost(p)) <= bound
+        assert exact_cost(p) == pytest.approx(want_cost, rel=1e-14)
+        jtj, jtr = normal_equations(p)
         scale = np.sqrt(np.diag(jac.T @ jac))
         assert np.all(np.abs(jtj - jac.T @ jac) <= 1e-12 * np.outer(scale, scale))
-        assert np.all(np.abs(jtr - jac.T @ r) <= 1e-12 * scale * np.linalg.norm(r))
+        assert np.all(np.abs(jtr - want_jtr) <= 1e-12 * scale * np.sqrt(want_cost))
+
+
+_MARGINAL_KINDS = st.sampled_from(["random", "zero", "flat", "spike", "lowpass", "plateau"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 300), kind=_MARGINAL_KINDS, seed=st.integers(0, 2**32 - 1))
+def test_prescan_equals_the_loop(n, kind, seed):
+    # the screened prescan returns the loop oracle's (fc, alpha, beta) bit for bit
+    rng = np.random.default_rng(seed)
+    f, nyq = freq_grid(n), nyquist_bins(n)
+    if kind == "random":
+        marginal = rng.random(n) * rng.uniform(1e-3, 1e3)
+    elif kind == "zero":
+        marginal = np.zeros(n)
+    elif kind == "flat":
+        marginal = np.full(n, rng.uniform(0.01, 10.0))
+    elif kind == "spike":
+        marginal = np.zeros(n)
+        marginal[rng.integers(n)] = rng.uniform(0.1, 10.0)
+    elif kind == "lowpass":
+        lobe = raised_cosine_axis(f, 0.5, 0.5, rng.uniform(0.2, 1.0) * nyq)
+        marginal = np.maximum(lobe + 0.02 * rng.standard_normal(n), 0.0)
+    else:
+        # constant out to |f| = K, then a random tail: the quarter-bin cutoffs in
+        # [K, K + 1) all fit the constant exactly and tie in exact arithmetic,
+        # so rounding alone picks the loop's winner among them
+        plateau = np.abs(f) <= rng.integers(1, max(int(nyq), 1) + 1)
+        marginal = np.where(plateau, rng.uniform(0.1, 10.0), rng.random(n) * rng.choice([0.0, 1.0]))
+    assert sysid._prescan_cutoff(marginal, f, nyq) == prescan_cutoff_loop(marginal, f, nyq)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_prescan_equals_the_loop_at_fit_sizes(n):
+    # the 1024-bin axis of a tile, on the marginals of a smoothed low-pass plane
+    rng = np.random.default_rng(n)
+    f, nyq = freq_grid(n), nyquist_bins(n)
+    for cutoff in (0.3, 0.7, 0.95):
+        lobe = raised_cosine_axis(f, 0.55, 0.45, cutoff * nyq)
+        marginal = np.maximum(lobe * (1.0 + 0.05 * rng.standard_normal(n)), 0.0)
+        assert sysid._prescan_cutoff(marginal, f, nyq) == prescan_cutoff_loop(marginal, f, nyq)
 
 
 # ---------------------------------------------------------------------------
@@ -521,38 +588,105 @@ def test_full_tile_default_path():
     assert tf.values.min() > 0.5
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("strategy", ["gaussian", "raised_cosine"])
+def test_white_spectrum_fails_before_the_fit(monkeypatch, strategy, n):
+    # seeded white noise has a flat spectrum: no low-pass to fit, so both curve
+    # fits refuse it from the prescan, naming the strategy, before any LM step
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the LM solver ran on a white spectrum")
+
+    monkeypatch.setattr(sysid, "least_squares", no_solver)
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    with pytest.raises(DegenerateSpectrumError, match=f"^{strategy} fit: .*use the direct strategy"):
+        estimate_transfer_function(ComplexImage(z.real, z.imag), strategy)
+
+
 # ---------------------------------------------------------------------------
 # Solver contract
 # ---------------------------------------------------------------------------
+
+
+def _solve(residual_fn, x0, **kwargs):
+    cost, exact_cost = sum_of_squares(residual_fn)
+    return least_squares(cost, x0, fd_normal_equations(residual_fn), exact_cost, **kwargs)
 
 
 def test_solver_raises_on_iteration_cap():
     # cost keeps shrinking but never meets the relative tolerances
     residual = lambda p: np.array([np.exp(-p[0])])
     with pytest.raises(FitDivergenceError, match="convergence"):
-        least_squares(residual, [0.0], fd_normal_equations(residual), max_iter=50)
+        _solve(residual, [0.0], max_iter=50)
 
 
 def test_solver_converges_on_quadratic():
     residual = lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)])
-    result = least_squares(residual, [0.0, 0.0], fd_normal_equations(residual))
+    result = _solve(residual, [0.0, 0.0])
     assert result.params == pytest.approx([3.0, -1.0], abs=1e-10)
     assert result.residual_norm < 1e-10
 
 
 def test_solver_reports_why_it_stopped():
-    quadratic_fn = lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)])
-    quadratic = least_squares(quadratic_fn, [0.0, 0.0], fd_normal_equations(quadratic_fn))
+    quadratic = _solve(lambda p: np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0)]), [0.0, 0.0])
     assert quadratic.stop == "step"
     # an inconsistent pair: the cost stalls at 2 while x keeps moving toward 0
-    stalled_fn = lambda p: np.array([p[0] - 1.0, p[0] + 1.0])
-    stalled = least_squares(stalled_fn, [5.0], fd_normal_equations(stalled_fn))
+    stalled = _solve(lambda p: np.array([p[0] - 1.0, p[0] + 1.0]), [5.0])
     assert stalled.stop == "cost" and stalled.residual_norm == pytest.approx(np.sqrt(2.0))
-    exact_fn = lambda p: np.array([p[0] - 2.0, p[1]])
-    assert least_squares(exact_fn, [2.0, 0.0], fd_normal_equations(exact_fn)).stop == "exact"
+    assert _solve(lambda p: np.array([p[0] - 2.0, p[1]]), [2.0, 0.0]).stop == "exact"
     # every trial step leaves the finite region, so damping saturates
-    blocked = least_squares(
-        lambda p: np.array([1.0 if p[0] == 0.0 else np.inf]), [0.0],
-        normal_equations=lambda p, r: (np.eye(1), np.ones(1)),
-    )
+    blocked_cost, blocked_exact = sum_of_squares(lambda p: np.array([1.0 if p[0] == 0.0 else np.inf]))
+    blocked = least_squares(blocked_cost, [0.0], lambda p: (np.eye(1), np.ones(1)), blocked_exact)
     assert blocked.stop == "damping" and blocked.iterations == 1
+
+
+def test_bounded_cost_rechecks_a_zero_cost():
+    # one step lands where the residual is exactly zero, while the fast cost
+    # there reads its full bound: the solver checks the exact cost and stops
+    # on "exact" at once
+    residual = lambda p: np.array([min(p[0], 0.0)])
+    _, exact_cost = sum_of_squares(residual)
+    overshoot = lambda p: (np.eye(1), np.array([2.0 * min(p[0], 0.0)]))
+    result = least_squares(lambda p: (exact_cost(p) + 1e-3, 1e-3), [-1.0], overshoot, exact_cost)
+    assert (result.iterations, result.stop, result.residual_norm) == (1, "exact", 0.0)
+
+
+_SOLVER_PROBLEMS = {
+    # (residual, x0): stops on step, on cost, on an exact zero, and on cost
+    # after a long, slowly converging run
+    "rosenbrock": (lambda p: np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]), [-1.2, 1.0]),
+    "stalled": (lambda p: np.array([p[0] - 1.0, p[0] + 1.0, 0.1 * p[0] ** 2]), [5.0]),
+    "exact": (lambda p: np.array([p[0] - 2.0, p[1] ** 2 - 4.0]), [1.0, 1.0]),
+    "exp-fit": (lambda p: p[0] * np.exp(-p[1] * np.arange(8.0)) - np.exp(-0.3 * np.arange(8.0)) - 0.01,
+                [0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-9, 0.0])
+@pytest.mark.parametrize("problem", list(_SOLVER_PROBLEMS))
+def test_bounded_cost_decides_as_the_exact_cost(problem, scale):
+    # a fast cost off the exact one by up to its stated bound takes every
+    # decision of the exact cost: the same iterates bit for bit, the same stop,
+    # and a residual norm from the exact cost at the solution
+    residual, x0 = _SOLVER_PROBLEMS[problem]
+    normal_equations = fd_normal_equations(residual)
+    cost, exact_cost = sum_of_squares(residual)
+    exact_calls = []
+
+    def noisy_cost(x):
+        value = exact_cost(x)
+        bound = scale * (1.0 + value)
+        # a deterministic error of up to the bound, either sign
+        return value + bound * np.sin(1e3 * float(np.sum(x))), bound
+
+    def counted_exact(x):
+        exact_calls.append(1)
+        return exact_cost(x)
+
+    want = least_squares(cost, x0, normal_equations, exact_cost)
+    got = least_squares(noisy_cost, x0, normal_equations, counted_exact)
+    assert np.array_equal(got.params, want.params)
+    assert (got.iterations, got.stop, got.residual_norm) == (want.iterations, want.stop, want.residual_norm)
+    # a bound of 0 makes the fast cost exact; otherwise at least the residual
+    # norm comes from the exact cost
+    assert (len(exact_calls) >= 1) == (scale > 0)
