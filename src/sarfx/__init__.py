@@ -72,7 +72,6 @@ from .attack import (
 )
 from .metrics import (
     DegenerateRegionError,
-    FingerprintMap,
     MetricReport,
     auc_roc,
     delta_enl,

@@ -20,12 +20,7 @@ from .experiment import ExperimentConfig, attack_config, check_attack_plan, load
 from .forgery import (
     EDIT_KINDS,
     EditOp,
-    SpliceSpec,
-    draw_origins,
-    edit_donor,
-    edited_shape,
-    sample_edit_parameter,
-    splice,
+    place_splice,
 )
 from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
 from .raster import (
@@ -40,7 +35,7 @@ from .raster import (
 )
 from .spectral import azimuthal_profile, check_gaussian_kernel, forward_dft, profile_to_csv
 from .speckle import DEFAULT_SIGMA_S, rng
-from .sysid import FitNonConvergenceError, estimate_transfer_function
+from .sysid import FitNonConvergenceError
 from .raster import tile as tile_raster
 from .tables import csv_text
 
@@ -216,11 +211,10 @@ def cmd_estimate_filter(args) -> int:
             check_gaussian_kernel(sigma, size)
         except ValueError as exc:
             raise CliError(f"{flag}: {exc}") from None
-    sources = [read_raster(p) for p in args.sources]
-    h = estimate_transfer_function(
-        sources, args.strategy.replace("-", "_"),
-        sigma=args.smoothing_sigma, kernel_size=args.smoothing_kernel,
-    )
+    h = load_filter({
+        "filter": {"estimate": {"strategy": args.strategy, "sources": args.sources}},
+        "smoothing": {"sigma": args.smoothing_sigma, "kernel": args.smoothing_kernel},
+    })
     write_raster(AmplitudeImage(h.values, 16), args.out)
     sidecar = {
         "strategy": h.strategy,
@@ -241,13 +235,10 @@ def cmd_forge(args) -> int:
     donor = _read_amplitude(args.donor)
     height, width, col, row = parse_region(args.region)
     op = EditOp(args.edit, parameter=args.edit_parameter, range_class=args.edit_class)
-    parameter = sample_edit_parameter(op, args.seed)
-    donor_origin, target_origin = draw_origins(
-        rng(args.seed), edited_shape(donor.shape, op, parameter), target.shape, (height, width),
+    spliced, mask, record = place_splice(
+        rng(args.seed), target, donor, (height, width), op, args.seed,
         target_origin=None if row is None else (row, col),
     )
-    edited = edit_donor(donor, op, args.seed, window=(*donor_origin, height, width))
-    spliced, mask = splice(target, edited, SpliceSpec((0, 0), target_origin, (height, width)))
     write_raster(spliced, args.out_image)
     write_raster(mask, args.out_mask)
     if args.out_mask_pgm:
@@ -255,12 +246,7 @@ def cmd_forge(args) -> int:
     provenance = {
         "target": str(args.target),
         "donor": str(args.donor),
-        "edit_kind": op.kind,
-        "edit_range_class": op.range_class,
-        "edit_parameter": parameter,
-        "donor_origin": list(donor_origin),
-        "target_origin": list(target_origin),
-        "region_shape": [height, width],
+        **record,
         "seed": args.seed,
     }
     _emit(json.dumps(provenance, indent=2, sort_keys=True) + "\n", args.out_provenance or "-")

@@ -67,6 +67,13 @@ class EditOp:
             raise ValueError(f"unknown range class {self.range_class!r}")
         if self.range_class == "fixed" and self.kind not in ("none",) and self.parameter is None:
             raise ValueError("fixed-range edits require an explicit parameter")
+        p = self.parameter
+        if p is not None and not np.isfinite(p):
+            raise ValueError(f"edit parameter must be finite, got {p}")
+        if self.kind == "gaussian_blur" and p is not None and p < 0:
+            raise ValueError(f"gaussian_blur sigma must be nonnegative, got {p}")
+        if self.range_class == "fixed" and self.kind in ("upscale", "downscale") and p <= 0:
+            raise ValueError(f"{self.kind} factor must be positive, got {p}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +180,6 @@ def edited_shape(shape: tuple[int, int], op: EditOp, parameter: float) -> tuple[
     factor), at least 1, for a resize; unchanged otherwise."""
     if op.kind not in ("upscale", "downscale"):
         return tuple(shape)
-    if not parameter > 0:
-        raise ValueError(f"degenerate resize factor {parameter}")
     return _scaled_shape(shape, parameter)
 
 
@@ -216,12 +221,6 @@ def resize(values: np.ndarray, factor: float) -> np.ndarray:
     if not factor > 0:
         raise ValueError(f"resize factor must be positive, got {factor}")
     return _resize_to(values, _scaled_shape(values.shape, factor))
-
-
-def rotate(values: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Bicubic rotation about the image center; same-size output, zero fill."""
-    coords = _source_coords(values.shape, values.shape, angle_deg=angle_deg)
-    return _bicubic_sample(values, *coords, border="zero")
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +319,28 @@ def draw_origins(gen, donor_shape, target_shape, box, target_origin=None, disjoi
     raise RasterError("could not place disjoint donor/target regions on a single tile")
 
 
+def place_splice(gen, target, donor, region, edit, edit_seed, target_origin=None, disjoint=False):
+    """Paste the ``edit``ed ``region`` of ``donor`` into ``target``, the splice
+    stage of ``sarfx forge`` and of every experiment job: resolve the parameter
+    from ``edit_seed``, draw the origins from ``gen`` in the edited frame
+    (``draw_origins``), edit only the drawn box and splice it. Returns (spliced,
+    mask, record); the record holds the edit and placement every provenance carries."""
+    box = SpliceSpec((0, 0), (0, 0), region).box_shape
+    parameter = sample_edit_parameter(edit, edit_seed)
+    frame = edited_shape(donor.shape, edit, parameter)
+    donor_origin, target_origin = draw_origins(gen, frame, target.shape, box, target_origin, disjoint)
+    edited = edit_donor(donor, edit, edit_seed, window=(*donor_origin, *box))
+    spliced, mask = splice(target, edited, SpliceSpec((0, 0), target_origin, region))
+    return spliced, mask, {
+        "edit_kind": edit.kind,
+        "edit_range_class": edit.range_class,
+        "edit_parameter": parameter,
+        "donor_origin": list(donor_origin),
+        "target_origin": list(target_origin),
+        "region_shape": list(box),
+    }
+
+
 def random_splice(
     product_tiles,
     region=(128, 128),
@@ -336,8 +357,7 @@ def random_splice(
     tiles = list(product_tiles)
     if not tiles:
         raise ValueError("no tiles supplied")
-    spec_region = region if isinstance(region, tuple) else np.asarray(region)
-    probe = SpliceSpec((0, 0), (0, 0), spec_region)
+    probe = SpliceSpec((0, 0), (0, 0), region)
     bh, bw = probe.box_shape
 
     gen = rng(seed)
@@ -358,25 +378,15 @@ def random_splice(
         others = [k for k in range(len(tiles)) if k != target_index]
         donor_index = others[int(gen.integers(len(others)))]
 
-    # Placement is drawn in the edited frame's shape; only the drawn box is edited.
     edit_seed = int(gen.integers(np.iinfo(np.int64).max))
-    parameter = sample_edit_parameter(edit, edit_seed)
-    donor = tiles[donor_index]
-    frame = edited_shape(donor.shape, edit, parameter)
-    same = donor_index == target_index
-    (dr, dc), (tr, tc) = draw_origins(gen, frame, target.shape, (bh, bw), disjoint=same)
-    edited = edit_donor(donor, edit, edit_seed, window=(dr, dc, bh, bw))
-    spliced, mask = splice(target, edited, SpliceSpec((0, 0), (tr, tc), spec_region))
+    spliced, mask, record = place_splice(
+        gen, target, tiles[donor_index], region, edit, edit_seed, disjoint=donor_index == target_index
+    )
     provenance = {
         "seed": int(seed),
         "donor_tile_index": donor_index,
         "target_tile_index": target_index,
-        "edit_kind": edit.kind,
-        "edit_range_class": edit.range_class,
-        "edit_parameter": parameter,
-        "donor_origin": [dr, dc],
-        "target_origin": [tr, tc],
-        "region_shape": [bh, bw],
+        **record,
         "region_pixels": int(probe.stencil.sum()),
     }
     return spliced, mask, provenance

@@ -19,11 +19,8 @@ import numpy as np
 from .raster import (
     AmplitudeImage,
     ComplexImage,
-    PlaneShape,
     RasterError,
     TamperMask,
-    _check_plane,
-    _locked,
     read_raster,
 )
 from .spectral import valid_convolver
@@ -43,18 +40,6 @@ METRIC_COLUMNS = ("ssim", "msssim", "enl_a", "enl_b", "delta_enl_pct", "auc")
 
 class DegenerateRegionError(ValueError):
     """Region has too few pixels or zero variance for the requested statistic."""
-
-
-@dataclass(frozen=True)
-class FingerprintMap(PlaneShape):
-    """Real-valued per-pixel detector scores."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _locked(self.values, np.float64)
-        _check_plane(values, "fingerprint")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -110,10 +95,10 @@ def _resolve_range(a, b, dynamic_range) -> float:
     raise ValueError("dynamic_range is required for bare arrays")
 
 
-def gaussian_window(size: int = SSIM_WINDOW_SIZE, sigma: float = SSIM_WINDOW_SIGMA) -> np.ndarray:
-    """Unit-sum 2D Gaussian weighting window."""
-    x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-0.5 * (x / sigma) ** 2)
+def gaussian_window() -> np.ndarray:
+    """The unit-sum 2D Gaussian SSIM weighting window."""
+    x = np.arange(SSIM_WINDOW_SIZE, dtype=np.float64) - (SSIM_WINDOW_SIZE - 1) / 2.0
+    g = np.exp(-0.5 * (x / SSIM_WINDOW_SIGMA) ** 2)
     k = np.outer(g, g)
     return k / k.sum()
 
@@ -191,11 +176,11 @@ def ssim(a, b, dynamic_range=None) -> float:
     return _ssim_terms(*_planes(a, b, dynamic_range), 1)[0][0]
 
 
-def ms_ssim_scale_count(shape: tuple[int, int], max_scales: int = 5) -> int:
-    """Number of dyadic scales that keep both dimensions >= the SSIM window."""
+def ms_ssim_scale_count(shape: tuple[int, int]) -> int:
+    """Number of dyadic scales, at most five, that keep both dimensions >= the SSIM window."""
     scales = 0
     h, w = shape
-    while scales < max_scales and min(h, w) >= SSIM_WINDOW_SIZE:
+    while scales < MSSSIM_WEIGHTS.size and min(h, w) >= SSIM_WINDOW_SIZE:
         scales += 1
         h, w = h // 2, w // 2
     return scales
@@ -273,9 +258,7 @@ def auc_roc(fingerprint, mask: TamperMask, polarity: str = "max") -> float:
     """
     if polarity not in ("max", "positive"):
         raise ValueError(f"unknown polarity {polarity!r}")
-    scores = (
-        fingerprint.values if isinstance(fingerprint, FingerprintMap) else np.asarray(fingerprint)
-    ).ravel()
+    scores = np.asarray(fingerprint).ravel()
     if not np.all(np.isfinite(scores)):
         raise ValueError("fingerprint scores must be finite")
     labels = mask.values.ravel().astype(bool)
@@ -313,7 +296,6 @@ def evaluate_pair(
     reference,
     fingerprint=None,
     mask: TamperMask | None = None,
-    enl_region=None,
     dynamic_range=None,
 ) -> MetricReport:
     """Bundle the full metric set for one (source, reference) image pair.
@@ -330,8 +312,8 @@ def evaluate_pair(
     pa, pb, drange = _planes(source, reference, dynamic_range)
     terms = _ssim_terms(pa, pb, drange, ms_ssim_scale_count(pa.shape))
     msssim = _combine_scales(terms, pa.shape)
-    enl_source = enl(source, enl_region)
-    enl_reference = enl(reference, enl_region)
+    enl_source = enl(source)
+    enl_reference = enl(reference)
     return MetricReport(
         ssim=terms[0][0],
         msssim=msssim,

@@ -144,6 +144,8 @@ def _check_fit_input(data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("fit input must be a 2D plane")
+    if not np.isfinite(data).all():
+        raise ValueError("fit input must be finite; it holds NaN or Inf values")
     if np.any(data < 0):
         raise ValueError("fit input must be nonnegative")
     energy = float(np.einsum("ij,ij->", data, data))

@@ -21,8 +21,9 @@ from sarfx import (
 from sarfx import experiment, sysid
 from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliError
 from sarfx.experiment import ExperimentConfig, derive_seed, edit_label, worker_count
-from sarfx.forgery import EditOp
+from sarfx.forgery import EditOp, place_splice
 from sarfx.leastsq import FitDivergenceError
+from sarfx.speckle import rng
 
 
 def test_cli_import_does_not_load_scipy_signal():
@@ -290,6 +291,62 @@ def test_forge_rejects_an_empty_region(tmp_path, product, capsys, region):
     assert capsys.readouterr().err == (
         f"sarfx: error: --region sides must be positive, got {region!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--edit", "upscale", "--edit-class", "fixed", "--edit-parameter", "inf"],
+     "edit parameter must be finite, got inf"),
+    (["--edit", "rotate", "--edit-class", "fixed", "--edit-parameter", "nan"],
+     "edit parameter must be finite, got nan"),
+    (["--edit", "gaussian_blur", "--edit-parameter", "-1"],
+     "gaussian_blur sigma must be nonnegative, got -1.0"),
+    (["--edit", "downscale", "--edit-class", "fixed", "--edit-parameter", "0"],
+     "downscale factor must be positive, got 0.0"),
+], ids=["inf-upscale", "nan-rotate", "negative-blur", "zero-downscale"])
+def test_forge_rejects_a_bad_edit_parameter(tmp_path, product, capsys, flags, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _forge_argv(product, out, "--out-provenance", str(out / "provenance.json"),
+                       "--out-mask-pgm", str(out / "mask.pgm"), *flags)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"sarfx: error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+_FORGE_EDITS = {
+    "none": (["--edit", "none"], EditOp("none")),
+    "blur": (["--edit", "gaussian_blur"], EditOp("gaussian_blur")),
+    "upscale-far": (["--edit", "upscale", "--edit-class", "far"], EditOp("upscale", range_class="far")),
+    "downscale-near": (["--edit", "downscale"], EditOp("downscale")),
+    "rotate-fixed": (["--edit", "rotate", "--edit-class", "fixed", "--edit-parameter", "30"],
+                     EditOp("rotate", 30.0, "fixed")),
+}
+
+
+@pytest.mark.parametrize("region", ["24x20", "24x20+7+3"], ids=["drawn", "placed"])
+@pytest.mark.parametrize("edit", sorted(_FORGE_EDITS))
+def test_forge_pastes_through_place_splice(tmp_path, product, edit, region):
+    # sarfx forge is file I/O around place_splice(rng(seed), ..., edit_seed=seed)
+    flags, op = _FORGE_EDITS[edit]
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    out.mkdir()
+    ref.mkdir()
+    assert main(["forge", "--target", str(product["amp0"]), "--donor", str(product["amp1"]),
+                 *flags, "--region", region, "--seed", "8", "--out-image", str(out / "spliced.sarf"),
+                 "--out-mask", str(out / "mask.sarf"),
+                 "--out-provenance", str(out / "provenance.json")]) == 0
+    height, width, col, row = parse_region(region)
+    spliced, mask, record = place_splice(
+        rng(8), read_raster(product["amp0"]), read_raster(product["amp1"]), (height, width), op, 8,
+        target_origin=None if row is None else (row, col),
+    )
+    write_raster(spliced, ref / "spliced.sarf")
+    write_raster(mask, ref / "mask.sarf")
+    for name in ("spliced.sarf", "mask.sarf"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    provenance = json.loads((out / "provenance.json").read_text())
+    assert {key: provenance[key] for key in record} == record
+    assert sorted(provenance.keys() - record.keys()) == ["donor", "seed", "target"]
 
 
 @pytest.mark.parametrize("size", ["0", "-4"])
@@ -711,6 +768,13 @@ _BAD_ATTACK_PLANS = {
         {"kind": "upscale", "range_class": "fixed", "parameter": "abc"}),
     "bool-edit-parameter": lambda c: c["edits"].append(
         {"kind": "rotate", "range_class": "fixed", "parameter": True}),
+    "nan-edit-parameter": lambda c: c["edits"].append(
+        {"kind": "rotate", "range_class": "fixed", "parameter": float("nan")}),
+    "infinite-edit-parameter": lambda c: c["edits"].append(
+        {"kind": "upscale", "range_class": "fixed", "parameter": float("inf")}),
+    "negative-blur-sigma": lambda c: c["edits"].append({"kind": "gaussian_blur", "parameter": -1.0}),
+    "zero-fixed-downscale": lambda c: c["edits"].append(
+        {"kind": "downscale", "range_class": "fixed", "parameter": 0.0}),
     "string-region": lambda c: c.update({"region": "abc"}),
     "one-side-region": lambda c: c.update({"region": [16]}),
     "fractional-region": lambda c: c.update({"region": [16.5, 16]}),
@@ -794,11 +858,17 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
                    "and not '.' or '..', got '..'"),
     ("unknown-strategy",
      "invalid estimation strategy 'wiener'; accepted: ['gaussian', 'raised_cosine', 'direct']"),
+    ("nan-edit-parameter", "edit parameter must be finite, got nan"),
+    ("infinite-edit-parameter", "edit parameter must be finite, got inf"),
+    ("negative-blur-sigma", "gaussian_blur sigma must be nonnegative, got -1.0"),
+    ("zero-fixed-downscale", "downscale factor must be positive, got 0.0"),
 ], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
         "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
         "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
         "even-smoothing-kernel", "string-sources", "null-out-dir", "list-manifest-path",
-        "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "unknown-strategy"])
+        "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "unknown-strategy",
+        "nan-edit-parameter", "infinite-edit-parameter", "negative-blur-sigma",
+        "zero-fixed-downscale"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())

@@ -13,7 +13,7 @@ from sarfx import (
     sample_edit_parameter,
     splice,
 )
-from sarfx.forgery import EDIT_PARAMETER_RANGES, GLOBAL_NOISE_LEVEL, edited_shape, resize, rotate
+from sarfx.forgery import EDIT_PARAMETER_RANGES, GLOBAL_NOISE_LEVEL, edited_shape, place_splice, resize
 from sarfx.speckle import rng
 
 
@@ -34,6 +34,18 @@ def test_edit_op_validation():
         EditOp("upscale", range_class="middling")
     with pytest.raises(ValueError, match="parameter"):
         EditOp("rotate", range_class="fixed")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^edit parameter must be finite"):
+            EditOp("rotate", bad, "fixed")
+        with pytest.raises(ValueError, match="^edit parameter must be finite"):
+            EditOp("upscale", bad, "near")
+    with pytest.raises(ValueError, match="^gaussian_blur sigma must be nonnegative, got -1.0$"):
+        EditOp("gaussian_blur", -1.0)
+    for kind in ("upscale", "downscale"):
+        for factor in (0.0, -0.5):
+            with pytest.raises(ValueError, match=f"^{kind} factor must be positive, got {factor}$"):
+                EditOp(kind, factor, "fixed")
+    EditOp("gaussian_blur", 0.0, "fixed")  # sigma 0 is a copy, not an error
 
 
 def test_parameters_drawn_from_declared_ranges():
@@ -265,7 +277,14 @@ def test_random_splice_equals_whole_tile_edit_then_splice(op):
         gen.integers(len(tiles))
         edit_seed = int(gen.integers(np.iinfo(np.int64).max))
         assert prov["edit_parameter"] == sample_edit_parameter(op, edit_seed)
-        whole = edit_donor(tiles[prov["donor_tile_index"]], op, edit_seed)
+        # the rest is place_splice, with the same generator
+        donor = tiles[prov["donor_tile_index"]]
+        placed = place_splice(gen, tiles[0], donor, stencil, op, edit_seed,
+                              disjoint=prov["donor_tile_index"] == 0)
+        assert np.array_equal(placed[0].values, spliced.values)
+        assert np.array_equal(placed[1].values, mask.values)
+        assert {key: prov[key] for key in placed[2]} == placed[2]
+        whole = edit_donor(donor, op, edit_seed)
         spec = SpliceSpec(prov["donor_origin"], prov["target_origin"], stencil)
         ref_spliced, ref_mask = splice(tiles[0], whole, spec)
         assert np.array_equal(spliced.values, ref_spliced.values)

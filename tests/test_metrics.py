@@ -8,7 +8,6 @@ from helpers import assert_threaded_equals_serial
 from sarfx import (
     AmplitudeImage,
     DegenerateRegionError,
-    FingerprintMap,
     MetricReport,
     TamperMask,
     auc_roc,
@@ -385,7 +384,7 @@ def test_evaluate_pair_report():
     a = _image((64, 64), 22, low=100, high=2000)
     b = _image((64, 64), 23, low=100, high=2000)
     mask = _mask_with_square(64, 16, 32)
-    fingerprint = FingerprintMap(np.random.default_rng(24).random((64, 64)))
+    fingerprint = np.random.default_rng(24).random((64, 64))
     report = evaluate_pair(a, b, fingerprint=fingerprint, mask=mask)
     assert report.auc is not None and 0.0 <= report.auc <= 1.0
     assert report.delta_enl_pct >= 0.0

@@ -1,0 +1,53 @@
+"""Guards for cuts to the package surface.
+
+Removing a function that the benchmark's span tracer wraps breaks only
+``perfbench`` runs with ``--trace 1``, and an import left behind by a cut
+raises nothing at all; these tests make both fail here.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sarfx"
+
+
+def _literal(path, names):
+    """The literal values bound to ``names`` at the top level of ``path``."""
+    values = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                values[target.id] = ast.literal_eval(node.value)
+    return [values[name] for name in names]
+
+
+def test_traced_functions_resolve():
+    wrapped, solver = _literal(ROOT / "perfbench" / "spans.py", ("WRAPPED", "SOLVER"))
+    assert wrapped and solver
+    missing = [f"{module}.{name}" for module, name in [*wrapped, solver]
+               if not callable(getattr(importlib.import_module(f"sarfx.{module}"), name, None))]
+    assert missing == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    assert [entry for path in modules for entry in _unused_imports(path)] == []

@@ -136,6 +136,13 @@ def test_fit_rejects_unnormalized_input():
         fit_raised_cosine(plane)
 
 
+@pytest.mark.parametrize("fit", [fit_gaussian, fit_raised_cosine], ids=["gaussian", "raised_cosine"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fit_rejects_nonfinite_input(fit, bad):
+    with pytest.raises(ValueError, match="^fit input must be finite; it holds NaN or Inf values$"):
+        fit(np.full((16, 16), bad))
+
+
 # ---------------------------------------------------------------------------
 # Raised-cosine fit
 # ---------------------------------------------------------------------------
