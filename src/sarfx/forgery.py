@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .raster import AmplitudeImage, RasterError, TamperMask
 from .speckle import rng
@@ -240,6 +239,30 @@ def sample_edit_parameter(op: EditOp, seed: int) -> float:
     return float(rng(seed).uniform(low, high))
 
 
+def _blur_radius(sigma: float) -> int:
+    """Half-width of the blur kernel: ndimage's truncation at 4 sigma."""
+    return int(4.0 * sigma + 0.5)
+
+
+def _gaussian_blur(values: np.ndarray, sigma: float) -> np.ndarray:
+    """``ndimage.gaussian_filter(values, sigma, mode="reflect")`` bit for bit: its kernel,
+    axis 0 then axis 1 over symmetric padding, and its fold of mirrored taps, outermost first."""
+    out = np.asarray(values, dtype=np.float64)
+    if sigma <= 1e-15:
+        return out.copy()
+    r = _blur_radius(sigma)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    for _ in range(2):
+        n = out.shape[0]
+        padded = np.pad(out.T, ((0, 0), (r, r)), "symmetric")
+        out = padded[:, r : r + n] * w[r]
+        for j in range(r, 0, -1):
+            out += (padded[:, r - j : r - j + n] + padded[:, r + j : r + j + n]) * w[r + j]
+    return out
+
+
 def edit_donor(donor: AmplitudeImage, op: EditOp, seed: int = 0, window=None) -> AmplitudeImage:
     """Apply one editing operation to a donor image; output stays nonnegative.
 
@@ -256,12 +279,12 @@ def edit_donor(donor: AmplitudeImage, op: EditOp, seed: int = 0, window=None) ->
     if r0 < 0 or c0 < 0 or r0 + bh > frame[0] or c0 + bw > frame[1]:
         raise RasterError("donor region out of bounds")
     if op.kind in ("none", "gaussian_blur"):
-        # box plus scipy's kernel radius, clipped to the donor (whose edges reflect)
-        margin = int(4.0 * parameter + 0.5) if parameter > 0 else 0
+        # box plus the blur kernel's radius, clipped to the donor (whose edges reflect)
+        margin = _blur_radius(parameter)
         top, left = max(r0 - margin, 0), max(c0 - margin, 0)
         part = values[top : r0 + bh + margin, left : c0 + bw + margin]
         if op.kind == "gaussian_blur":
-            part = ndimage.gaussian_filter(part, sigma=parameter, mode="reflect")
+            part = _gaussian_blur(part, parameter)
         edited = part[r0 - top : r0 - top + bh, c0 - left : c0 - left + bw]
     else:
         angle = parameter if op.kind == "rotate" else None
@@ -404,7 +427,7 @@ def global_edit(image: AmplitudeImage, op: GlobalEditOp, seed: int = 0) -> Ampli
 
     if op.kind == "gaussian_blur":
         sigma = BLUR_SIGMA if op.parameter is None else float(op.parameter)
-        out = ndimage.gaussian_filter(values, sigma=sigma, mode="reflect")
+        out = _gaussian_blur(values, sigma)
     elif op.kind in ("updownscale", "downupscale"):
         factor = GLOBAL_SCALE_FACTORS[op.range_class] if op.parameter is None else float(op.parameter)
         first = factor if op.kind == "updownscale" else 1.0 / factor

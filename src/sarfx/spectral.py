@@ -11,7 +11,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError, _check_plane, _locked
 from .tables import csv_text
@@ -94,6 +93,14 @@ def gaussian_kernel_1d(sigma: float, size: int) -> np.ndarray:
     return k / k.sum()
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth integer >= ``n`` >= 1, as ``scipy.fft.next_fast_len(n, real=True)``.
+    Every 5-smooth number below 2**64 divides 30**64, and no other number does."""
+    while 30**64 % n:
+        n += 1
+    return n
+
+
 def valid_convolver(shape, kernel: np.ndarray, axes):
     """``plane -> scipy.signal.fftconvolve(plane, kernel, "valid", axes=axes)`` for real
     planes of ``shape`` and ``axes`` of ``(0,)``, ``(1,)`` or ``(0, 1)``, bit-identical
@@ -102,8 +109,8 @@ def valid_convolver(shape, kernel: np.ndarray, axes):
     into one spectrum buffer, never the zero rows that pad them, runs axis 0 in
     place and inverts only the rows the crop keeps. The buffer is allocated per
     call, so threads can share one convolver."""
-    sizes = [sp_fft.next_fast_len(shape[a] + kernel.shape[a] - 1, True) for a in axes]
-    kernel_spectrum = sp_fft.rfftn(kernel, sizes, axes=axes)
+    sizes = [_next_fast_len(shape[a] + kernel.shape[a] - 1) for a in axes]
+    kernel_spectrum = np.fft.rfftn(kernel, sizes, axes=axes)
     last, n = axes[-1], sizes[-1]
     # pocketfft's own T(1/ldbl(N)), applied after the unscaled inverse as it does
     scale = np.float64(1 / np.longdouble(np.prod(sizes)))

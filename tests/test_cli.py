@@ -36,6 +36,15 @@ def test_cli_import_does_not_load_scipy_signal():
     assert result.stdout.strip() == "[]"
 
 
+def test_import_loads_no_scipy():
+    # numpy is the package's only runtime dependency; scipy is the tests' oracle
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, sarfx, sarfx.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------

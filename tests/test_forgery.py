@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sarfx import (
     AmplitudeImage,
@@ -13,7 +14,14 @@ from sarfx import (
     sample_edit_parameter,
     splice,
 )
-from sarfx.forgery import EDIT_PARAMETER_RANGES, GLOBAL_NOISE_LEVEL, edited_shape, place_splice, resize
+from sarfx.forgery import (
+    EDIT_PARAMETER_RANGES,
+    GLOBAL_NOISE_LEVEL,
+    _gaussian_blur,
+    edited_shape,
+    place_splice,
+    resize,
+)
 from sarfx.speckle import rng
 
 
@@ -97,6 +105,21 @@ def test_blur_preserves_mean_and_nonnegativity():
     assert np.all(edited.values >= 0)
     assert edited.values.mean() == pytest.approx(donor.values.mean(), rel=1e-3)
     assert edited.values.var() < donor.values.var()
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+       sigma=st.sampled_from([0.0, 1e-16, 0.5]) | st.floats(0.0, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(1, 40), sigma=2.0, seed=0)
+@example(shape=(40, 1), sigma=2.0, seed=1)
+@example(shape=(3, 5), sigma=20.0, seed=2)  # radius 80, past both sides
+def test_gaussian_blur_equals_ndimage(shape, sigma, seed):
+    from scipy import ndimage
+
+    values = np.random.default_rng(seed).uniform(0.0, 65535.0, shape)
+    expected = ndimage.gaussian_filter(values, sigma, mode="reflect")
+    assert np.array_equal(_gaussian_blur(values, sigma), expected)
 
 
 def test_resize_validation():

@@ -16,7 +16,7 @@ from sarfx import (
     smooth_spectrum,
 )
 from sarfx.metrics import gaussian_window
-from sarfx.spectral import gaussian_kernel_1d, profile_to_csv, valid_convolver
+from sarfx.spectral import _next_fast_len, gaussian_kernel_1d, profile_to_csv, valid_convolver
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (15, 17), (9, 30), (1, 40)])
@@ -55,9 +55,18 @@ def test_valid_convolver_equals_fftconvolve_at_job_sizes(shape, kernel, axes, ff
     from scipy import signal
 
     assert tuple(sp_fft.next_fast_len(shape[a] + kernel.shape[a] - 1, True) for a in axes) == fft_sizes
+    # valid_convolver transforms the kernel with numpy, fftconvolve with scipy
+    spectrum = np.fft.rfftn(kernel, fft_sizes, axes=axes)
+    assert np.array_equal(spectrum, sp_fft.rfftn(kernel, fft_sizes, axes=axes))
     plane = np.random.default_rng(shape[1]).uniform(0.0, 65535.0, shape)
     out = valid_convolver(shape, kernel, axes)(plane)
     assert np.array_equal(out, signal.fftconvolve(plane, kernel, "valid", axes=axes))
+
+
+def test_next_fast_len_equals_scipy():
+    from scipy import fft as sp_fft
+
+    assert [_next_fast_len(n) for n in range(1, 5001)] == [sp_fft.next_fast_len(n, True) for n in range(1, 5001)]
 
 
 def test_constant_image_is_dc_only():
