@@ -4,10 +4,10 @@ An experiment walks a manifest of amplitude tiles grouped by product, creates
 one splice per configured edit, optionally attacks it, and scores the result.
 All randomness is derived from the master seed through a stable hash keyed by
 item id and stage, so report files are byte-identical across runs; rows are
-emitted in manifest x edit order regardless of worker completion order. The
-system response H is loaded or estimated once per run when every job shares
-it, and per job only when it is estimated from the job's own splice. The
-``SARFX_THREADS`` environment variable caps the worker pool.
+emitted in manifest x edit order regardless of worker completion order. A
+shared system response H is loaded or estimated once per run, on a pool worker
+so its freed temporaries do not stay resident; a job's own H is estimated from
+its splice and freed before scoring. ``SARFX_THREADS`` caps the worker pool.
 """
 
 from __future__ import annotations
@@ -305,6 +305,7 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
             h = _estimate_filter(config.attack_plan, [spliced])
         seed = derive_seed(config.master_seed, key, "attack")
         attacked = run_attack(spliced, attack_config(config.attack_plan, seed, h)).attacked
+        del h  # a self-estimated H is a plane that scoring does not need
 
     # Read before any artifact is written, so a bad fingerprint leaves none.
     fingerprint = read_fingerprint(item.fingerprint) if item.fingerprint else None
@@ -353,13 +354,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             return failure(exc)
 
     outcomes = []
-    if config.attack_plan is not None:
-        try:
-            shared["filter"] = load_filter(config.attack_plan)
-        except Exception as exc:  # without the shared H every job fails alike
-            outcomes = [failure(exc)] * len(jobs)
-    if jobs and not outcomes:
-        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(jobs)))) as pool:
+        if config.attack_plan is not None:
+            try:  # on a worker: built on the main thread, its freed temporaries stayed resident
+                shared["filter"] = pool.submit(load_filter, config.attack_plan).result()
+            except Exception as exc:  # without the shared H every job fails alike
+                outcomes = [failure(exc)] * len(jobs)
+        if not outcomes:
             outcomes = list(pool.map(execute, jobs))
     rows = [row for row, _ in outcomes]
     errors = {

@@ -111,32 +111,28 @@ def _window_convolver(shape):
 
 def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminance: bool):
     """``(mean(lum*cs), mean(cs))``, the first None unless ``luminance``. ``a`` and ``b``
-    are windowed as they are, the three products go through one plane, and var_b is
-    folded into the denominator before cov is windowed, so at most four moment
-    planes are live; every operation keeps its operands and order, and both means run
-    over fresh contiguous arrays."""
+    are windowed as they are, the convolver forms each product one row block at a
+    time, so no product plane exists, and var_b is folded into the denominator
+    before cov is windowed, so at most four compact moment planes are live; every
+    operation keeps its operands and order, and both means run over fresh
+    contiguous arrays."""
     if a.shape[0] < SSIM_WINDOW_SIZE or a.shape[1] < SSIM_WINDOW_SIZE:
         raise ValueError(
             f"images of shape {a.shape} are smaller than the {SSIM_WINDOW_SIZE}x"
             f"{SSIM_WINDOW_SIZE} SSIM window"
         )
     windowed = _window_convolver(a.shape)
-    inner = np.empty(a.shape)
-
-    def moment(x, y):
-        return windowed(np.multiply(x, y, out=inner))
-
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
     mu_a, mu_b = windowed(a), windowed(b)
-    var_a = moment(a, a)
+    var_a = windowed(a, a)
     var_a -= mu_a * mu_a
-    den = moment(b, b)  # var_b, then var_a + var_b + c2
+    den = windowed(b, b)  # var_b, then var_a + var_b + c2
     den -= mu_b * mu_b
     den += var_a
     den += c2
     del var_a
-    cov = moment(a, b)
+    cov = windowed(a, b)
     cov -= mu_a * mu_b
     cs = (2 * cov + c2) / den
     del cov, den

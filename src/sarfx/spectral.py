@@ -101,37 +101,50 @@ def _next_fast_len(n: int) -> int:
     return n
 
 
+_BLOCK_ROWS = 64  # rows per block of valid_convolver; rows transform alone, so any count is exact
+
+
 def valid_convolver(shape, kernel: np.ndarray, axes):
     """``plane -> scipy.signal.fftconvolve(plane, kernel, "valid", axes=axes)`` for real
     planes of ``shape`` and ``axes`` of ``(0,)``, ``(1,)`` or ``(0, 1)``, bit-identical
     to it: the same FFT sizes, axis order, product, 1/N scale and crop, with the
-    kernel transformed once. On both axes a call transforms only the plane's rows
-    into one spectrum buffer, never the zero rows that pad them, runs axis 0 in
-    place and inverts only the rows the crop keeps. The buffer is allocated per
-    call, so threads can share one convolver."""
+    kernel transformed once. ``convolve(plane, other)`` convolves ``plane * other``;
+    on both axes it is formed a block of rows at a time just before ``rfft`` writes
+    their spectrum rows, so no product plane exists. Only the plane's rows are
+    transformed, axis 0 runs in place on one spectrum buffer, and the kept rows are
+    inverted block by block into one compact C-contiguous result. The buffers are
+    allocated per call, so threads can share one convolver."""
     sizes = [_next_fast_len(shape[a] + kernel.shape[a] - 1) for a in axes]
     kernel_spectrum = np.fft.rfftn(kernel, sizes, axes=axes)
     last, n = axes[-1], sizes[-1]
     # pocketfft's own T(1/ldbl(N)), applied after the unscaled inverse as it does
     scale = np.float64(1 / np.longdouble(np.prod(sizes)))
     crop = tuple(slice(k - 1, m) for m, k in zip(shape, kernel.shape))
-    both = len(axes) == 2
 
-    def convolve(plane):
-        if both:
-            spectrum = np.empty(kernel_spectrum.shape, np.complex128)
-            np.fft.rfft(plane, n, axis=1, out=spectrum[: shape[0]])
-            spectrum[shape[0]:] = 0
-            np.fft.fft(spectrum, axis=0, out=spectrum)
-        else:
-            spectrum = np.fft.rfft(plane, n, axis=last)
+    def convolve(plane, other=None):
+        if len(axes) == 1:
+            spectrum = np.fft.rfft(plane if other is None else plane * other, n, axis=last)
+            spectrum *= kernel_spectrum
+            out = np.fft.irfft(spectrum, n, axis=last, norm="forward")
+            out *= scale
+            return out[crop]
+        spectrum = np.empty(kernel_spectrum.shape, np.complex128)
+        block = None if other is None else np.empty((_BLOCK_ROWS, shape[1]))
+        for r in range(0, shape[0], _BLOCK_ROWS):
+            rows = plane[r:r + _BLOCK_ROWS]
+            if other is not None:
+                rows = np.multiply(rows, other[r:r + _BLOCK_ROWS], out=block[: len(rows)])
+            np.fft.rfft(rows, n, axis=1, out=spectrum[r:r + len(rows)])
+        spectrum[shape[0]:] = 0
+        np.fft.fft(spectrum, axis=0, out=spectrum)
         spectrum *= kernel_spectrum
-        if both:
-            np.fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)
-            spectrum = spectrum[crop[0]]
-        out = np.fft.irfft(spectrum, n, axis=last, norm="forward")
-        out *= scale
-        return out[:, crop[1]] if both else out[crop]
+        np.fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)
+        kept = spectrum[crop[0]]
+        out = np.empty((len(kept), shape[1] - kernel.shape[1] + 1))
+        for r in range(0, len(kept), _BLOCK_ROWS):
+            rows = np.fft.irfft(kept[r:r + _BLOCK_ROWS], n, axis=1, norm="forward")
+            np.multiply(rows[:, crop[1]], scale, out=out[r:r + _BLOCK_ROWS])
+        return out
 
     return convolve
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from helpers import fail_raster_module_writes, raised_cosine_filter, smooth_refl
 from sarfx import (
     AmplitudeImage,
     ComplexImage,
+    RasterError,
     TamperMask,
     estimate_transfer_function,
     read_raster,
@@ -759,6 +761,47 @@ def test_experiment_failed_shared_estimate_fails_every_job(tmp_path, product):
     assert (out / "summary.csv").read_text().splitlines()[1:] == [
         "gaussian_blur,0,,,,", "upscale_near,0,,,,"
     ]
+
+
+def test_experiment_pool_is_capped_by_the_jobs(tmp_path, product, monkeypatch):
+    # one pool per call, shared by the H load and the jobs, never larger than the job list
+    sizes = []
+
+    class Recorded(experiment.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setenv("SARFX_THREADS", str(10**9))
+    flt = {"estimate": {"strategy": "direct", "sources": [str(product["complex1"])]}}
+    rc, _ = _shared_filter_run(tmp_path, product, "capped", flt)
+    assert rc == 0
+    assert sizes == [4]
+
+
+def test_experiment_shared_filter_is_built_on_a_pool_worker(tmp_path, product, monkeypatch):
+    threads = []
+    load = experiment.load_filter
+
+    def recorded(plan):
+        threads.append(threading.current_thread())
+        return load(plan)
+
+    monkeypatch.setattr(experiment, "load_filter", recorded)
+    flt = {"estimate": {"strategy": "direct", "sources": [str(product["complex1"])]}}
+    rc, _ = _shared_filter_run(tmp_path, product, "worker", flt)
+    assert rc == 0
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
+
+
+def test_experiment_manifest_read_error_raises_before_out_dir(tmp_path, product):
+    # a tile that breaks between config load and run fails the call, and makes no out_dir
+    config = ExperimentConfig.from_json(_experiment_config(tmp_path, product, "late"))
+    Path(product["amp1"]).write_bytes(Path(product["amp1"]).read_bytes()[:-8])
+    with pytest.raises(RasterError, match="payload size mismatch"):
+        experiment.run_experiment(config)
+    assert not (tmp_path / "late").exists()
 
 
 _BAD_ATTACK_PLANS = {

@@ -132,19 +132,24 @@ def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
     a, b = rng.uniform(0, 65535, (2, *shape))
     window = gaussian_window()
     windowed = valid_convolver(shape, window, (0, 1))
-    for plane in (a, b, a * a, b * b, a * b):
-        assert np.array_equal(windowed(plane), signal.fftconvolve(plane, window, "valid"))
+    for x, y in ((a, None), (b, None), (a, a), (b, b), (a, b)):
+        plane = x if y is None else x * y
+        assert np.array_equal(windowed(x, y), signal.fftconvolve(plane, window, "valid"))
     n_scales = ms_ssim_scale_count(shape)
     fast = metrics._ssim_terms(a, b, 65535.0, n_scales)
     assert fast == _fftconvolve_ssim_terms(a, b, 65535.0, n_scales)
     # the convolver is cached per shape, so patch the cached entry point itself;
-    # each moment reaches it as a plane of the scale's shape
+    # each moment reaches it as a plane of the scale's shape, and a product moment
+    # with its second factor
     calls = []
 
     def patched(scale_shape):
-        def oracle(plane):
+        def oracle(plane, other=None):
             calls.append(plane.shape)
             assert plane.shape == scale_shape
+            if other is not None:
+                assert other.shape == scale_shape
+                plane = plane * other
             return signal.fftconvolve(plane, window, "valid")
 
         return oracle

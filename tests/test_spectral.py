@@ -19,7 +19,9 @@ from sarfx.metrics import gaussian_window
 from sarfx.spectral import _next_fast_len, gaussian_kernel_1d, profile_to_csv, valid_convolver
 
 
-@pytest.mark.parametrize("shape", [(16, 16), (15, 17), (9, 30), (1, 40)])
+# row counts below, equal to and not a multiple of the convolver's row block
+@pytest.mark.parametrize("shape", [(16, 16), (15, 17), (9, 30), (1, 40), (11, 11), (64, 64),
+                                   (130, 70), (300, 400), (1024, 1024)])
 @pytest.mark.parametrize("axes", [(1,), (0,), (0, 1)])
 def test_valid_convolver_equals_fftconvolve(shape, axes):
     # the pruned in-place transforms against scipy's allocating fftconvolve
@@ -30,6 +32,16 @@ def test_valid_convolver_equals_fftconvolve(shape, axes):
     kernel = rng.uniform(0.0, 1.0, [min(n, 5) if a in axes else 1 for a, n in enumerate(shape)])
     convolve = valid_convolver(shape, kernel, axes)
     assert np.array_equal(convolve(plane), signal.fftconvolve(plane, kernel, "valid", axes=axes))
+    _assert_product_equals_fftconvolve(convolve, plane, rng.uniform(0.0, 9.0, shape), kernel, axes)
+
+
+def _assert_product_equals_fftconvolve(convolve, plane, other, kernel, axes):
+    # on both axes the product is formed a row block at a time, into one compact result
+    from scipy import signal
+
+    out = convolve(plane, other)
+    assert np.array_equal(out, signal.fftconvolve(plane * other, kernel, "valid", axes=axes))
+    assert out.flags.c_contiguous or len(axes) == 1
 
 
 _SSIM_WINDOW = gaussian_window()
@@ -46,10 +58,14 @@ _SMOOTHING_TAPS = gaussian_kernel_1d(100.0, 601)
     ((256, 256), _SSIM_WINDOW, (0, 1), (270, 270)),
     ((128, 128), _SSIM_WINDOW, (0, 1), (144, 144)),
     ((64, 64), _SSIM_WINDOW, (0, 1), (75, 75)),
+    # row counts not a multiple of the convolver's row block
+    ((130, 70), _SSIM_WINDOW, (0, 1), (144, 80)),
+    ((300, 400), _SSIM_WINDOW, (0, 1), (320, 432)),
     # the two passes of a 601-tap smoothing of a 1024-pixel spectrum
     ((1624, 1024), _SMOOTHING_TAPS[:, None], (0,), (2250,)),
     ((1024, 1624), _SMOOTHING_TAPS[None, :], (1,), (2250,)),
-], ids=["11x11", "11x40", "1024", "512", "256", "128", "64", "601-taps-axis0", "601-taps-axis1"])
+], ids=["11x11", "11x40", "1024", "512", "256", "128", "64", "130x70", "300x400",
+        "601-taps-axis0", "601-taps-axis1"])
 def test_valid_convolver_equals_fftconvolve_at_job_sizes(shape, kernel, axes, fft_sizes):
     from scipy import fft as sp_fft
     from scipy import signal
@@ -59,8 +75,10 @@ def test_valid_convolver_equals_fftconvolve_at_job_sizes(shape, kernel, axes, ff
     spectrum = np.fft.rfftn(kernel, fft_sizes, axes=axes)
     assert np.array_equal(spectrum, sp_fft.rfftn(kernel, fft_sizes, axes=axes))
     plane = np.random.default_rng(shape[1]).uniform(0.0, 65535.0, shape)
-    out = valid_convolver(shape, kernel, axes)(plane)
-    assert np.array_equal(out, signal.fftconvolve(plane, kernel, "valid", axes=axes))
+    convolve = valid_convolver(shape, kernel, axes)
+    assert np.array_equal(convolve(plane), signal.fftconvolve(plane, kernel, "valid", axes=axes))
+    other = np.random.default_rng(shape[0]).uniform(0.0, 65535.0, shape)
+    _assert_product_equals_fftconvolve(convolve, plane, other, kernel, axes)
 
 
 def test_next_fast_len_equals_scipy():
