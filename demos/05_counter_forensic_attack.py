@@ -70,8 +70,7 @@ config = AttackConfig(
     transfer_function=h_est,
     histogram_match=True,
 )
-result = run_attack(spliced, config)
-attacked = result.attacked
+attacked = run_attack(spliced, config)
 
 auc_after = auc_roc(texture_fingerprint(attacked), mask, polarity="max")
 print(f"stand-in detector AUC after the attack:    {auc_after:.3f}")

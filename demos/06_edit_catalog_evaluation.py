@@ -75,9 +75,7 @@ for edit in EDITS:
             [tile], region=(64, 64), edit=edit, seed=derive_seed(41, label, str(k))
         )
         before.append(auc_roc(fingerprint(spliced), mask, polarity="max"))
-        attacked = run_attack(
-            spliced, AttackConfig(seed=3000 + k, transfer_function=h_est)
-        ).attacked
+        attacked = run_attack(spliced, AttackConfig(seed=3000 + k, transfer_function=h_est))
         after.append(auc_roc(fingerprint(attacked), mask, polarity="max"))
         quality.append(ssim(attacked, spliced))
         denl.append(delta_enl(attacked, spliced))

@@ -64,7 +64,6 @@ from .forgery import (
 )
 from .attack import (
     AttackConfig,
-    AttackResult,
     apply_system,
     histogram_match,
     run_attack,

@@ -43,28 +43,22 @@ class AttackConfig:
             raise ValueError(f"unknown speckle mode {self.speckle_mode!r}")
 
 
-@dataclass(frozen=True)
-class AttackResult:
-    """Attack output plus the intermediates needed for inspection."""
-
-    attacked: AmplitudeImage
-    speckled: ComplexImage
-    filtered_amplitude: AmplitudeImage
-    transfer_function: TransferFunction
-    config: AttackConfig
-
-
-def apply_system(signal: ComplexImage, h) -> ComplexImage:
+def apply_system(signal, h) -> ComplexImage:
     """Filter a complex signal through the response H (circular convolution).
 
+    A ComplexImage ``signal`` is copied; a complex plane, as :func:`inject_speckle`
+    returns it, is handed over: filtered in place and held without a copy.
     ``h`` is normally a validated TransferFunction; a bare DC-centered plane
     is also accepted so unnormalized responses can be applied directly.
     """
     values = h.values if isinstance(h, TransferFunction) else np.asarray(h, dtype=np.float64)
-    if signal.shape != values.shape:
-        raise RasterError(f"dimension mismatch: signal {signal.shape} vs H {values.shape}")
+    buf = signal.to_complex().copy() if isinstance(signal, ComplexImage) else signal
+    if not (isinstance(buf, np.ndarray) and buf.ndim == 2 and buf.dtype == np.complex128
+            and buf.flags.c_contiguous and buf.flags.writeable):
+        raise RasterError("signal must be a ComplexImage or a writable C-contiguous 2D complex128 plane")
+    if buf.shape != values.shape:
+        raise RasterError(f"dimension mismatch: signal {buf.shape} vs H {values.shape}")
     # one work plane, transformed in place; ifftshift(fftshift(F) * H) == F * ifftshift(H)
-    buf = signal.to_complex().copy()
     np.fft.fft2(buf, out=buf)
     buf *= np.fft.ifftshift(values)
     if not np.all(np.isfinite(buf)):
@@ -99,21 +93,18 @@ def histogram_match(source: AmplitudeImage, reference: AmplitudeImage) -> Amplit
     return AmplitudeImage(matched.reshape(source.shape), reference.dynamic_range_bits, copy=False)
 
 
-def run_attack(image: AmplitudeImage, config: AttackConfig) -> AttackResult:
-    """Run the full pipeline on an amplitude image; deterministic under the seed."""
+def run_attack(image: AmplitudeImage, config: AttackConfig) -> AmplitudeImage:
+    """The attacked image: the full pipeline run on an amplitude image; deterministic under the seed."""
     h = config.transfer_function
     if h.shape != image.shape:
         raise RasterError(f"transfer function {h.shape} does not match image {image.shape}")
-    # neither the speckle field nor the filtered complex image outlives its use
-    field = generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)
-    speckled = inject_speckle(image, field)
-    del field
-    filtered_amplitude = apply_system(speckled, h).amplitude(image.dynamic_range_bits)
-    if config.histogram_match:
-        attacked = histogram_match(filtered_amplitude, image)
-    else:
-        attacked = filtered_amplitude
-    return AttackResult(attacked, speckled, filtered_amplitude, h, config)
+    # the speckle field goes once it is injected, and the one complex plane it
+    # fills once that plane is filtered in place and its amplitude taken
+    speckled = inject_speckle(
+        image, generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed))
+    filtered = apply_system(speckled, h).amplitude(image.dynamic_range_bits)
+    del speckled
+    return histogram_match(filtered, image) if config.histogram_match else filtered
 
 
 def simulate_pristine(

@@ -12,6 +12,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +35,7 @@ from .raster import (
     write_raster,
 )
 from .spectral import azimuthal_profile, check_gaussian_kernel, forward_dft, profile_to_csv
-from .speckle import DEFAULT_SIGMA_S, rng
+from .speckle import DEFAULT_SIGMA_S, generate_speckle, inject_speckle, rng
 from .sysid import FitNonConvergenceError
 from .raster import tile as tile_raster
 from .tables import csv_text
@@ -263,12 +264,15 @@ def cmd_attack(args) -> int:
         "histogram_match": not args.no_histogram_match,
     }
     check_attack_plan(plan)
+    rng(args.seed)  # range-checks the seed before H is loaded
     image = _read_amplitude(args.input)
-    result = run_attack(image, attack_config(plan, args.seed, load_filter(plan)))
-    write_raster(result.attacked, args.out)
-    if args.dump_intermediates:
-        write_raster(result.speckled, str(args.out) + ".speckled.sarf")
-        write_raster(result.filtered_amplitude, str(args.out) + ".filtered.sarf")
+    config = attack_config(plan, args.seed, load_filter(plan))
+    write_raster(run_attack(image, config), args.out)
+    if args.dump_intermediates:  # the same seed redraws the intermediates the attack dropped
+        field = generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)
+        speckled = ComplexImage.from_complex(inject_speckle(image, field), copy=False)
+        write_raster(speckled, f"{args.out}.speckled.sarf")
+        write_raster(run_attack(image, replace(config, histogram_match=False)), f"{args.out}.filtered.sarf")
     print(f"wrote {args.out}")
     return 0
 

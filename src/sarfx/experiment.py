@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -208,7 +209,7 @@ def check_attack_plan(plan: dict) -> None:
     if not isinstance(histogram, bool):
         raise ValueError(f"attack plan 'histogram_match' must be true or false, got {histogram!r}")
     sigma_s = plan.get("sigma_s", DEFAULT_SIGMA_S)
-    if not (_is_number(sigma_s) and sigma_s > 0):
+    if not (_is_number(sigma_s) and 0 < sigma_s <= sys.float_info.max):
         raise ValueError(f"attack plan 'sigma_s' must be a positive number, got {sigma_s!r}")
     smoothing = plan.get("smoothing", {})
     _check_keys("smoothing", smoothing)
@@ -304,7 +305,7 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         if h is None:
             h = _estimate_filter(config.attack_plan, [spliced])
         seed = derive_seed(config.master_seed, key, "attack")
-        attacked = run_attack(spliced, attack_config(config.attack_plan, seed, h)).attacked
+        attacked = run_attack(spliced, attack_config(config.attack_plan, seed, h))
         del h  # a self-estimated H is a plane that scoring does not need
 
     # Read before any artifact is written, so a bad fingerprint leaves none.

@@ -11,11 +11,12 @@ block-parallel generation stays possible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError, _locked
+from .raster import AmplitudeImage, PlaneShape, RasterError, _locked
 
 MODE_FULL = "full"
 MODE_PHASE_ONLY = "phase_only"
@@ -75,8 +76,8 @@ def generate_speckle(
     """
     if mode not in SPECKLE_MODES:
         raise ValueError(f"unknown speckle mode {mode!r}")
-    if mode == MODE_FULL and not sigma_s > 0:
-        raise ValueError(f"sigma_s must be positive in full mode, got {sigma_s}")
+    if mode == MODE_FULL and not 0 < sigma_s <= sys.float_info.max:
+        raise ValueError(f"sigma_s must be positive and finite in full mode, got {sigma_s}")
     gen = rng(seed)
     phase = gen.uniform(0.0, 2.0 * np.pi, size=(height, width))
     if mode == MODE_PHASE_ONLY:
@@ -87,8 +88,9 @@ def generate_speckle(
     return SpeckleField(amp * np.cos(phase), amp * np.sin(phase), mode, float(sigma_s), copy=False)
 
 
-def inject_speckle(amplitude: AmplitudeImage, field: SpeckleField) -> ComplexImage:
-    """Product of a real amplitude and a complex speckle field, filled into one complex plane."""
+def inject_speckle(amplitude: AmplitudeImage, field: SpeckleField) -> np.ndarray:
+    """Product of a real amplitude and a complex speckle field, filled into a new
+    writable complex128 plane that the caller owns (``apply_system`` filters it in place)."""
     if amplitude.shape != field.shape:
         raise RasterError(
             f"dimension mismatch: amplitude {amplitude.shape} vs field {field.shape}"
@@ -96,4 +98,4 @@ def inject_speckle(amplitude: AmplitudeImage, field: SpeckleField) -> ComplexIma
     z = np.empty(amplitude.shape, np.complex128)
     np.multiply(amplitude.values, field.re, out=z.real)
     np.multiply(amplitude.values, field.im, out=z.imag)
-    return ComplexImage.from_complex(z, copy=False)
+    return z

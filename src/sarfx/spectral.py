@@ -8,6 +8,7 @@ stored DC-centered (bin ``(H//2, W//2)`` is DC).
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +77,12 @@ def central_flip(values: np.ndarray) -> np.ndarray:
 
 def check_gaussian_kernel(sigma, size) -> None:
     """Reject a ``size`` that is not a positive odd integer and a ``sigma`` that
-    is not a positive number; an argument given as None is not checked."""
+    is not a finite positive number; an argument given as None is not checked."""
     if size is not None and (isinstance(size, bool) or not isinstance(size, numbers.Integral)
                              or size < 1 or size % 2 != 1):
         raise ValueError(f"kernel size must be a positive odd integer, got {size!r}")
     if sigma is not None and (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)
-                              or not sigma > 0):
+                              or not 0 < sigma <= sys.float_info.max):
         raise ValueError(f"sigma must be a positive number, got {sigma!r}")
 
 

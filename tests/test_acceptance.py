@@ -48,7 +48,7 @@ from sarfx import (
 from sarfx.cli import main
 from sarfx.forgery import EDIT_PARAMETER_RANGES, GLOBAL_NOISE_LEVEL
 from sarfx.speckle import DEFAULT_SIGMA_S
-from sarfx.sysid import freq_grid, gaussian_response, nyquist_bins, raised_cosine_axis
+from sarfx.sysid import freq_grid, nyquist_bins, raised_cosine_axis
 
 
 def _report(number, message):
@@ -221,9 +221,7 @@ def test_c05_synthetic_closure():
         scene = smooth_reflectivity(n, k).values.copy()
         scene[32:224, 32:224] = 1600.0
         pristine = simulate_pristine(AmplitudeImage(scene), h_true, seed=3000 + k).amplitude()
-        attacked = run_attack(
-            pristine, AttackConfig(seed=4000 + k, transfer_function=h_est)
-        ).attacked
+        attacked = run_attack(pristine, AttackConfig(seed=4000 + k, transfer_function=h_est))
         s = ssim(attacked, pristine)
         assert s >= 0.95
         d_tile = delta_enl(attacked, pristine)
@@ -355,9 +353,7 @@ def test_c09_attack_reduces_detectability():
             [tile], region=(64, 64), edit=EditOp("gaussian_blur"), seed=7000 + trial
         )
         before.append(auc_roc(energy_residual_fingerprint(spliced), mask, polarity="max"))
-        attacked = run_attack(
-            spliced, AttackConfig(seed=8000 + trial, transfer_function=h_est)
-        ).attacked
+        attacked = run_attack(spliced, AttackConfig(seed=8000 + trial, transfer_function=h_est))
         after.append(auc_roc(energy_residual_fingerprint(attacked), mask, polarity="max"))
 
     median_before = float(np.median(before))

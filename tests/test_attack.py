@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,6 +9,8 @@ from helpers import raised_cosine_filter, smooth_reflectivity
 
 from sarfx import (
     AmplitudeImage,
+    MODE_FULL,
+    MODE_PHASE_ONLY,
     AttackConfig,
     ComplexImage,
     EditOp,
@@ -16,12 +21,15 @@ from sarfx import (
     azimuthal_profile,
     central_flip,
     forward_dft,
+    generate_speckle,
     histogram_match,
+    inject_speckle,
     inverse_dft,
     random_splice,
     run_attack,
     simulate_pristine,
 )
+from sarfx import attack
 from sarfx.sysid import estimate_transfer_function, freq_grid
 
 
@@ -106,6 +114,43 @@ def test_apply_system_rejects_nonfinite_spectrum(bad):
 def test_apply_system_dimension_mismatch():
     with pytest.raises(RasterError, match="mismatch"):
         apply_system(_random_complex((8, 8), 2), _flat_filter(16))
+    with pytest.raises(RasterError, match="mismatch"):
+        apply_system(_random_complex((8, 8), 2).to_complex().copy(), _flat_filter(16))
+
+
+def test_apply_system_filters_a_handed_over_plane_in_place():
+    signal = _random_complex((16, 12), 6)
+    h = np.random.default_rng(6).uniform(0.0, 1.0, (16, 12))
+    plane = signal.to_complex().copy()
+    out = apply_system(plane, h)
+    assert np.shares_memory(out.to_complex(), plane)
+    assert np.array_equal(out.to_complex(), apply_system(signal, h).to_complex())
+
+
+def test_apply_system_leaves_a_complex_image_unchanged():
+    signal = _random_complex((16, 12), 7)
+    before = signal.to_complex().copy()
+    out = apply_system(signal, np.random.default_rng(7).uniform(0.0, 1.0, (16, 12)))
+    assert not np.shares_memory(out.to_complex(), signal.to_complex())
+    assert np.array_equal(signal.to_complex(), before)
+
+
+_UNOWNABLE_PLANES = {
+    "read-only": lambda z: z,  # a ComplexImage's own plane
+    "float64": lambda z: z.real.copy(),
+    "complex64": lambda z: z.astype(np.complex64),
+    "strided": lambda z: np.concatenate([z, z], axis=1)[:, ::2],
+    "fortran-order": lambda z: np.asfortranarray(np.concatenate([z, z], axis=1)[:, :8]),
+    "three-dimensional": lambda z: z.copy()[None],
+    "list": lambda z: z.tolist(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNOWNABLE_PLANES))
+def test_apply_system_rejects_a_plane_it_cannot_filter_in_place(case):
+    plane = _UNOWNABLE_PLANES[case](_random_complex((8, 8), 8).to_complex())
+    with pytest.raises(RasterError, match="writable C-contiguous 2D complex128 plane"):
+        apply_system(plane, np.ones((8, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +237,23 @@ def test_histogram_match_size_mismatch():
 
 def test_attack_preserves_value_multiset():
     image = AmplitudeImage(np.random.default_rng(7).uniform(100, 2000, (64, 64)))
-    result = run_attack(image, AttackConfig(seed=1, transfer_function=_flat_filter(64)))
-    assert np.array_equal(
-        np.sort(result.attacked.values, axis=None), np.sort(image.values, axis=None)
-    )
-    assert result.attacked.shape == image.shape
-    assert result.attacked.dynamic_range_bits == image.dynamic_range_bits
+    attacked = run_attack(image, AttackConfig(seed=1, transfer_function=_flat_filter(64)))
+    assert np.array_equal(np.sort(attacked.values, axis=None), np.sort(image.values, axis=None))
+    assert attacked.shape == image.shape
+    assert attacked.dynamic_range_bits == image.dynamic_range_bits
 
     # under a real (mixing) low-pass the per-pixel values genuinely move,
     # while the multiset stays pinned by the rank map
     low_pass = raised_cosine_filter(64, 0.6)
     mixed = run_attack(image, AttackConfig(seed=1, transfer_function=low_pass))
-    assert np.array_equal(
-        np.sort(mixed.attacked.values, axis=None), np.sort(image.values, axis=None)
-    )
-    assert np.mean(mixed.attacked.values != image.values) > 0.9
+    assert np.array_equal(np.sort(mixed.values, axis=None), np.sort(image.values, axis=None))
+    assert np.mean(mixed.values != image.values) > 0.9
 
 
 def test_attack_on_zero_image_is_zero():
     image = AmplitudeImage(np.zeros((32, 32)))
-    result = run_attack(image, AttackConfig(seed=2, transfer_function=_flat_filter(32)))
-    assert np.abs(result.attacked.values).max() == 0.0
+    attacked = run_attack(image, AttackConfig(seed=2, transfer_function=_flat_filter(32)))
+    assert np.abs(attacked.values).max() == 0.0
 
 
 def test_attack_deterministic():
@@ -220,15 +261,47 @@ def test_attack_deterministic():
     cfg = AttackConfig(seed=33, transfer_function=_flat_filter(32))
     a = run_attack(image, cfg)
     b = run_attack(image, cfg)
-    assert np.array_equal(a.attacked.values, b.attacked.values)
-    assert np.array_equal(a.speckled.re, b.speckled.re)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_attack_without_matching_skips_rank_map():
     image = AmplitudeImage(np.random.default_rng(9).uniform(100, 200, (32, 32)))
     cfg = AttackConfig(seed=3, transfer_function=_flat_filter(32), histogram_match=False)
-    result = run_attack(image, cfg)
-    assert np.array_equal(result.attacked.values, result.filtered_amplitude.values)
+    speckled = inject_speckle(image, generate_speckle(32, 32, seed=3))
+    filtered = apply_system(speckled, cfg.transfer_function)
+    assert np.array_equal(run_attack(image, cfg).values, filtered.amplitude().values)
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_PHASE_ONLY])
+def test_attack_is_speckle_then_filter_then_match(mode):
+    # the attacked image against the chain run stage by stage
+    image = AmplitudeImage(np.random.default_rng(10).uniform(0, 4000, (48, 48)), 12)
+    h = raised_cosine_filter(48, 0.6)
+    cfg = AttackConfig(seed=5, transfer_function=h, speckle_mode=mode, sigma_s=0.9)
+    field = generate_speckle(48, 48, mode, 0.9, seed=5)
+    filtered = apply_system(inject_speckle(image, field), h).amplitude(12)
+    unmatched = run_attack(image, replace(cfg, histogram_match=False))
+    assert np.array_equal(unmatched.values, filtered.values)
+    assert unmatched.dynamic_range_bits == 12
+    attacked = run_attack(image, cfg)
+    assert np.array_equal(attacked.values, histogram_match(filtered, image).values)
+    assert attacked.dynamic_range_bits == 12
+
+
+_STAGES = ("generate_speckle", "inject_speckle", "apply_system", "histogram_match")
+
+
+def test_attack_calls_each_stage_through_its_module_binding_once(monkeypatch):
+    # the benchmark's span tracer times the attack's layers by rebinding these names
+    calls = Counter()
+    for name in _STAGES:
+        def counted(*args, _name=name, _stage=getattr(attack, name), **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(attack, name, counted)
+    image = AmplitudeImage(np.random.default_rng(11).uniform(0, 100, (16, 16)))
+    run_attack(image, AttackConfig(seed=6, transfer_function=_flat_filter(16)))
+    assert calls == {name: 1 for name in _STAGES}
 
 
 def test_attack_with_estimation_sources():
@@ -236,10 +309,11 @@ def test_attack_with_estimation_sources():
     h_true = raised_cosine_filter(64, 0.5)
     pristine = simulate_pristine(smooth_reflectivity(64, 1), h_true, seed=11)
     h_est = estimate_transfer_function([pristine], "direct", sigma=3.0, kernel_size=19)
-    result = run_attack(pristine.amplitude(), AttackConfig(seed=4, transfer_function=h_est))
-    assert result.transfer_function is h_est
-    assert result.transfer_function.shape == (64, 64)
-    assert result.transfer_function.values.max() == 1.0
+    assert h_est.shape == (64, 64)
+    assert h_est.values.max() == 1.0
+    image = pristine.amplitude()
+    attacked = run_attack(image, AttackConfig(seed=4, transfer_function=h_est))
+    assert np.array_equal(np.sort(attacked.values, axis=None), np.sort(image.values, axis=None))
 
 
 def test_attack_config_validation():
@@ -256,7 +330,7 @@ def test_attack_keeps_spliced_content():
     spliced, mask, _ = random_splice([bright, tile], (48, 48), EditOp("none"), seed=6, target_index=1)
     h_est = estimate_transfer_function([simulate_pristine(smooth_reflectivity(128, 3), h_true, seed=22)],
                                        "direct", sigma=5.0, kernel_size=31)
-    attacked = run_attack(spliced, AttackConfig(seed=7, transfer_function=h_est)).attacked
+    attacked = run_attack(spliced, AttackConfig(seed=7, transfer_function=h_est))
     inside = mask.values.astype(bool)
     mad_inside = np.mean(np.abs(attacked.values[inside] - spliced.values[inside]))
     mad_outside = np.mean(np.abs(attacked.values[~inside] - spliced.values[~inside]))

@@ -15,12 +15,14 @@ from sarfx import (
     ComplexImage,
     RasterError,
     TamperMask,
+    apply_system,
     estimate_transfer_function,
+    histogram_match,
     read_raster,
     simulate_pristine,
     write_raster,
 )
-from sarfx import experiment, sysid
+from sarfx import cli, experiment, sysid
 from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliError
 from sarfx.experiment import ExperimentConfig, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp, place_splice
@@ -173,8 +175,11 @@ def test_cli_estimate_filter_and_attack(tmp_path, product):
     assert np.array_equal(
         np.sort(attacked.values, axis=None), np.sort(original.values, axis=None)
     )
-    assert (tmp_path / "attacked.sarf.speckled.sarf").exists()
-    assert (tmp_path / "attacked.sarf.filtered.sarf").exists()
+    speckled = read_raster(tmp_path / "attacked.sarf.speckled.sarf")
+    filtered = read_raster(tmp_path / "attacked.sarf.filtered.sarf")
+    # the intermediates, redrawn under the same seed, are the attack's own
+    assert np.array_equal(histogram_match(filtered, original).values, attacked.values)
+    assert np.array_equal(apply_system(speckled, stored.values).amplitude().values, filtered.values)
 
     # estimation path straight through the attack command
     rc = main([
@@ -371,18 +376,23 @@ def test_tile_rejects_a_nonpositive_size(tmp_path, product, capsys, size):
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 @pytest.mark.parametrize("command", ["forge", "attack"])
-def test_out_of_range_seed_is_a_clean_error(tmp_path, product, capsys, command, seed):
+def test_out_of_range_seed_is_a_clean_error(tmp_path, product, capsys, monkeypatch, command, seed):
+    def load_filter(plan):
+        raise AssertionError("H was loaded for an attack whose seed is out of range")
+
     out = str(tmp_path / "out.sarf")
     if command == "forge":
         argv = ["forge", "--target", str(product["amp0"]), "--donor", str(product["amp1"]),
                 "--region", "16x16", "--out-image", out, "--out-mask", str(tmp_path / "m.sarf")]
     else:
+        monkeypatch.setattr(cli, "load_filter", load_filter)  # the seed is checked first
         argv = ["attack", "--input", str(product["amp0"]), "--out", out,
                 "--filter", f"estimate:direct:{product['complex1']}",
                 "--smoothing-sigma", "5.0", "--smoothing-kernel", "31"]
     assert main(argv + ["--seed", seed]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("sarfx: error: seed must be in [0, 2**64)")
+    assert not list(tmp_path.glob("out.sarf*"))
 
 
 # Each bad sarfx attack flag: its argv tail and the one error line it prints.
@@ -397,6 +407,11 @@ _BAD_ATTACK_FLAGS = {
                               "integer, got 4"),
     "zero-speckle-sigma": (["--filter", "estimate:direct:{complex1}", "--speckle-sigma", "0"],
                            "attack plan 'sigma_s' must be a positive number, got 0.0"),
+    "infinite-speckle-sigma": (["--filter", "estimate:direct:{complex1}", "--speckle-mode", "full",
+                                "--speckle-sigma", "inf"],
+                               "attack plan 'sigma_s' must be a positive number, got inf"),
+    "infinite-smoothing-sigma": (["--filter", "estimate:direct:{complex1}", "--smoothing-sigma", "inf"],
+                                 "attack plan 'smoothing': sigma must be a positive number, got inf"),
 }
 
 
@@ -415,7 +430,8 @@ def test_attack_flags_are_checked_like_the_config_attack_plan(tmp_path, product,
 @pytest.mark.parametrize("flags, message", [
     (["--smoothing-kernel", "4"], "--smoothing-kernel: kernel size must be a positive odd integer, got 4"),
     (["--smoothing-sigma", "-1"], "--smoothing-sigma: sigma must be a positive number, got -1.0"),
-], ids=["even-kernel", "negative-sigma"])
+    (["--smoothing-sigma", "inf"], "--smoothing-sigma: sigma must be a positive number, got inf"),
+], ids=["even-kernel", "negative-sigma", "infinite-sigma"])
 def test_estimate_filter_smoothing_errors_name_the_flag(tmp_path, product, capsys, flags, message):
     out = tmp_path / "h.sarf"
     assert main(["estimate-filter", "--strategy", "raised-cosine", "--sources", str(product["complex0"]),
@@ -845,6 +861,10 @@ _BAD_ATTACK_PLANS = {
     "string-sigma-s": lambda c: c["attack"].update({"sigma_s": "x"}),
     "bool-sigma-s": lambda c: c["attack"].update({"sigma_s": True}),
     "zero-sigma-s": lambda c: c["attack"].update({"sigma_s": 0}),
+    "infinite-sigma-s": lambda c: c["attack"].update({"speckle_mode": "full", "sigma_s": float("inf")}),
+    "infinite-smoothing-sigma": lambda c: c["attack"]["smoothing"].update({"sigma": float("inf")}),
+    "huge-integer-sigma-s": lambda c: c["attack"].update({"sigma_s": 10**400}),
+    "huge-integer-smoothing-sigma": lambda c: c["attack"]["smoothing"].update({"sigma": 10**400}),
     "string-smoothing-sigma": lambda c: c["attack"]["smoothing"].update({"sigma": "x"}),
     "negative-smoothing-sigma": lambda c: c["attack"]["smoothing"].update({"sigma": -2}),
     "even-smoothing-kernel": lambda c: c["attack"]["smoothing"].update({"kernel": 4}),
@@ -895,6 +915,8 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
      "region [200, 16] is larger than every manifest tile; 't0' is 128x128"),
     ("string-histogram-match", "attack plan 'histogram_match' must be true or false, got 'false'"),
     ("string-sigma-s", "attack plan 'sigma_s' must be a positive number, got 'x'"),
+    ("infinite-sigma-s", "attack plan 'sigma_s' must be a positive number, got inf"),
+    ("infinite-smoothing-sigma", "attack plan 'smoothing': sigma must be a positive number, got inf"),
     ("even-smoothing-kernel",
      "attack plan 'smoothing': kernel size must be a positive odd integer, got 4"),
     ("string-sources",
@@ -917,6 +939,7 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
 ], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
         "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
         "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
+        "infinite-sigma-s", "infinite-smoothing-sigma",
         "even-smoothing-kernel", "string-sources", "null-out-dir", "list-manifest-path",
         "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "unknown-strategy",
         "nan-edit-parameter", "infinite-edit-parameter", "negative-blur-sigma",

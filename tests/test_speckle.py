@@ -8,7 +8,6 @@ from sarfx import (
     MODE_FULL,
     MODE_PHASE_ONLY,
     RasterError,
-    Spectrum,
     azimuthal_profile,
     generate_speckle,
     inject_speckle,
@@ -62,19 +61,22 @@ def test_mode_and_sigma_validation():
         generate_speckle(4, 4, MODE_FULL, sigma_s=0.0, seed=0)
     with pytest.raises(ValueError, match="mode"):
         generate_speckle(4, 4, "bogus", seed=0)
+    for sigma_s in (-1.0, np.inf, np.nan, 10**400):  # 10**400 is finite only as an int
+        with pytest.raises(ValueError, match="sigma_s must be positive and finite in full mode"):
+            generate_speckle(4, 4, MODE_FULL, sigma_s=sigma_s, seed=0)
 
 
 def test_inject_zero_amplitude_gives_zero():
     field = generate_speckle(6, 6, MODE_PHASE_ONLY, seed=3)
     out = inject_speckle(AmplitudeImage(np.zeros((6, 6))), field)
-    assert np.abs(out.to_complex()).max() == 0.0
+    assert np.abs(out).max() == 0.0
 
 
 def test_inject_ones_keeps_field_phases():
     field = generate_speckle(6, 6, MODE_PHASE_ONLY, seed=4)
     out = inject_speckle(AmplitudeImage(np.ones((6, 6))), field)
-    assert np.abs(np.abs(out.to_complex()) - 1.0).max() < 1e-12
-    assert np.array_equal(out.re, field.re) and np.array_equal(out.im, field.im)
+    assert np.abs(np.abs(out) - 1.0).max() < 1e-12
+    assert np.array_equal(out.real, field.re) and np.array_equal(out.imag, field.im)
 
 
 def test_inject_matches_scalar_loop_oracle():
@@ -84,10 +86,10 @@ def test_inject_matches_scalar_loop_oracle():
     out = inject_speckle(amplitude, field)
     for i in range(16):
         for j in range(16):
-            assert out.re[i, j] == pytest.approx(amplitude.values[i, j] * field.re[i, j], abs=1e-12)
-            assert out.im[i, j] == pytest.approx(amplitude.values[i, j] * field.im[i, j], abs=1e-12)
+            assert out.real[i, j] == pytest.approx(amplitude.values[i, j] * field.re[i, j], abs=1e-12)
+            assert out.imag[i, j] == pytest.approx(amplitude.values[i, j] * field.im[i, j], abs=1e-12)
     # modulus factorizes exactly
-    assert np.abs(np.abs(out.to_complex()) - amplitude.values * field.magnitude()).max() < 1e-12
+    assert np.abs(np.abs(out) - amplitude.values * field.magnitude()).max() < 1e-12
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (7, 9), (1, 6), (5, 1)])
@@ -99,8 +101,11 @@ def test_inject_fill_equals_re_plus_i_im(shape, mode):
     field = generate_speckle(*shape, mode, seed=9)
     a = amplitude.values
     out = inject_speckle(amplitude, field)
-    assert np.array_equal(out.to_complex(), a * field.re + 1j * (a * field.im))
-    assert np.array_equal(out.re, a * field.re) and np.array_equal(out.im, a * field.im)
+    assert np.array_equal(out, a * field.re + 1j * (a * field.im))
+    assert np.array_equal(out.real, a * field.re) and np.array_equal(out.imag, a * field.im)
+    # a new plane the caller owns, ready for apply_system to filter in place
+    assert out.dtype == np.complex128 and out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, a) and not np.shares_memory(out, field.re)
 
 
 def test_inject_dimension_mismatch():

@@ -1,8 +1,9 @@
 """Guards for cuts to the package surface.
 
 Removing a function that the benchmark's span tracer wraps breaks only
-``perfbench`` runs with ``--trace 1``, and an import left behind by a cut
-raises nothing at all; these tests make both fail here.
+``perfbench`` runs with ``--trace 1``, and an import left behind by a cut,
+in the package, its tests or its demos, raises nothing at all; these tests
+make both fail here.
 """
 
 import ast
@@ -50,4 +51,6 @@ def test_no_module_imports_a_name_it_never_uses():
     # __init__ imports to re-export
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 5
-    assert [entry for path in modules for entry in _unused_imports(path)] == []
+    scripts = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+    assert len(scripts) > 15
+    assert [entry for path in modules + scripts for entry in _unused_imports(path)] == []
