@@ -8,34 +8,22 @@ compares them against the truth.
 Run:  python demos/04_system_estimation.py
 """
 
-import numpy as np
-from scipy import ndimage
-
 from sarfx import (
-    AmplitudeImage,
     estimate_transfer_function,
     normalized_cross_correlation,
+    raised_cosine_filter,
     simulate_pristine,
+    smooth_reflectivity,
 )
-from sarfx.sysid import TransferFunction, freq_grid, nyquist_bins, raised_cosine_axis
+from sarfx.sysid import nyquist_bins
 
 n = 256
 
-
-def make_scene(seed):
-    rng = np.random.default_rng(seed)
-    base = ndimage.gaussian_filter(rng.standard_normal((n, n)), 10.0)
-    base = (base - base.min()) / (base.max() - base.min())
-    return AmplitudeImage((0.25 + base) * 1500.0)
-
-
 # Ground truth: separable raised cosine cutting off at 60% of Nyquist.
-axis = raised_cosine_axis(freq_grid(n), 0.5, 0.5, 0.6 * nyquist_bins(n))
-h_plane = np.outer(axis, axis)
-h_true = TransferFunction(h_plane / h_plane.max(), "known")
+h_true = raised_cosine_filter(n, 0.6)
 
 # The attacker's data: complex tiles acquired through the true system.
-sources = [simulate_pristine(make_scene(10 + k), h_true, seed=100 + k) for k in range(3)]
+sources = [simulate_pristine(smooth_reflectivity(n, 10 + k), h_true, seed=100 + k) for k in range(3)]
 
 print(f"true response: raised cosine, cutoff 0.6 x Nyquist, {n}x{n} grid\n")
 print("strategy        sources   NCC(est, true)")

@@ -9,49 +9,30 @@ Run:  python demos/05_counter_forensic_attack.py
 """
 
 import numpy as np
-from scipy import ndimage
 
 from sarfx import (
-    AmplitudeImage,
     AttackConfig,
     EditOp,
     auc_roc,
     delta_enl,
     estimate_transfer_function,
     ms_ssim,
+    raised_cosine_filter,
     random_splice,
+    residual_variance,
     run_attack,
     simulate_pristine,
+    smooth_reflectivity,
     ssim,
 )
-from sarfx.sysid import TransferFunction, freq_grid, nyquist_bins, raised_cosine_axis
 
 n = 256
 
-
-def make_scene(seed):
-    rng = np.random.default_rng(seed)
-    base = ndimage.gaussian_filter(rng.standard_normal((n, n)), 10.0)
-    base = (base - base.min()) / (base.max() - base.min())
-    return AmplitudeImage((0.25 + base) * 1500.0)
-
-
-def texture_fingerprint(image):
-    """Localization stand-in: normalized local variance of the high-pass residual."""
-    v = image.values
-    resid = v - ndimage.uniform_filter(v, 3)
-    var = ndimage.uniform_filter(resid * resid, 9)
-    mean = np.maximum(ndimage.uniform_filter(v, 9), 1e-9)
-    return var / (mean * mean)
-
-
 # --- the world: a wide low-pass system and pristine acquisitions ------------
-axis = raised_cosine_axis(freq_grid(n), 0.5, 0.5, 0.8 * nyquist_bins(n))
-plane = np.outer(axis, axis)
-h_true = TransferFunction(plane / plane.max(), "known")
+h_true = raised_cosine_filter(n, 0.8)
 
-tile = simulate_pristine(make_scene(1), h_true, seed=11).amplitude()
-sibling = simulate_pristine(make_scene(2), h_true, seed=12)  # attacker's complex image
+tile = simulate_pristine(smooth_reflectivity(n, 1), h_true, seed=11).amplitude()
+sibling = simulate_pristine(smooth_reflectivity(n, 2), h_true, seed=12)  # attacker's complex image
 
 # --- the manipulation --------------------------------------------------------
 spliced, mask, provenance = random_splice(
@@ -59,7 +40,7 @@ spliced, mask, provenance = random_splice(
 )
 print("spliced a blurred 64x64 donor region at", provenance["target_origin"])
 
-auc_before = auc_roc(texture_fingerprint(spliced), mask, polarity="max")
+auc_before = auc_roc(residual_variance(spliced), mask, polarity="max")
 print(f"stand-in detector AUC on the spliced tile: {auc_before:.3f}")
 
 # --- the attack ---------------------------------------------------------------
@@ -72,7 +53,7 @@ config = AttackConfig(
 )
 attacked = run_attack(spliced, config)
 
-auc_after = auc_roc(texture_fingerprint(attacked), mask, polarity="max")
+auc_after = auc_roc(residual_variance(attacked), mask, polarity="max")
 print(f"stand-in detector AUC after the attack:    {auc_after:.3f}")
 
 # --- what did the attack cost? -------------------------------------------------

@@ -10,22 +10,23 @@ Run:  python demos/06_edit_catalog_evaluation.py   (~15 s)
 """
 
 import numpy as np
-from scipy import ndimage
 
 from sarfx import (
-    AmplitudeImage,
     AttackConfig,
     EditOp,
     auc_roc,
     delta_enl,
     derive_seed,
     estimate_transfer_function,
+    raised_cosine_filter,
     random_splice,
+    residual_variance,
     run_attack,
     simulate_pristine,
+    smooth_reflectivity,
     ssim,
 )
-from sarfx.sysid import TransferFunction, freq_grid, nyquist_bins, raised_cosine_axis
+from sarfx.experiment import edit_label
 
 N = 256
 TILES_PER_EDIT = 8
@@ -40,43 +41,24 @@ EDITS = [
     EditOp("rotate", range_class="far"),
 ]
 
-
-def make_scene(seed):
-    rng = np.random.default_rng(seed)
-    base = ndimage.gaussian_filter(rng.standard_normal((N, N)), 10.0)
-    base = (base - base.min()) / (base.max() - base.min())
-    return AmplitudeImage((0.25 + base) * 1500.0)
-
-
-def fingerprint(image):
-    # toy localization stand-in: brightness-normalized high-pass texture energy
-    v = image.values
-    resid = v - ndimage.uniform_filter(v, 3)
-    var = ndimage.uniform_filter(resid * resid, 9)
-    mean = np.maximum(ndimage.uniform_filter(v, 9), 1e-9)
-    return var / (mean * mean)
-
-
 # the acquisition system and the attacker's single complex sibling image
-axis = raised_cosine_axis(freq_grid(N), 0.5, 0.5, 0.8 * nyquist_bins(N))
-plane = np.outer(axis, axis)
-h_true = TransferFunction(plane / plane.max(), "known")
-sibling = simulate_pristine(make_scene(990), h_true, seed=9990)
+h_true = raised_cosine_filter(N, 0.8)
+sibling = simulate_pristine(smooth_reflectivity(N, 990), h_true, seed=9990)
 h_est = estimate_transfer_function([sibling], "direct", sigma=10.1, kernel_size=61)
 
 print(f"{'edit':16s} {'AUC before':>11s} {'AUC after':>10s} {'drop':>7s} "
       f"{'SSIM':>7s} {'|dENL|%':>8s}")
 for edit in EDITS:
-    label = edit.kind if edit.kind == "gaussian_blur" else f"{edit.kind}_{edit.range_class}"
+    label = edit_label(edit)
     before, after, quality, denl = [], [], [], []
     for k in range(TILES_PER_EDIT):
-        tile = simulate_pristine(make_scene(100 + k), h_true, seed=2000 + k).amplitude()
+        tile = simulate_pristine(smooth_reflectivity(N, 100 + k), h_true, seed=2000 + k).amplitude()
         spliced, mask, _ = random_splice(
             [tile], region=(64, 64), edit=edit, seed=derive_seed(41, label, str(k))
         )
-        before.append(auc_roc(fingerprint(spliced), mask, polarity="max"))
+        before.append(auc_roc(residual_variance(spliced), mask, polarity="max"))
         attacked = run_attack(spliced, AttackConfig(seed=3000 + k, transfer_function=h_est))
-        after.append(auc_roc(fingerprint(attacked), mask, polarity="max"))
+        after.append(auc_roc(residual_variance(attacked), mask, polarity="max"))
         quality.append(ssim(attacked, spliced))
         denl.append(delta_enl(attacked, spliced))
     b, a = np.median(before), np.median(after)

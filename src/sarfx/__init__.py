@@ -3,7 +3,9 @@
 Library layout mirrors the processing chain: raster containers and tiling,
 spectral transforms, speckle synthesis, system-response estimation, splice
 forgery creation, the attack pipeline itself, and the quality/detection
-metric stack. The ``sarfx`` console script exposes each stage.
+metric stack. ``scene`` makes the synthetic world closure experiments run
+on: scenes, a known response and pristine acquisitions. The ``sarfx``
+console script exposes each stage.
 """
 
 __version__ = "0.1.0"
@@ -67,7 +69,6 @@ from .attack import (
     apply_system,
     histogram_match,
     run_attack,
-    simulate_pristine,
 )
 from .metrics import (
     DegenerateRegionError,
@@ -77,6 +78,8 @@ from .metrics import (
     enl,
     evaluate_pair,
     ms_ssim,
+    residual_variance,
     ssim,
 )
+from .scene import raised_cosine_filter, simulate_pristine, smooth_reflectivity
 from .experiment import ExperimentConfig, derive_seed, run_experiment

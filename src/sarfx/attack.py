@@ -2,9 +2,7 @@
 
 The attack chain: complex speckle injection -> filtering through the system
 frequency response -> amplitude extraction -> exact histogram matching
-against the input. A synthetic-scene simulator producing ground-truth
-"pristine" complex data from a known response is included for closure
-experiments.
+against the input.
 """
 
 from __future__ import annotations
@@ -14,14 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import AmplitudeImage, ComplexImage, RasterError
-from .speckle import (
-    DEFAULT_SIGMA_S,
-    MODE_FULL,
-    MODE_PHASE_ONLY,
-    SPECKLE_MODES,
-    generate_speckle,
-    inject_speckle,
-)
+from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES, generate_speckle, inject_speckle
 from .sysid import TransferFunction
 
 @dataclass(frozen=True)
@@ -106,18 +97,3 @@ def run_attack(image: AmplitudeImage, config: AttackConfig) -> AmplitudeImage:
     del speckled
     return histogram_match(filtered, image) if config.histogram_match else filtered
 
-
-def simulate_pristine(
-    reflectivity: AmplitudeImage,
-    h_true: TransferFunction,
-    seed: int,
-    sigma_s: float = DEFAULT_SIGMA_S,
-) -> ComplexImage:
-    """Synthesize ground-truth pristine complex data from a noise-free scene.
-
-    Full-mode speckle is injected into the reflectivity and the result is
-    filtered through the known system response; the amplitude of the output
-    plays the role of a released pristine product in closure experiments.
-    """
-    field = generate_speckle(*reflectivity.shape, MODE_FULL, sigma_s, seed)
-    return apply_system(inject_speckle(reflectivity, field), h_true)

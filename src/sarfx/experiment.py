@@ -23,7 +23,8 @@ from pathlib import Path
 from .attack import AttackConfig, run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
-from .raster import KIND_AMPLITUDE_F64, AmplitudeImage, atomic_open, read_header, read_raster, write_raster
+from .raster import (KIND_AMPLITUDE_F64, KIND_MASK_U8, AmplitudeImage, atomic_open, read_header,
+                     read_raster, write_raster)
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
 from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
@@ -141,6 +142,13 @@ class ExperimentConfig:
         for item, header in zip(manifest, headers):
             if header.kind != KIND_AMPLITUDE_F64:
                 raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
+            if item.fingerprint:  # scored against masks of the tile's shape
+                scores = read_header(item.fingerprint)
+                if scores.kind == KIND_MASK_U8:
+                    raise ValueError(f"{item.fingerprint}: masks cannot serve as fingerprints")
+                if (scores.height, scores.width) != (header.height, header.width):
+                    raise ValueError(f"fingerprint {item.fingerprint} is {scores.height}x{scores.width}, "
+                                     f"its tile {item.path} {header.height}x{header.width}")
         if headers and not any(region[0] <= h.height and region[1] <= h.width for h in headers):
             raise ValueError(f"region {region} is larger than every manifest tile; "
                              f"{manifest[0].id!r} is {headers[0].height}x{headers[0].width}")

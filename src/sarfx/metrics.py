@@ -1,11 +1,13 @@
-"""Quality and detection metrics: SSIM, MS-SSIM, ENL, |Delta-ENL|, ROC-AUC.
+"""Quality and detection metrics: SSIM, MS-SSIM, ENL, |Delta-ENL|, ROC-AUC,
+and a stand-in localization detector.
 
 SSIM follows the windowed formulation (11x11 Gaussian window, sigma 1.5,
 K1 = 0.01, K2 = 0.03) averaged over valid windows; MS-SSIM uses the standard
 five-scale weighting with dyadic 2x downsampling. ENL is mean^2/variance of
 amplitude pixels over a caller-chosen region; the same convention is applied
 to both sides of |Delta-ENL|. AUC uses the Mann-Whitney rank statistic with
-ties counting one half.
+ties counting one half. The detector, ``residual_variance``, scores texture
+that departs from its neighbourhood, which a splice leaves and the attack hides.
 """
 
 from __future__ import annotations
@@ -254,12 +256,13 @@ def auc_roc(fingerprint, mask: TamperMask, polarity: str = "max") -> float:
     """
     if polarity not in ("max", "positive"):
         raise ValueError(f"unknown polarity {polarity!r}")
-    scores = np.asarray(fingerprint).ravel()
+    scores = np.asarray(fingerprint)
+    if scores.shape != mask.shape:
+        raise ValueError(f"fingerprint shape {scores.shape} does not match mask {mask.shape}")
+    scores = scores.ravel()
     if not np.all(np.isfinite(scores)):
         raise ValueError("fingerprint scores must be finite")
     labels = mask.values.ravel().astype(bool)
-    if scores.size != labels.size:
-        raise ValueError("fingerprint and mask sizes differ")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -273,6 +276,33 @@ def auc_roc(fingerprint, mask: TamperMask, polarity: str = "max") -> float:
     if polarity == "max":
         return float(max(auc, 1.0 - auc))
     return float(auc)
+
+
+def _box_mean(plane: np.ndarray, size: int) -> np.ndarray:
+    """``ndimage.uniform_filter(plane, size, mode="reflect")`` bit for bit, for odd
+    ``size``: axis 0 then axis 1 over symmetric padding, each output a running sum
+    (the first window summed in order, then a cumsum of the entering minus the
+    leaving sample) divided by ``size``."""
+    out = plane
+    r = size // 2
+    for _ in range(2):
+        padded = np.pad(out.T, ((0, 0), (r, r)), "symmetric")
+        first = padded[:, 0].copy()
+        for j in range(1, size):
+            first += padded[:, j]
+        steps = padded[:, size:] - padded[:, :-size]
+        out = np.cumsum(np.concatenate([first[:, None], steps], axis=1), axis=1) / size
+    return out
+
+
+def residual_variance(image) -> np.ndarray:
+    """Stand-in localization detector: the 9×9 local variance of the 3×3
+    high-pass residual, over the squared 9×9 local mean."""
+    v = _as_plane(image, "image")
+    resid = v - _box_mean(v, 3)
+    var = _box_mean(resid * resid, 9)
+    mean = np.maximum(_box_mean(v, 9), 1e-9)
+    return var / (mean * mean)
 
 
 def read_fingerprint(path) -> np.ndarray:

@@ -139,12 +139,11 @@ class AmplitudeImage(PlaneShape):
 
     def quantized(self) -> np.ndarray:
         """Rounded integer export; values must already fit the declared range."""
-        full_scale = self.dynamic_range
-        if np.any(self.values > full_scale):
-            raise RasterError(
-                f"values exceed 2^{self.dynamic_range_bits}-1; rescale before quantized export"
-            )
-        dtype = np.uint16 if self.dynamic_range_bits <= 16 else np.uint32
+        bits, top = self.dynamic_range_bits, self.values.max()
+        # above 53 bits float(2**bits - 1) is 2**bits, which the export type cannot hold
+        if top > self.dynamic_range or top >= 2.0**bits:
+            raise RasterError(f"values exceed 2^{bits}-1; rescale before quantized export")
+        dtype = np.uint16 if bits <= 16 else np.uint32 if bits <= 32 else np.uint64
         return np.round(self.values).astype(dtype)
 
 

@@ -1,8 +1,10 @@
-"""Shared synthetic fixtures and independent oracles for the test suite.
+"""Independent oracles and failure fixtures for the test suite.
 
 Oracles here deliberately avoid the library's code paths (direct O(N^2)
-DFT sums, nested-loop convolution, per-window statistics) so each test
-compares two genuinely different routes to the same number.
+DFT sums, nested-loop convolution, finite-difference Jacobians, the plain
+cutoff loop) so each test compares two genuinely different routes to the
+same number. Synthetic scenes, the known H and the stand-in detector come
+from the library: ``sarfx.scene`` and ``sarfx.residual_variance``.
 """
 
 import builtins
@@ -10,10 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
-from sarfx import AmplitudeImage, TransferFunction, raster
-from sarfx.sysid import freq_grid, nyquist_bins, raised_cosine_axis
+from sarfx import raster
 
 
 def naive_dft2(x: np.ndarray) -> np.ndarray:
@@ -122,31 +122,6 @@ def prescan_cutoff_loop(marginal, f, nyq):
     if best is None:
         return 0.9 * nyq, 1.0, 1.0
     return best[1], best[2], best[3]
-
-
-def raised_cosine_filter(n: int, fc_fraction: float) -> TransferFunction:
-    """Separable raised-cosine low-pass with unit DC gain and a hard cutoff."""
-    axis = raised_cosine_axis(freq_grid(n), 0.5, 0.5, fc_fraction * nyquist_bins(n))
-    plane = np.outer(axis, axis)
-    return TransferFunction(plane / plane.max(), "known")
-
-
-def smooth_reflectivity(n: int, seed: int, level: float = 2000.0) -> AmplitudeImage:
-    """Positive smooth synthetic scene with realistic 16-bit SLC pixel levels."""
-    rng = np.random.default_rng(seed)
-    base = ndimage.gaussian_filter(rng.standard_normal((n, n)), n / 24.0)
-    base = (base - base.min()) / (base.max() - base.min())
-    return AmplitudeImage((0.25 + base) * level)
-
-
-def energy_residual_fingerprint(image: AmplitudeImage) -> np.ndarray:
-    """Test-harness detector stand-in: local variance of the high-pass
-    residual, normalized by squared local brightness."""
-    v = image.values
-    resid = v - ndimage.uniform_filter(v, 3)
-    var = ndimage.uniform_filter(resid * resid, 9)
-    mean = np.maximum(ndimage.uniform_filter(v, 9), 1e-9)
-    return var / (mean * mean)
 
 
 class _FailingWriter:

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import raised_cosine_filter, smooth_reflectivity
-
 from sarfx import (
     AmplitudeImage,
     MODE_FULL,
@@ -25,9 +23,11 @@ from sarfx import (
     histogram_match,
     inject_speckle,
     inverse_dft,
+    raised_cosine_filter,
     random_splice,
     run_attack,
     simulate_pristine,
+    smooth_reflectivity,
 )
 from sarfx import attack
 from sarfx.sysid import estimate_transfer_function, freq_grid
@@ -338,8 +338,24 @@ def test_attack_keeps_spliced_content():
 
 
 # ---------------------------------------------------------------------------
-# simulate_pristine
+# sarfx.scene: smooth_reflectivity, raised_cosine_filter, simulate_pristine
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, seed", [(64, 1), (128, 4), (256, 99), (512, 7)])
+def test_smooth_reflectivity_equals_ndimage_scene(n, seed):
+    # the scene as first drawn, on ndimage's Gaussian filter
+    from scipy import ndimage
+
+    base = ndimage.gaussian_filter(np.random.default_rng(seed).standard_normal((n, n)), n / 24.0)
+    base = (base - base.min()) / (base.max() - base.min())
+    assert np.array_equal(smooth_reflectivity(n, seed).values, (0.25 + base) * 2000.0)
+
+
+def test_raised_cosine_filter_is_a_unit_gain_low_pass():
+    h = raised_cosine_filter(64, 0.5)
+    assert h.strategy == "known" and h.values[32, 32] == h.values.max() == 1.0
+    assert np.all(h.values[:, :16] == 0.0) and np.all(h.values[:16] == 0.0)  # |f| > 16 bins
 
 
 def test_simulated_amplitude_is_rayleigh():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import fail_raster_module_writes, raised_cosine_filter, smooth_reflectivity
+from helpers import fail_raster_module_writes
 
 from sarfx import (
     AmplitudeImage,
@@ -18,8 +18,10 @@ from sarfx import (
     apply_system,
     estimate_transfer_function,
     histogram_match,
+    raised_cosine_filter,
     read_raster,
     simulate_pristine,
+    smooth_reflectivity,
     write_raster,
 )
 from sarfx import cli, experiment, sysid
@@ -689,18 +691,15 @@ def test_experiment_partial_failure_reports_errors(tmp_path, product):
     assert report[3] == "bad,none,,,,,,"
 
 
-def test_experiment_mask_fingerprint_fails_only_its_job(tmp_path, product):
-    # a mask raster is not detector scores: that job fails, the others run
-    mask_plane = np.zeros((128, 128), dtype=np.uint8)
-    mask_plane[:8, :8] = 1
-    mask_path = tmp_path / "not_scores.sarf"
-    write_raster(TamperMask(mask_plane), mask_path)
+def _fingerprint_run(tmp_path, product, fingerprint):
+    """A config whose second manifest item carries ``fingerprint``, written to disk."""
+    fp_path = tmp_path / "fp.sarf"
+    write_raster(fingerprint, fp_path)
     config = {
         "schema_version": 1,
         "manifest": [
             {"id": "ok", "path": str(product["amp0"]), "product": "P"},
-            {"id": "masked", "path": str(product["amp1"]), "product": "P",
-             "fingerprint": str(mask_path)},
+            {"id": "scored", "path": str(product["amp1"]), "product": "P", "fingerprint": str(fp_path)},
         ],
         "edits": [{"kind": "none"}],
         "region": [16, 16],
@@ -709,14 +708,41 @@ def test_experiment_mask_fingerprint_fails_only_its_job(tmp_path, product):
     }
     path = tmp_path / "fp.json"
     path.write_text(json.dumps(config))
+    return path, fp_path
+
+
+def test_experiment_mask_fingerprint_is_rejected_at_load(tmp_path, product, capsys):
+    # a mask raster is not detector scores: its header's kind fails the config
+    mask_plane = np.zeros((128, 128), dtype=np.uint8)
+    mask_plane[:8, :8] = 1
+    path, fp_path = _fingerprint_run(tmp_path, product, TamperMask(mask_plane))
     assert main(["experiment", "--config", str(path)]) == 1
-    errors = json.loads((tmp_path / "fp" / "errors.json").read_text())
-    assert list(errors) == ["masked/none"]
-    assert "masks cannot serve as fingerprints" in errors["masked/none"]
-    report = (tmp_path / "fp" / "report.csv").read_text().strip().split("\n")
-    assert report[1].startswith("ok,none,") and report[1].split(",")[2] != ""
-    assert report[2] == "masked,none,,,,,,"
-    assert not list((tmp_path / "fp" / "images").glob("masked_*"))
+    assert capsys.readouterr().err == f"sarfx: error: {fp_path}: masks cannot serve as fingerprints\n"
+    assert not (tmp_path / "fp").exists()
+
+
+def test_experiment_fingerprint_of_another_shape_is_rejected_at_load(tmp_path, product, capsys):
+    # 64x256 scores hold as many values as the 128x128 tile, and used to be scored
+    scores = AmplitudeImage(np.random.default_rng(3).random((64, 256)))
+    path, fp_path = _fingerprint_run(tmp_path, product, scores)
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (f"sarfx: error: fingerprint {fp_path} is 64x256, "
+                                       f"its tile {product['amp1']} 128x128\n")
+    assert not (tmp_path / "fp").exists()
+
+
+def test_cli_metrics_rejects_fingerprint_of_another_shape(tmp_path, product, capsys):
+    fp_path = tmp_path / "fp.sarf"
+    write_raster(AmplitudeImage(np.random.default_rng(4).random((64, 256))), fp_path)
+    mask_plane = np.zeros((128, 128), dtype=np.uint8)
+    mask_plane[10:40, 10:40] = 1
+    write_raster(TamperMask(mask_plane), tmp_path / "m.sarf")
+    out = tmp_path / "m.json"
+    assert main(["metrics", "--a", str(product["amp0"]), "--b", str(product["amp1"]), "--fingerprint",
+                 str(fp_path), "--mask", str(tmp_path / "m.sarf"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("sarfx: error: fingerprint shape (64, 256) does not match "
+                                       "mask (128, 128)\n")
+    assert not out.exists()
 
 
 def _shared_filter_run(tmp_path, product, name, flt):

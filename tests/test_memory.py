@@ -24,8 +24,6 @@ import tracemalloc
 
 import numpy as np
 
-from helpers import raised_cosine_filter, smooth_reflectivity
-
 from sarfx import (
     AttackConfig,
     default_smoothing,
@@ -34,8 +32,10 @@ from sarfx import (
     fit_raised_cosine,
     magnitude_spectrum,
     normalize_energy,
+    raised_cosine_filter,
     run_attack,
     simulate_pristine,
+    smooth_reflectivity,
 )
 from sarfx.spectral import smooth_spectrum
 

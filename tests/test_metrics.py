@@ -15,6 +15,7 @@ from sarfx import (
     enl,
     evaluate_pair,
     ms_ssim,
+    residual_variance,
     ssim,
 )
 from sarfx import metrics
@@ -351,6 +352,27 @@ def test_auc_constant_scores_give_half():
 def test_auc_single_class_rejected():
     with pytest.raises(ValueError, match="both classes"):
         auc_roc(np.ones((8, 8)), TamperMask(np.ones((8, 8), dtype=np.uint8)))
+
+
+def test_auc_rejects_fingerprint_of_another_shape():
+    # as many scores as pixels, but not laid out as the mask is
+    mask = _mask_with_square(64, 8, 16)
+    with pytest.raises(ValueError, match=r"fingerprint shape \(32, 128\) does not match mask \(64, 64\)"):
+        auc_roc(np.random.default_rng(5).random((32, 128)), mask)
+
+
+@pytest.mark.parametrize("shape", [(1, 12), (3, 3), (17, 9), (64, 48), (256, 256)])
+def test_residual_variance_equals_ndimage_detector(shape):
+    # the detector as first written, on ndimage's box filter
+    from scipy import ndimage
+
+    v = np.random.default_rng(shape[0] * shape[1]).uniform(0.0, 3000.0, shape)
+    resid = v - ndimage.uniform_filter(v, 3)
+    var = ndimage.uniform_filter(resid * resid, 9)
+    mean = np.maximum(ndimage.uniform_filter(v, 9), 1e-9)
+    expected = var / (mean * mean)
+    assert np.array_equal(residual_variance(v), expected)
+    assert np.array_equal(residual_variance(AmplitudeImage(v)), expected)
 
 
 def test_auc_rejects_nonfinite_scores():

@@ -12,9 +12,15 @@ import json
 import numpy as np
 import pytest
 
-from helpers import raised_cosine_filter, smooth_reflectivity
-
-from sarfx import AmplitudeImage, ComplexImage, TamperMask, simulate_pristine, write_raster
+from sarfx import (
+    AmplitudeImage,
+    ComplexImage,
+    TamperMask,
+    raised_cosine_filter,
+    simulate_pristine,
+    smooth_reflectivity,
+    write_raster,
+)
 from sarfx.cli import main
 
 

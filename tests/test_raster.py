@@ -208,6 +208,23 @@ def test_quantized_export_range():
         too_big.quantized()
 
 
+@pytest.mark.parametrize("bits, dtype", [(17, np.uint32), (32, np.uint32), (33, np.uint64),
+                                         (48, np.uint64), (64, np.uint64)])
+def test_quantized_export_keeps_deep_values(bits, dtype):
+    top = float(2**bits - 1) if bits <= 53 else np.nextafter(2.0**bits, 0.0)
+    values = np.array([[0.0, 2.0**16, min(2.0**40, top), top]])
+    out = AmplitudeImage(values, dynamic_range_bits=bits).quantized()
+    assert out.dtype == dtype
+    assert out.tolist() == [[0, 2**16, min(2**40, int(top)), int(top)]]
+
+
+@pytest.mark.parametrize("bits", [48, 53, 54, 64])
+def test_quantized_export_rejects_values_past_full_scale(bits):
+    # at 64 bits float(2**64 - 1) is 2**64, which uint64 cannot hold
+    with pytest.raises(RasterError, match="exceed"):
+        AmplitudeImage(np.array([[2.0**bits]]), dynamic_range_bits=bits).quantized()
+
+
 def test_mask_pgm_export(tmp_path):
     mask = TamperMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
     path = tmp_path / "m.pgm"

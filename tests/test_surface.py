@@ -1,9 +1,10 @@
 """Guards for cuts to the package surface.
 
 Removing a function that the benchmark's span tracer wraps breaks only
-``perfbench`` runs with ``--trace 1``, and an import left behind by a cut,
-in the package, its tests or its demos, raises nothing at all; these tests
-make both fail here.
+``perfbench`` runs with ``--trace 1``, an import left behind by a cut, in
+the package, its tests or its demos, raises nothing at all, and neither does
+a demo that needs scipy, which only the tests install; these tests make all
+three fail here.
 """
 
 import ast
@@ -54,3 +55,12 @@ def test_no_module_imports_a_name_it_never_uses():
     scripts = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
     assert len(scripts) > 15
     assert [entry for path in modules + scripts for entry in _unused_imports(path)] == []
+
+
+def test_no_demo_imports_scipy():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert len(demos) > 5
+    imports = [(path.name, alias.name if isinstance(node, ast.Import) else node.module)
+               for path in demos for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [(name, module) for name, module in imports if (module or "").split(".")[0] == "scipy"] == []
