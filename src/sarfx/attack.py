@@ -61,17 +61,17 @@ def apply_system(signal, h) -> ComplexImage:
     return ComplexImage.from_complex(buf, copy=False)
 
 
-def histogram_match(source: AmplitudeImage, reference: AmplitudeImage) -> AmplitudeImage:
+def histogram_match(source, reference: AmplitudeImage) -> AmplitudeImage:
     """Exact rank mapping: pixel of rank k in source gets reference's rank-k value.
 
     Ties break by row-major index order; the output's sorted values equal the
-    reference's sorted values exactly.
+    reference's sorted values exactly. A float64 plane ``source``, as
+    :func:`run_attack` takes |z|, is handed over: the match is scattered into it.
     """
-    if source.values.size != reference.values.size:
-        raise RasterError(
-            f"pixel count mismatch: {source.values.size} vs {reference.values.size}"
-        )
-    flat = source.values.ravel()
+    values = source.values if isinstance(source, AmplitudeImage) else source
+    if values.size != reference.values.size:
+        raise RasterError(f"pixel count mismatch: {values.size} vs {reference.values.size}")
+    flat = values.ravel()
     order = np.argsort(flat)  # unstable; the stable order sorts by (value, index)
     ordered = np.sort(flat)
     tied = ordered[1:] == ordered[:-1]
@@ -79,9 +79,9 @@ def histogram_match(source: AmplitudeImage, reference: AmplitudeImage) -> Amplit
         order = np.sort(np.cumsum(np.r_[False, ~tied]) * flat.size + order) % flat.size
     ordered[:] = reference.values.ravel()  # the sorted buffer now takes the reference's values
     ordered.sort()
-    matched = np.empty_like(flat)
+    matched = flat if values is source else np.empty_like(flat)  # a handed-over source is spent
     matched[order] = ordered
-    return AmplitudeImage(matched.reshape(source.shape), reference.dynamic_range_bits, copy=False)
+    return AmplitudeImage(matched.reshape(values.shape), reference.dynamic_range_bits, copy=False)
 
 
 def run_attack(image: AmplitudeImage, config: AttackConfig) -> AmplitudeImage:
@@ -89,11 +89,11 @@ def run_attack(image: AmplitudeImage, config: AttackConfig) -> AmplitudeImage:
     h = config.transfer_function
     if h.shape != image.shape:
         raise RasterError(f"transfer function {h.shape} does not match image {image.shape}")
-    # the speckle field goes once it is injected, and the one complex plane it
-    # fills once that plane is filtered in place and its amplitude taken
-    speckled = inject_speckle(
-        image, generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed))
-    filtered = apply_system(speckled, h).amplitude(image.dynamic_range_bits)
-    del speckled
-    return histogram_match(filtered, image) if config.histogram_match else filtered
-
+    # the speckle field goes once it is injected, and the complex plane once it is
+    # filtered in place and |z| taken: a bare plane the histogram match scatters into
+    filtered = apply_system(inject_speckle(
+        image, generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)), h)
+    amplitude = np.hypot(filtered.re, filtered.im)
+    del filtered
+    return (histogram_match(amplitude, image) if config.histogram_match
+            else AmplitudeImage(amplitude, image.dynamic_range_bits, copy=False))

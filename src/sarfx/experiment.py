@@ -17,12 +17,12 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .attack import AttackConfig, run_attack
 from .forgery import EditOp, random_splice
-from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
+from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
 from .raster import (KIND_AMPLITUDE_F64, KIND_MASK_U8, AmplitudeImage, atomic_open, read_header,
                      read_raster, write_raster)
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
@@ -316,8 +316,8 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         attacked = run_attack(spliced, attack_config(config.attack_plan, seed, h))
         del h  # a self-estimated H is a plane that scoring does not need
 
-    # Read before any artifact is written, so a bad fingerprint leaves none.
-    fingerprint = read_fingerprint(item.fingerprint) if item.fingerprint else None
+    # Scored at read, before any artifact is written (a bad one leaves none) or SSIM runs.
+    auc = auc_roc(read_fingerprint(item.fingerprint), mask) if item.fingerprint else None
 
     write_raster(spliced, images_dir / f"{item.id}_{label}_spliced.sarf")
     write_raster(mask, images_dir / f"{item.id}_{label}_mask.sarf")
@@ -330,7 +330,7 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
     # Quality metrics compare the attack output to its input when an attack
     # ran, otherwise the spliced tile to the untouched target.
     pair = (attacked, spliced) if attacked is not None else (spliced, original)
-    report = evaluate_pair(*pair, fingerprint=fingerprint, mask=mask)
+    report = replace(evaluate_pair(*pair), auc=auc)
     return {"id": item.id, "edit": label, **report.columns()}
 
 

@@ -25,7 +25,7 @@ from .raster import (
     TamperMask,
     read_raster,
 )
-from .spectral import valid_convolver
+from .spectral import _BLOCK_ROWS, valid_convolver
 
 SSIM_WINDOW_SIZE = 11
 SSIM_WINDOW_SIGMA = 1.5
@@ -113,11 +113,11 @@ def _window_convolver(shape):
 
 def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminance: bool):
     """``(mean(lum*cs), mean(cs))``, the first None unless ``luminance``. ``a`` and ``b``
-    are windowed as they are, the convolver forms each product one row block at a
-    time, so no product plane exists, and var_b is folded into the denominator
-    before cov is windowed, so at most four compact moment planes are live; every
-    operation keeps its operands and order, and both means run over fresh
-    contiguous arrays."""
+    are windowed as they are; each product moment is formed and consumed a row block
+    at a time into one ``den`` plane (var_a, then var_a + var_b + c2, then cs), and
+    lum*cs overwrites mu_a by row block, so three compact moment planes exist. Every
+    operation keeps its operands and order; both means run over whole contiguous
+    planes."""
     if a.shape[0] < SSIM_WINDOW_SIZE or a.shape[1] < SSIM_WINDOW_SIZE:
         raise ValueError(
             f"images of shape {a.shape} are smaller than the {SSIM_WINDOW_SIZE}x"
@@ -127,23 +127,18 @@ def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminan
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
     mu_a, mu_b = windowed(a), windowed(b)
-    var_a = windowed(a, a)
-    var_a -= mu_a * mu_a
-    den = windowed(b, b)  # var_b, then var_a + var_b + c2
-    den -= mu_b * mu_b
-    den += var_a
-    den += c2
-    del var_a
-    cov = windowed(a, b)
-    cov -= mu_a * mu_b
-    cs = (2 * cov + c2) / den
-    del cov, den
+    den = np.empty_like(mu_a)  # var_a, then var_a + var_b + c2, then cs
+    windowed(a, a, lambda rows, e_aa: np.subtract(e_aa, mu_a[rows] * mu_a[rows], out=den[rows]))
+    windowed(b, b, lambda rows, e_bb: np.add(e_bb - mu_b[rows] * mu_b[rows] + den[rows], c2,
+                                             out=den[rows]))
+    windowed(a, b, lambda rows, e_ab: np.divide(2 * (e_ab - mu_a[rows] * mu_b[rows]) + c2, den[rows],
+                                                out=den[rows]))
     if not luminance:
-        return None, float(np.mean(cs))
-    # mu_a**2 and mu_b**2 overwrite the means, which nothing reads after
-    lum_cs = ((2 * mu_a * mu_b + c1)
-              / (np.square(mu_a, out=mu_a) + np.square(mu_b, out=mu_b) + c1) * cs)
-    return float(np.mean(lum_cs)), float(np.mean(cs))
+        return None, float(np.mean(den))
+    for r in range(0, len(mu_a), _BLOCK_ROWS):
+        ma, mb = mu_a[r:r + _BLOCK_ROWS], mu_b[r:r + _BLOCK_ROWS]
+        ma[:] = (2 * ma * mb + c1) / (np.square(ma) + np.square(mb) + c1) * den[r:r + _BLOCK_ROWS]
+    return float(np.mean(mu_a)), float(np.mean(den))
 
 
 def _ssim_terms(pa: np.ndarray, pb: np.ndarray, dynamic_range: float, n_scales: int):

@@ -102,18 +102,33 @@ def _next_fast_len(n: int) -> int:
     return n
 
 
-_BLOCK_ROWS = 64  # rows per block of valid_convolver; rows transform alone, so any count is exact
+_BLOCK_ROWS = 64  # rows per block of the convolutions; rows transform alone, so any count is exact
+
+
+def _convolve_rows(src, kernel_spectrum, n, out, pad=0):
+    """Each row of ``src``, padded symmetrically by ``pad`` at both ends, convolved by
+    length-``n`` FFTs with the kernel whose ``rfft`` is ``kernel_spectrum``; its valid
+    part is scaled into the same row of ``out``, maybe a transposed view. Rows run
+    ``_BLOCK_ROWS`` at a time, so no padded or spectrum plane exists."""
+    scale = np.float64(1 / np.longdouble(n))  # as in valid_convolver
+    start = src.shape[1] + 2 * pad - out.shape[1]  # the kernel's length less one
+    for r in range(0, len(src), _BLOCK_ROWS):
+        block = np.pad(src[r:r + _BLOCK_ROWS], ((0, 0), (pad, pad)), "symmetric")
+        rows = np.fft.irfft(np.fft.rfft(block, n, axis=1) * kernel_spectrum, n, axis=1, norm="forward")
+        np.multiply(rows[:, start:start + out.shape[1]], scale, out=out[r:r + _BLOCK_ROWS])
 
 
 def valid_convolver(shape, kernel: np.ndarray, axes):
     """``plane -> scipy.signal.fftconvolve(plane, kernel, "valid", axes=axes)`` for real
     planes of ``shape`` and ``axes`` of ``(0,)``, ``(1,)`` or ``(0, 1)``, bit-identical
     to it: the same FFT sizes, axis order, product, 1/N scale and crop, with the
-    kernel transformed once. ``convolve(plane, other)`` convolves ``plane * other``;
-    on both axes it is formed a block of rows at a time just before ``rfft`` writes
-    their spectrum rows, so no product plane exists. Only the plane's rows are
-    transformed, axis 0 runs in place on one spectrum buffer, and the kept rows are
-    inverted block by block into one compact C-contiguous result. The buffers are
+    kernel transformed once. ``convolve(plane, other)`` convolves ``plane * other``.
+    One axis runs through ``_convolve_rows``, along the rows of the plane or of its
+    transpose. On both axes the product is formed a block of rows at a time just
+    before ``rfft`` writes their spectrum rows, so no product plane exists. Only the
+    plane's rows are transformed, axis 0 runs in place on one spectrum buffer, and
+    the kept rows are inverted block by block into one compact C-contiguous result,
+    or passed, with ``consume``, as ``consume(rows, block)`` instead. The buffers are
     allocated per call, so threads can share one convolver."""
     sizes = [_next_fast_len(shape[a] + kernel.shape[a] - 1) for a in axes]
     kernel_spectrum = np.fft.rfftn(kernel, sizes, axes=axes)
@@ -122,13 +137,13 @@ def valid_convolver(shape, kernel: np.ndarray, axes):
     scale = np.float64(1 / np.longdouble(np.prod(sizes)))
     crop = tuple(slice(k - 1, m) for m, k in zip(shape, kernel.shape))
 
-    def convolve(plane, other=None):
+    def convolve(plane, other=None, consume=None):
         if len(axes) == 1:
-            spectrum = np.fft.rfft(plane if other is None else plane * other, n, axis=last)
-            spectrum *= kernel_spectrum
-            out = np.fft.irfft(spectrum, n, axis=last, norm="forward")
-            out *= scale
-            return out[crop]
+            out = np.empty([m - k + 1 for m, k in zip(shape, kernel.shape)])
+            as_rows = np.transpose if last == 0 else np.asarray
+            _convolve_rows(as_rows(plane if other is None else plane * other),
+                           kernel_spectrum.reshape(1, -1), n, as_rows(out))
+            return out
         spectrum = np.empty(kernel_spectrum.shape, np.complex128)
         block = None if other is None else np.empty((_BLOCK_ROWS, shape[1]))
         for r in range(0, shape[0], _BLOCK_ROWS):
@@ -141,10 +156,11 @@ def valid_convolver(shape, kernel: np.ndarray, axes):
         spectrum *= kernel_spectrum
         np.fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)
         kept = spectrum[crop[0]]
-        out = np.empty((len(kept), shape[1] - kernel.shape[1] + 1))
+        out = None if consume else np.empty((len(kept), shape[1] - kernel.shape[1] + 1))
         for r in range(0, len(kept), _BLOCK_ROWS):
-            rows = np.fft.irfft(kept[r:r + _BLOCK_ROWS], n, axis=1, norm="forward")
-            np.multiply(rows[:, crop[1]], scale, out=out[r:r + _BLOCK_ROWS])
+            rows = np.fft.irfft(kept[r:r + _BLOCK_ROWS], n, axis=1, norm="forward")[:, crop[1]]
+            rows *= scale
+            (consume or out.__setitem__)(slice(r, r + len(rows)), rows)
         return out
 
     return convolve
@@ -156,21 +172,24 @@ def smooth_spectrum(mag: np.ndarray, sigma: float, kernel_size: int) -> np.ndarr
     Same-size output; the separable kernel keeps values nonnegative and, on
     interior-supported inputs, preserves total mass. Symmetric padding, one
     axis at a time, equals ndimage's ``reflect``; the convolution runs by FFT.
-    Axis 0 and then axis 1 are each convolved along the contiguous rows of the
-    transposed plane, which gives the same 1-D transforms, bit for bit, as
-    transforming along the strided columns, and is faster.
+    Axis 0, then axis 1, runs ``_BLOCK_ROWS`` rows at a time: each block is padded,
+    transformed, multiplied by the kernel spectrum, inverted and scaled into one
+    output plane. The first pass takes the input's columns as rows and writes its
+    blocks transposed; the second runs over that plane in place. Row transforms
+    are bit for bit the strided column ones, and faster.
     """
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2:
         raise ValueError(f"magnitude plane must be 2D, got shape {mag.shape}")
     if np.any(mag < 0):
         raise ValueError("magnitude plane must be nonnegative")
-    k = gaussian_kernel_1d(sigma, kernel_size)[None, :]
+    k = gaussian_kernel_1d(sigma, kernel_size)
     r = kernel_size // 2
-    for _ in range(2):
-        mag = np.pad(np.ascontiguousarray(mag.T), ((0, 0), (r, r)), "symmetric")
-        mag = valid_convolver(mag.shape, k, (1,))(mag)
-    return np.maximum(mag, 0.0)
+    out = np.empty(mag.shape)
+    for src, dest in ((mag.T, out.T), (out, out)):
+        n = _next_fast_len(src.shape[1] + 2 * r + kernel_size - 1)
+        _convolve_rows(src, np.fft.rfft(k, n), n, dest, pad=r)
+    return np.maximum(out, 0.0, out=out)
 
 
 def azimuthal_profile(spectrum: Spectrum) -> RadialProfile:

@@ -13,7 +13,7 @@ height/azimuth axis (rows). Frequencies are measured in DC-centered bins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -47,22 +47,26 @@ class TransferFunction(PlaneShape):
     An estimate records how it was made: the ``(kernel_size, sigma)`` smoothing
     used, and one fit-parameter record per source (``None`` for the direct
     strategy). A known H has neither: ``smoothing`` is None, ``fit_params`` empty.
+    ``values`` is copied; with ``copy=False`` a plane just computed is held as it is.
     """
 
     values: np.ndarray
     strategy: str = STRATEGY_KNOWN
     smoothing: tuple[int, float] | None = None
     fit_params: tuple = ()
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        values = _locked(self.values, np.float64)
+    def __post_init__(self, copy):
+        values = _locked(self.values, np.float64, copy)
         _check_plane(values, "transfer function")
         if np.any(values < 0):
             raise RasterError("transfer function must be nonnegative everywhere")
         peak = values.max()
         if abs(peak - 1.0) > _MAX_GAIN_TOL:
             raise RasterError(f"transfer function max gain must be 1, got {peak!r}")
-        asym = np.abs(values - central_flip(values)).max()
+        flipped = central_flip(values)
+        flipped -= values  # |a - b| == |b - a|, and one plane fewer
+        asym = np.abs(flipped, out=flipped).max()
         if asym > _SYMMETRY_TOL:
             raise RasterError(f"transfer function breaks central symmetry by {asym:.3e}")
         if self.strategy not in STRATEGIES:
@@ -472,11 +476,12 @@ def _rc_shape(f, a, fc):
 
 
 def _normalized_response(plane: np.ndarray, strategy: str) -> TransferFunction:
-    plane = np.maximum(plane, 0.0)
+    np.maximum(plane, 0.0, out=plane)
     peak = plane.max()
     if peak <= 0:
         raise DegenerateSpectrumError("estimated response is identically zero")
-    return TransferFunction(plane / peak, strategy)
+    plane /= peak
+    return TransferFunction(plane, strategy, copy=False)
 
 
 def gaussian_response(params: GaussianFitParams, shape: tuple[int, int]) -> TransferFunction:

@@ -225,6 +225,22 @@ def test_histogram_match_equals_stable_argsort(case):
         assert np.signbit(source).any()
 
 
+def test_histogram_match_into_a_handed_over_plane():
+    # run_attack hands |z| over as a bare plane and the match scatters into it; on a
+    # tie-heavy plane it equals the match of an AmplitudeImage, which stays untouched
+    rng = np.random.default_rng(11)
+    source = AmplitudeImage(rng.integers(0, 5, (300, 200)).astype(np.float64))
+    reference = AmplitudeImage(rng.uniform(0, 1000, (300, 200)), 12)
+    kept = source.values.copy()
+    expected = histogram_match(source, reference)
+    assert np.array_equal(source.values, kept)
+    plane = source.values.copy()
+    out = histogram_match(plane, reference)
+    assert np.array_equal(out.values, expected.values)
+    assert np.shares_memory(out.values, plane)
+    assert out.dynamic_range_bits == expected.dynamic_range_bits == 12
+
+
 def test_histogram_match_size_mismatch():
     with pytest.raises(RasterError, match="count"):
         histogram_match(AmplitudeImage(np.ones((4, 4))), AmplitudeImage(np.ones((4, 5))))

@@ -1,16 +1,25 @@
-"""Peak allocation of a job's attack and scoring stages and of the curve fits,
+"""Peak allocation of a job's stages, of a whole job and of the curve fits,
 in float64 planes.
 
 tracemalloc sees every numpy allocation, so the peak above the level at entry
-counts the planes a stage holds at once. At 256² the attack peaks at 4.26
-planes (4.25 at 1024²) and the scoring at 5.60 (5.23 at 1024²). The attack
-peaked at 6.26 while it kept the speckled plane and filtered a copy of it;
-it now filters the plane it speckles in place and drops that plane before
-the histogram match. When every image type copied its planes and
-each SSIM moment had its own padded buffers, they peaked at 11.26 and 9.38,
-with one zero-padded input buffer per scale the scoring peaked at 6.74, and
-with a whole product plane and each moment a view into its padded-width
-inverse it peaked at 6.23.
+counts the planes a stage holds at once. At 256² the attack peaks at 4.00
+planes (4.00 at 1024²) and the scoring at 5.01 (4.32). Spectrum smoothing
+peaks at 3.35 (1.51 at 1024², where its 64-row blocks are a smaller share of
+a plane), a direct H estimate at 4.35 (3.00), and a whole job with a
+self-estimated H and a fingerprint at 7.16 planes above its entry (6.39).
+
+Before, these were 4.26, 5.60, 6.11, 6.11 and 8.74 (at 1024²: 4.25, 5.23,
+5.99, 6.00 and 8.36). The histogram match wrote into a plane of its own
+instead of the attack's |z|; every second moment of the SSIM pass was a
+compact plane of its own instead of being consumed a row block at a time;
+smoothing padded and transformed whole planes; a direct estimate clipped,
+divided and then copied new planes; and a job scored its fingerprint after
+SSIM, holding its plane through that pass. Earlier still, the attack peaked at
+6.26 while it kept the speckled plane and filtered a copy of it. When every
+image type copied its planes and each SSIM moment had its own padded buffers,
+the attack and the scoring peaked at 11.26 and 9.38; with one zero-padded
+input buffer per scale the scoring peaked at 6.74, and with a whole product
+plane and each moment a view into its padded-width inverse at 6.23.
 The curve fits peak at 1.28 planes, the plane cost that the LM evaluates at
 the solution; when every LM cost built a residual plane they peaked at 3.01.
 
@@ -26,17 +35,24 @@ import numpy as np
 
 from sarfx import (
     AttackConfig,
+    EditOp,
+    ExperimentConfig,
     default_smoothing,
+    estimate_transfer_function,
     evaluate_pair,
     fit_gaussian,
     fit_raised_cosine,
     magnitude_spectrum,
     normalize_energy,
     raised_cosine_filter,
+    residual_variance,
     run_attack,
     simulate_pristine,
     smooth_reflectivity,
+    write_raster,
 )
+from sarfx.experiment import ManifestItem, _run_job
+from sarfx.raster import AmplitudeImage
 from sarfx.spectral import smooth_spectrum
 
 N = 256
@@ -61,8 +77,35 @@ def test_attack_and_scoring_peaks_in_planes():
     result, attack_peak = _peak_planes(lambda: run_attack(image, config))
     assert np.array_equal(result.values, attacked.values)
     _, scoring_peak = _peak_planes(lambda: evaluate_pair(attacked, image))
-    assert attack_peak <= 4.5
-    assert scoring_peak <= 5.75
+    assert attack_peak <= 4.25
+    assert scoring_peak <= 5.25
+
+
+def test_smoothing_and_direct_estimate_peaks_in_planes():
+    image = simulate_pristine(smooth_reflectivity(N, 1), raised_cosine_filter(N, 0.7), seed=5).amplitude()
+    kernel, sigma = default_smoothing(N)
+    mag = magnitude_spectrum(image)
+    smoothed, smooth_peak = _peak_planes(lambda: smooth_spectrum(mag, sigma, kernel))
+    h, estimate_peak = _peak_planes(lambda: estimate_transfer_function(image))
+    assert np.array_equal(smoothed, smooth_spectrum(mag, sigma, kernel))
+    assert np.array_equal(h.values, estimate_transfer_function(image).values)
+    assert smooth_peak <= 3.5
+    assert estimate_peak <= 4.5
+
+
+def test_job_peak_in_planes(tmp_path):
+    # one splice-geo job: whole-tile edit, self-estimated direct H, attack, fingerprint AUC
+    tile = simulate_pristine(smooth_reflectivity(N, 1), raised_cosine_filter(N, 0.7), seed=5).amplitude()
+    write_raster(AmplitudeImage(residual_variance(tile), copy=False), tmp_path / "fp.sarf")
+    item = ManifestItem("t0", "unused", "P", str(tmp_path / "fp.sarf"))
+    config = ExperimentConfig([item], [], (N // 8, N // 8), 7, str(tmp_path),
+                              {"filter": {"estimate": {"strategy": "direct", "sources": "self"}}})
+    shared = {"products": {"P": [tile]}, "index_in_product": {"t0": 0}, "filter": None}
+    edit = EditOp("upscale")
+    row = _run_job(item, edit, config, shared, tmp_path)  # caches the SSIM window spectra
+    again, job_peak = _peak_planes(lambda: _run_job(item, edit, config, shared, tmp_path))
+    assert again == row and row["auc"] is not None
+    assert job_peak <= 7.4
 
 
 def test_curve_fit_peaks_in_planes():

@@ -250,6 +250,29 @@ def test_smooth_matches_oaconvolve(shape, kernel_size, sigma):
     np.testing.assert_allclose(smooth_spectrum(plane, sigma, kernel_size), oracle, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("shape, kernel_size, sigma", [
+    ((1024, 1024), 601, 100.0),  # the job's smoothing
+    ((130, 70), 61, 10.0),  # 70 and 130 rows: not multiples of the row block
+    ((200, 64), 31, 4.0),
+    ((15, 13), 41, 6.0),  # radius 20: beyond both axes
+    ((8, 8), 41, 7.0),  # radius 20: beyond twice the axis
+    ((1, 6), 5, 1.0),
+])
+def test_blocked_smoothing_equals_whole_plane_fftconvolve(shape, kernel_size, sigma):
+    # the row-blocked passes against the whole-plane transforms they replaced:
+    # each pass pads the transposed plane and convolves its rows
+    from scipy import signal
+
+    plane = np.random.default_rng(sum(shape) + kernel_size).uniform(0, 5, shape)
+    k = gaussian_kernel_1d(sigma, kernel_size)[None, :]
+    r = kernel_size // 2
+    oracle = plane
+    for _ in range(2):
+        padded = np.pad(np.ascontiguousarray(oracle.T), ((0, 0), (r, r)), "symmetric")
+        oracle = signal.fftconvolve(padded, k, "valid", axes=1)
+    assert np.array_equal(smooth_spectrum(plane, sigma, kernel_size), np.maximum(oracle, 0.0))
+
+
 def test_smooth_rejects_bad_inputs():
     with pytest.raises(ValueError, match="odd"):
         smooth_spectrum(np.ones((8, 8)), sigma=1.0, kernel_size=4)
