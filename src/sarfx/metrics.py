@@ -108,16 +108,21 @@ def gaussian_window() -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _window_convolver(shape):
     # the window is symmetric, so convolution equals correlation
-    return valid_convolver(shape, gaussian_window(), (0, 1))
+    return valid_convolver(shape, gaussian_window())
+
+
+def _square_sum(x, y, out):
+    return np.add(np.square(x, out=out), np.square(y), out=out)
 
 
 def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminance: bool):
     """``(mean(lum*cs), mean(cs))``, the first None unless ``luminance``. ``a`` and ``b``
-    are windowed as they are; each product moment is formed and consumed a row block
-    at a time into one ``den`` plane (var_a, then var_a + var_b + c2, then cs), and
-    lum*cs overwrites mu_a by row block, so three compact moment planes exist. Every
-    operation keeps its operands and order; both means run over whole contiguous
-    planes."""
+    are windowed as they are into mu_a, mu_b, W(a*a + b*b) and W(a*b): var_a and var_b
+    enter only as a sum, so one moment of the summed squares carries both, exactly
+    twice W(a*a) when ``a`` is ``b``. Each second moment is consumed a row block at a
+    time into one ``den`` plane (var_a + var_b + c2, then cs), and lum*cs overwrites
+    mu_a by row block, so three compact moment planes exist. Both means run over
+    whole contiguous planes."""
     if a.shape[0] < SSIM_WINDOW_SIZE or a.shape[1] < SSIM_WINDOW_SIZE:
         raise ValueError(
             f"images of shape {a.shape} are smaller than the {SSIM_WINDOW_SIZE}x"
@@ -127,10 +132,9 @@ def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminan
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
     mu_a, mu_b = windowed(a), windowed(b)
-    den = np.empty_like(mu_a)  # var_a, then var_a + var_b + c2, then cs
-    windowed(a, a, lambda rows, e_aa: np.subtract(e_aa, mu_a[rows] * mu_a[rows], out=den[rows]))
-    windowed(b, b, lambda rows, e_bb: np.add(e_bb - mu_b[rows] * mu_b[rows] + den[rows], c2,
-                                             out=den[rows]))
+    den = np.empty_like(mu_a)  # var_a + var_b + c2, then cs
+    windowed(a, b, lambda rows, e_ss: np.add(
+        e_ss - (mu_a[rows] * mu_a[rows] + mu_b[rows] * mu_b[rows]), c2, out=den[rows]), _square_sum)
     windowed(a, b, lambda rows, e_ab: np.divide(2 * (e_ab - mu_a[rows] * mu_b[rows]) + c2, den[rows],
                                                 out=den[rows]))
     if not luminance:

@@ -118,40 +118,36 @@ def _convolve_rows(src, kernel_spectrum, n, out, pad=0):
         np.multiply(rows[:, start:start + out.shape[1]], scale, out=out[r:r + _BLOCK_ROWS])
 
 
-def valid_convolver(shape, kernel: np.ndarray, axes):
-    """``plane -> scipy.signal.fftconvolve(plane, kernel, "valid", axes=axes)`` for real
-    planes of ``shape`` and ``axes`` of ``(0,)``, ``(1,)`` or ``(0, 1)``, bit-identical
-    to it: the same FFT sizes, axis order, product, 1/N scale and crop, with the
-    kernel transformed once. ``convolve(plane, other)`` convolves ``plane * other``.
-    One axis runs through ``_convolve_rows``, along the rows of the plane or of its
-    transpose. On both axes the product is formed a block of rows at a time just
-    before ``rfft`` writes their spectrum rows, so no product plane exists. Only the
-    plane's rows are transformed, axis 0 runs in place on one spectrum buffer, and
-    the kept rows are inverted block by block into one compact C-contiguous result,
-    or passed, with ``consume``, as ``consume(rows, block)`` instead. The buffers are
-    allocated per call, so threads can share one convolver."""
-    sizes = [_next_fast_len(shape[a] + kernel.shape[a] - 1) for a in axes]
-    kernel_spectrum = np.fft.rfftn(kernel, sizes, axes=axes)
-    last, n = axes[-1], sizes[-1]
+def valid_convolver(shape, kernel: np.ndarray):
+    """``plane -> irfftn(rfftn(plane, s) * rfftn(kernel, s), s)[crop]`` for real planes
+    of ``shape``, bit-identical to it, with the kernel transformed once. ``s`` is the
+    circular size ``_next_fast_len(shape[a])``, not ``fftconvolve``'s linear one: an
+    output ``j >= k - 1`` reads inputs ``j - k + 1`` to ``j`` only, so ``crop``, the
+    valid part, never wraps and equals ``fftconvolve(plane, kernel, "valid")`` to
+    roundoff. ``convolve(plane, other)`` convolves ``form(plane, other, out=block)``,
+    by default their product, formed a block of rows at a time just before ``rfft``
+    writes their spectrum rows, so no formed plane exists. Only the plane's rows are
+    transformed, axis 0 runs in place on one spectrum buffer, and the kept rows are
+    inverted block by block into one compact C-contiguous result, or passed, with
+    ``consume``, as ``consume(rows, block)`` instead. The buffers are allocated per
+    call, so threads can share one convolver."""
+    sizes = [_next_fast_len(m) for m in shape]
+    kernel_spectrum = np.fft.rfftn(kernel, sizes, axes=(0, 1))
+    n = sizes[1]
     # pocketfft's own T(1/ldbl(N)), applied after the unscaled inverse as it does
     scale = np.float64(1 / np.longdouble(np.prod(sizes)))
     crop = tuple(slice(k - 1, m) for m, k in zip(shape, kernel.shape))
 
-    def convolve(plane, other=None, consume=None):
-        if len(axes) == 1:
-            out = np.empty([m - k + 1 for m, k in zip(shape, kernel.shape)])
-            as_rows = np.transpose if last == 0 else np.asarray
-            _convolve_rows(as_rows(plane if other is None else plane * other),
-                           kernel_spectrum.reshape(1, -1), n, as_rows(out))
-            return out
+    def convolve(plane, other=None, consume=None, form=np.multiply):
         spectrum = np.empty(kernel_spectrum.shape, np.complex128)
         block = None if other is None else np.empty((_BLOCK_ROWS, shape[1]))
         for r in range(0, shape[0], _BLOCK_ROWS):
             rows = plane[r:r + _BLOCK_ROWS]
             if other is not None:
-                rows = np.multiply(rows, other[r:r + _BLOCK_ROWS], out=block[: len(rows)])
+                rows = form(rows, other[r:r + _BLOCK_ROWS], out=block[: len(rows)])
             np.fft.rfft(rows, n, axis=1, out=spectrum[r:r + len(rows)])
         spectrum[shape[0]:] = 0
+        del block, rows  # the formed rows are spent once transformed
         np.fft.fft(spectrum, axis=0, out=spectrum)
         spectrum *= kernel_spectrum
         np.fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)

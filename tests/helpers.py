@@ -63,6 +63,16 @@ def naive_convolve_reflect(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+def circular_valid_convolve(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """scipy's whole-plane transforms at the circular sizes, next_fast_len(m) per axis,
+    cropped to the valid part, which never wraps."""
+    from scipy import fft as sp_fft
+
+    sizes = [sp_fft.next_fast_len(m, True) for m in plane.shape]
+    crop = tuple(slice(k - 1, m) for m, k in zip(plane.shape, kernel.shape))
+    return sp_fft.irfftn(sp_fft.rfftn(plane, sizes) * sp_fft.rfftn(kernel, sizes), sizes)[crop]
+
+
 def fd_normal_equations(residual_fn, rel_step=1e-6, abs_floor=1e-9):
     """Solver oracle: ``x -> (JᵀJ, Jᵀr)`` from a central-difference Jacobian of
     ``residual_fn``, for residuals without an analytic one."""

@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import assert_threaded_equals_serial
+from helpers import assert_threaded_equals_serial, circular_valid_convolve
 
 from sarfx import (
     AmplitudeImage,
@@ -87,6 +88,16 @@ def test_ssim_identical_is_exactly_one():
     assert ssim(image, image) == 1.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(11, 96), st.integers(11, 96)), seed=st.integers(0, 2**32 - 1),
+       high=st.sampled_from([1.0, 1000.0, 65535.0]))
+def test_ssim_and_ms_ssim_of_an_image_with_itself_are_exactly_one(shape, seed, high):
+    # the summed second moment of x and x is exactly twice W(x*x), so den equals cs's numerator
+    image = _image(shape, seed, high=high)
+    assert ssim(image, image) == 1.0
+    assert ms_ssim(image, image) == 1.0
+
+
 def test_ssim_constant_offset_matches_closed_form():
     L = 65535.0
     c = 10000.0
@@ -106,7 +117,7 @@ def test_ssim_matches_second_implementation():
 
 
 def _fftconvolve_ssim_terms(a, b, drange, n_scales):
-    """The replaced SSIM pass: per-moment fftconvolve, whole luminance and cs planes."""
+    """An earlier SSIM pass: five moments, each by fftconvolve at the linear sizes."""
     from scipy import signal
 
     c1, c2 = (0.01 * drange) ** 2, (0.03 * drange) ** 2
@@ -123,35 +134,59 @@ def _fftconvolve_ssim_terms(a, b, drange, n_scales):
     return terms
 
 
+def _circular_ssim_terms(a, b, drange, n_scales):
+    """The four-moment SSIM pass on whole planes, each moment by scipy at the circular
+    transform sizes: mu_a, mu_b, W(a*a + b*b) and W(a*b)."""
+    c1, c2 = (0.01 * drange) ** 2, (0.03 * drange) ** 2
+    terms = []
+    for level in range(n_scales):
+        if level:
+            a, b = metrics._downsample2(a), metrics._downsample2(b)
+        mu_a, mu_b, e_ss, e_ab = (
+            circular_valid_convolve(p, gaussian_window()) for p in (a, b, a * a + b * b, a * b))
+        luminance = (2 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
+        cs = (2 * (e_ab - mu_a * mu_b) + c2) / ((e_ss - (mu_a * mu_a + mu_b * mu_b)) + c2)
+        full = float(np.mean(luminance * cs)) if level in (0, n_scales - 1) else None
+        terms.append((full, float(np.mean(cs))))
+    return terms
+
+
 @pytest.mark.parametrize(
     "shape", [(64, 64), (37, 53), (192, 176), (100, 100), (12, 17), (11, 11), (300, 400)])
 def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
-    # the cached one-window-spectrum path against the per-moment fftconvolve it replaced
-    from scipy import signal
-
+    # the cached one-window-spectrum path against whole-plane scipy transforms at its
+    # sizes, bit for bit, and against the five linear-size moments it replaced
     rng = np.random.default_rng(sum(shape))
     a, b = rng.uniform(0, 65535, (2, *shape))
     window = gaussian_window()
-    windowed = valid_convolver(shape, window, (0, 1))
-    for x, y in ((a, None), (b, None), (a, a), (b, b), (a, b)):
-        plane = x if y is None else x * y
-        assert np.array_equal(windowed(x, y), signal.fftconvolve(plane, window, "valid"))
+    windowed = valid_convolver(shape, window)
+    assert np.array_equal(windowed(a), circular_valid_convolve(a, window))
+    assert np.array_equal(windowed(b), circular_valid_convolve(b, window))
+    assert np.array_equal(windowed(a, b, form=metrics._square_sum),
+                          circular_valid_convolve(a * a + b * b, window))
+    assert np.array_equal(windowed(a, b), circular_valid_convolve(a * b, window))
     n_scales = ms_ssim_scale_count(shape)
     fast = metrics._ssim_terms(a, b, 65535.0, n_scales)
-    assert fast == _fftconvolve_ssim_terms(a, b, 65535.0, n_scales)
+    assert fast == _circular_ssim_terms(a, b, 65535.0, n_scales)
+    # the summed second moment and the transform sizes round differently; on these
+    # uniform planes, whose cs is near 0, the terms moved by at most 5.4e-14
+    for (full, cs), (full_5, cs_5) in zip(fast, _fftconvolve_ssim_terms(a, b, 65535.0, n_scales)):
+        assert cs == pytest.approx(cs_5, rel=0, abs=1e-13)
+        assert (full is None) == (full_5 is None)
+        assert full is None or full == pytest.approx(full_5, rel=0, abs=1e-13)
     # the convolver is cached per shape, so patch the cached entry point itself;
-    # each moment reaches it as a plane of the scale's shape, and a product moment
-    # with its second factor
+    # each moment reaches it as a plane of the scale's shape, and a second moment
+    # with its second plane and the form that combines the two
     calls = []
 
     def patched(scale_shape):
-        def oracle(plane, other=None, consume=None):
+        def oracle(plane, other=None, consume=None, form=np.multiply):
             calls.append(plane.shape)
             assert plane.shape == scale_shape
             if other is not None:
                 assert other.shape == scale_shape
-                plane = plane * other
-            out = signal.fftconvolve(plane, window, "valid")
+                plane = form(plane, other, out=np.empty(scale_shape))
+            out = circular_valid_convolve(plane, window)
             if consume is None:
                 return out
             consume(slice(0, len(out)), out)  # all rows in one block
@@ -160,7 +195,7 @@ def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
 
     monkeypatch.setattr(metrics, "_window_convolver", patched)
     assert fast == metrics._ssim_terms(a, b, 65535.0, n_scales)
-    assert len(calls) == 5 * n_scales
+    assert len(calls) == 4 * n_scales
 
 
 def test_evaluate_pair_on_shared_convolvers_is_thread_safe():

@@ -112,7 +112,7 @@ def test_forge_edit_outputs_pinned(workdir, edit, edit_class, region):
     assert {name: _digest(workdir / name) for name in pins} == pins
 
 
-METRICS_PINS = {"single.json": "e90bae5dfd5fe0b1", "pairs.csv": "71b225396f701d62"}
+METRICS_PINS = {"single.json": "6c74516b3adc5309", "pairs.csv": "dd2b5e7e0def4a3e"}
 
 
 def test_metrics_outputs_pinned(workdir):
@@ -159,8 +159,8 @@ EXPERIMENT_PINS = {
     "images/t1_rotate_near_mask.sarf": "1ddfc92b5a02d243",
     "images/t1_rotate_near_provenance.json": "3249493cf885f41b",
     "images/t1_rotate_near_spliced.sarf": "67516e30bb5015fb",
-    "report.csv": "6beaacee0380714e",
-    "summary.csv": "bdcbcd1b3ab60e89",
+    "report.csv": "4b6e05cd1e2ee443",
+    "summary.csv": "68ff4ea0fbccb66b",
 }
 
 
