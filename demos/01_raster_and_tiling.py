@@ -38,8 +38,8 @@ back = read_raster(path)
 print(f"wrote {path.stat().st_size} bytes; round trip bit-exact:",
       np.array_equal(back.values, product.values))
 
-# Complex rasters store re/im plane-sequentially.
-signal = ComplexImage(scene / 100.0, -scene / 200.0)
+# A complex raster holds one complex plane; files store it re/im plane-sequentially.
+signal = ComplexImage(scene / 100.0 - 1j * scene / 200.0)
 write_raster(signal, work / "complex.sarf")
 print("complex raster size:", (work / "complex.sarf").stat().st_size, "bytes")
 

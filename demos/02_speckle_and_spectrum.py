@@ -1,8 +1,9 @@
 """Speckle fields and spectral analysis.
 
-Draws full and phase-only speckle, checks the amplitude statistics against
-the Rayleigh moments, and shows how multiplicative speckle whitens an
-image's spectrum (the effect the re-acquisition attack relies on).
+Draws full and phase-only speckle, each one complex plane, checks the
+amplitude statistics against the Rayleigh moments, and shows how
+multiplicative speckle whitens an image's spectrum (the effect the
+re-acquisition attack relies on).
 
 Run:  python demos/02_speckle_and_spectrum.py
 """
@@ -21,14 +22,14 @@ from sarfx import (
 
 # --- statistics of a full speckle field -----------------------------------
 field = generate_speckle(512, 512, mode="full", sigma_s=DEFAULT_SIGMA_S, seed=7)
-amp = field.magnitude()
+amp = np.abs(field)
 print("full-mode speckle, sigma_s = 1/sqrt(2):")
 print(f"  mean amplitude   {amp.mean():.4f}   (Rayleigh moment {DEFAULT_SIGMA_S * np.sqrt(np.pi / 2):.4f})")
 print(f"  amplitude var    {amp.var():.4f}   (expected {(2 - np.pi / 2) * DEFAULT_SIGMA_S**2:.4f})")
 print(f"  mean |S|^2       {np.mean(amp**2):.4f}   (energy preserving by construction)")
 
 phase_only = generate_speckle(512, 512, mode="phase_only", seed=8)
-print(f"\nphase-only speckle: max | |S| - 1 | = {np.abs(phase_only.magnitude() - 1).max():.2e}")
+print(f"\nphase-only speckle: max | |S| - 1 | = {np.abs(np.abs(phase_only) - 1).max():.2e}")
 
 # --- spectral whitening ----------------------------------------------------
 # A smooth scene concentrates its spectrum near DC; multiplying by a
@@ -37,6 +38,7 @@ yy, xx = np.mgrid[0:256, 0:256]
 scene = AmplitudeImage(1000.0 + 500.0 * np.sin(xx / 20.0) * np.cos(yy / 30.0))
 
 profile_before = azimuthal_profile(forward_dft(scene))
+# the field is handed over: the scene is multiplied into it in place
 speckled = inject_speckle(scene, generate_speckle(256, 256, mode="phase_only", seed=9))
 profile_after = azimuthal_profile(forward_dft(speckled))
 

@@ -34,7 +34,6 @@ from .speckle import (
     DEFAULT_SIGMA_S,
     MODE_FULL,
     MODE_PHASE_ONLY,
-    SpeckleField,
     generate_speckle,
     inject_speckle,
 )

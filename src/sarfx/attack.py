@@ -43,7 +43,7 @@ def apply_system(signal, h) -> ComplexImage:
     is also accepted so unnormalized responses can be applied directly.
     """
     values = h.values if isinstance(h, TransferFunction) else np.asarray(h, dtype=np.float64)
-    buf = signal.to_complex().copy() if isinstance(signal, ComplexImage) else signal
+    buf = signal.values.copy() if isinstance(signal, ComplexImage) else signal
     if not (isinstance(buf, np.ndarray) and buf.ndim == 2 and buf.dtype == np.complex128
             and buf.flags.c_contiguous and buf.flags.writeable):
         raise RasterError("signal must be a ComplexImage or a writable C-contiguous 2D complex128 plane")
@@ -58,7 +58,7 @@ def apply_system(signal, h) -> ComplexImage:
     # returns a correct new array and leaves wrong values in buf
     np.fft.ifft(buf, axis=1, out=buf)
     np.fft.ifft(buf, axis=0, out=buf)
-    return ComplexImage.from_complex(buf, copy=False)
+    return ComplexImage(buf, copy=False)
 
 
 def histogram_match(source, reference: AmplitudeImage) -> AmplitudeImage:
@@ -89,11 +89,11 @@ def run_attack(image: AmplitudeImage, config: AttackConfig) -> AmplitudeImage:
     h = config.transfer_function
     if h.shape != image.shape:
         raise RasterError(f"transfer function {h.shape} does not match image {image.shape}")
-    # the speckle field goes once it is injected, and the complex plane once it is
-    # filtered in place and |z| taken: a bare plane the histogram match scatters into
+    # one complex plane is drawn, speckled and filtered in place, and goes once |z|
+    # is taken: a bare plane the histogram match scatters into
     filtered = apply_system(inject_speckle(
-        image, generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)), h)
-    amplitude = np.hypot(filtered.re, filtered.im)
+        image, generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)), h).values
+    amplitude = np.hypot(filtered.real, filtered.imag)
     del filtered
     return (histogram_match(amplitude, image) if config.histogram_match
             else AmplitudeImage(amplitude, image.dynamic_range_bits, copy=False))

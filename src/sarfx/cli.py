@@ -270,7 +270,7 @@ def cmd_attack(args) -> int:
     write_raster(run_attack(image, config), args.out)
     if args.dump_intermediates:  # the same seed redraws the intermediates the attack dropped
         field = generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)
-        speckled = ComplexImage.from_complex(inject_speckle(image, field), copy=False)
+        speckled = ComplexImage(inject_speckle(image, field), copy=False)
         write_raster(speckled, f"{args.out}.speckled.sarf")
         write_raster(run_attack(image, replace(config, histogram_match=False)), f"{args.out}.filtered.sarf")
     print(f"wrote {args.out}")

@@ -23,8 +23,8 @@ from pathlib import Path
 from .attack import AttackConfig, run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
-from .raster import (KIND_AMPLITUDE_F64, KIND_MASK_U8, AmplitudeImage, atomic_open, read_header,
-                     read_raster, write_raster)
+from .raster import (KIND_AMPLITUDE_F64, KIND_MASK_U8, AmplitudeImage, ComplexImage, RasterError,
+                     atomic_open, read_header, read_raster, write_raster)
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
 from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
@@ -286,7 +286,10 @@ def load_filter(plan: dict) -> TransferFunction | None:
     from its splice."""
     flt = plan["filter"]
     if "known" in flt:
-        return TransferFunction(read_raster(flt["known"]).values)
+        h = read_raster(flt["known"])
+        if isinstance(h, ComplexImage):  # a response is real: its imaginary part would be dropped
+            raise RasterError(f"{flt['known']}: a known H must be a real raster, not a complex one")
+        return TransferFunction(h.values)
     sources = flt["estimate"].get("sources", "self")
     if sources == "self":
         return None

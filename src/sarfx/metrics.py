@@ -18,13 +18,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .raster import (
-    AmplitudeImage,
-    ComplexImage,
-    RasterError,
-    TamperMask,
-    read_raster,
-)
+from .raster import AmplitudeImage, RasterError, TamperMask, read_raster
 from .spectral import _BLOCK_ROWS, valid_convolver
 
 SSIM_WINDOW_SIZE = 11
@@ -309,11 +303,9 @@ def read_fingerprint(path) -> np.ndarray:
     or the real plane of a complex one (fingerprints may carry negative
     scores). A mask raster is rejected rather than scored."""
     image = read_raster(path)
-    if isinstance(image, ComplexImage):
-        return image.re
-    if isinstance(image, AmplitudeImage):
-        return image.values
-    raise RasterError(f"{path}: masks cannot serve as fingerprints")
+    if isinstance(image, TamperMask):
+        raise RasterError(f"{path}: masks cannot serve as fingerprints")
+    return image.values.real
 
 
 def evaluate_pair(

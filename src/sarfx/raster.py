@@ -53,70 +53,45 @@ def _check_plane(arr: np.ndarray, name: str) -> None:
 
 
 class PlaneShape:
-    """``height``/``width``/``shape`` of a 2D raster type, read from the plane
-    attribute that ``_plane`` names."""
-
-    _plane = "values"
+    """``height``/``width``/``shape`` of a 2D raster type, read from its ``values`` plane."""
 
     @property
     def height(self) -> int:
-        return getattr(self, self._plane).shape[0]
+        return self.values.shape[0]
 
     @property
     def width(self) -> int:
-        return getattr(self, self._plane).shape[1]
+        return self.values.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return getattr(self, self._plane).shape
+        return self.values.shape
 
 
 @dataclass(frozen=True)
 class ComplexImage(PlaneShape):
-    """2D complex raster, the full SAR signal: one complex128 plane, of which
-    ``re`` and ``im`` are read-only float64 views."""
+    """2D complex raster, the full SAR signal: one complex128 plane. ``values`` is
+    copied; with ``copy=False`` a C-contiguous complex128 plane is held, not copied,
+    and nothing may write to it after."""
 
-    _plane = "re"
+    values: np.ndarray
+    copy: InitVar[bool] = True
 
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re, im = np.asarray(self.re, np.float64), np.asarray(self.im, np.float64)
-        if re.shape != im.shape:
-            raise RasterError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
-        z = np.empty(re.shape, np.complex128)
-        z.real, z.imag = re, im
-        self._hold(z, copy=False)
-
-    def _hold(self, z, copy: bool) -> None:
-        z = _locked(z, np.complex128, copy)
-        _check_plane(z, "signal")
-        for name, plane in (("_z", z), ("re", z.real), ("im", z.imag)):
-            object.__setattr__(self, name, plane)
-
-    def to_complex(self) -> np.ndarray:
-        """The signal's read-only complex128 plane."""
-        return self._z
+    def __post_init__(self, copy):
+        values = _locked(self.values, np.complex128, copy)
+        _check_plane(values, "signal")
+        object.__setattr__(self, "values", values)
 
     def amplitude(self, dynamic_range_bits: int = 16) -> "AmplitudeImage":
         """|z| per pixel; always nonnegative by construction."""
-        return AmplitudeImage(np.hypot(self.re, self.im), dynamic_range_bits, copy=False)
-
-    @classmethod
-    def from_complex(cls, z, copy: bool = True) -> "ComplexImage":
-        """Image of the complex plane ``z``. With ``copy=False`` a C-contiguous
-        complex128 ``z`` is held, not copied: nothing may write to it after."""
-        image = object.__new__(cls)
-        image._hold(z, copy)
-        return image
+        return AmplitudeImage(np.hypot(self.values.real, self.values.imag), dynamic_range_bits, copy=False)
 
 
 @dataclass(frozen=True)
 class AmplitudeImage(PlaneShape):
     """2D nonnegative real raster, the released SAR product. ``values`` is copied;
-    with ``copy=False`` (as for ``TamperMask`` and ``SpeckleField``) a plane the
-    caller has just computed is held as it is, and nothing may write to it after."""
+    with ``copy=False``, as for the other raster types, a plane the caller has
+    just computed is held as it is, and nothing may write to it after."""
 
     values: np.ndarray
     dynamic_range_bits: int = 16
@@ -197,7 +172,7 @@ def write_raster(image: RasterImage, path) -> None:
     if isinstance(image, AmplitudeImage):
         kind, bits, planes = KIND_AMPLITUDE_F64, image.dynamic_range_bits, (image.values,)
     elif isinstance(image, ComplexImage):
-        kind, bits, planes = KIND_COMPLEX_F64, 0, (image.re, image.im)
+        kind, bits, planes = KIND_COMPLEX_F64, 0, (image.values.real, image.values.imag)
     elif isinstance(image, TamperMask):
         kind, bits, planes, dtype = KIND_MASK_U8, 0, (image.values,), np.uint8
     else:
@@ -242,8 +217,9 @@ def read_raster(path) -> RasterImage:
             values = np.frombuffer(payload, dtype="<f8").reshape(shape)
             return AmplitudeImage(values, header.dynamic_range_bits or 16, copy=False)
         if header.kind == KIND_COMPLEX_F64:
-            re, im = np.frombuffer(payload, dtype="<f8").reshape(2, *shape)
-            return ComplexImage(re, im)
+            z = np.empty(shape, np.complex128)  # parts assigned, as re + 1j*im can flip a signed zero
+            z.real, z.imag = np.frombuffer(payload, dtype="<f8").reshape(2, *shape)
+            return ComplexImage(z, copy=False)
         return TamperMask(np.frombuffer(payload, dtype=np.uint8).reshape(shape), copy=False)
     except RasterError as exc:
         raise RasterError(f"{path}: {exc}") from None
@@ -272,11 +248,6 @@ def tile(image: RasterImage, tile_size: int, overlap: int):
     n_rows = (image.height - tile_size) // stride + 1
     n_cols = (image.width - tile_size) // stride + 1
 
-    def crop(r0, c0):
-        sl = (slice(r0, r0 + tile_size), slice(c0, c0 + tile_size))
-        if isinstance(image, ComplexImage):
-            return ComplexImage.from_complex(image.to_complex()[sl])
-        return replace(image, values=image.values[sl])
-
     origins = [(i * stride, j * stride) for i in range(n_rows) for j in range(n_cols)]
-    return [(crop(r0, c0), r0, c0) for r0, c0 in origins]
+    return [(replace(image, values=image.values[r0:r0 + tile_size, c0:c0 + tile_size]), r0, c0)
+            for r0, c0 in origins]

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .raster import AmplitudeImage, PlaneShape, RasterError, _locked
+from .raster import AmplitudeImage, RasterError
 
 MODE_FULL = "full"
 MODE_PHASE_ONLY = "phase_only"
@@ -37,39 +36,15 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-@dataclass(frozen=True)
-class SpeckleField(PlaneShape):
-    """Complex speckle realization; re/im are float64 planes."""
-
-    _plane = "re"
-
-    re: np.ndarray
-    im: np.ndarray
-    mode: str
-    sigma_s: float | None = None
-    copy: InitVar[bool] = True
-
-    def __post_init__(self, copy):
-        re, im = _locked(self.re, np.float64, copy), _locked(self.im, np.float64, copy)
-        if re.shape != im.shape or re.ndim != 2:
-            raise RasterError("speckle planes must be congruent 2D arrays")
-        if self.mode not in SPECKLE_MODES:
-            raise ValueError(f"unknown speckle mode {self.mode!r}")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.re, self.im)
-
-
 def generate_speckle(
     height: int,
     width: int,
     mode: str = MODE_PHASE_ONLY,
     sigma_s: float = DEFAULT_SIGMA_S,
     seed: int = 0,
-) -> SpeckleField:
-    """Draw a speckle field; deterministic given the seed.
+) -> np.ndarray:
+    """Draw a speckle field into a new complex128 plane that the caller owns;
+    deterministic given the seed.
 
     Draw order is fixed (phases first, then amplitudes) so the stream layout
     is part of the contract.
@@ -80,22 +55,27 @@ def generate_speckle(
         raise ValueError(f"sigma_s must be positive and finite in full mode, got {sigma_s}")
     gen = rng(seed)
     phase = gen.uniform(0.0, 2.0 * np.pi, size=(height, width))
-    if mode == MODE_PHASE_ONLY:
-        return SpeckleField(np.cos(phase), np.sin(phase), mode, copy=False)
-    # Rayleigh via inverse CDF of the uniform draw; u < 1 keeps the log finite.
-    u = gen.random(size=(height, width))
-    amp = sigma_s * np.sqrt(-2.0 * np.log1p(-u))
-    return SpeckleField(amp * np.cos(phase), amp * np.sin(phase), mode, float(sigma_s), copy=False)
+    field = np.empty(phase.shape, np.complex128)
+    field.real = np.cos(phase)  # one part at a time, so one temporary plane at most
+    field.imag = np.sin(phase)
+    del phase  # gone before the amplitudes are drawn
+    if mode == MODE_FULL:
+        # Rayleigh via inverse CDF of the uniform draw; u < 1 keeps the log finite.
+        amp = sigma_s * np.sqrt(-2.0 * np.log1p(-gen.random(size=(height, width))))
+        field.real *= amp
+        field.imag *= amp
+    return field
 
 
-def inject_speckle(amplitude: AmplitudeImage, field: SpeckleField) -> np.ndarray:
-    """Product of a real amplitude and a complex speckle field, filled into a new
-    writable complex128 plane that the caller owns (``apply_system`` filters it in place)."""
+def inject_speckle(amplitude: AmplitudeImage, field: np.ndarray) -> np.ndarray:
+    """Product of a real amplitude and a complex speckle field. The field, as
+    :func:`generate_speckle` returns it, is handed over: the amplitude is
+    multiplied into it in place and it is returned (``apply_system`` filters it
+    in place in turn)."""
     if amplitude.shape != field.shape:
         raise RasterError(
             f"dimension mismatch: amplitude {amplitude.shape} vs field {field.shape}"
         )
-    z = np.empty(amplitude.shape, np.complex128)
-    np.multiply(amplitude.values, field.re, out=z.real)
-    np.multiply(amplitude.values, field.im, out=z.imag)
-    return z
+    field.real *= amplitude.values
+    field.imag *= amplitude.values
+    return field

@@ -58,13 +58,13 @@ class RadialProfile:
 def forward_dft(image) -> Spectrum:
     """Unnormalized forward 2D DFT of an image, returned DC-centered."""
     if isinstance(image, (ComplexImage, AmplitudeImage)):
-        image = image.to_complex() if isinstance(image, ComplexImage) else image.values
+        image = image.values
     return Spectrum(np.fft.fftshift(np.fft.fft2(np.asarray(image, np.complex128))))
 
 
 def inverse_dft(spectrum: Spectrum) -> ComplexImage:
     """Inverse 2D DFT with 1/(N*M) scaling; exact inverse of :func:`forward_dft`."""
-    return ComplexImage.from_complex(np.fft.ifft2(np.fft.ifftshift(spectrum.values)), copy=False)
+    return ComplexImage(np.fft.ifft2(np.fft.ifftshift(spectrum.values)), copy=False)
 
 
 def central_flip(values: np.ndarray) -> np.ndarray:
@@ -97,6 +97,7 @@ def gaussian_kernel_1d(sigma: float, size: int) -> np.ndarray:
 def _next_fast_len(n: int) -> int:
     """The least 5-smooth integer >= ``n`` >= 1, as ``scipy.fft.next_fast_len(n, real=True)``.
     Every 5-smooth number below 2**64 divides 30**64, and no other number does."""
+    n = int(n)  # a numpy integer cannot take 30**64 % n
     while 30**64 % n:
         n += 1
     return n
@@ -155,8 +156,11 @@ def valid_convolver(shape, kernel: np.ndarray):
         out = None if consume else np.empty((len(kept), shape[1] - kernel.shape[1] + 1))
         for r in range(0, len(kept), _BLOCK_ROWS):
             rows = np.fft.irfft(kept[r:r + _BLOCK_ROWS], n, axis=1, norm="forward")[:, crop[1]]
-            rows *= scale
-            (consume or out.__setitem__)(slice(r, r + len(rows)), rows)
+            block = slice(r, r + len(rows))
+            if consume:
+                consume(block, np.multiply(rows, scale, out=rows))
+            else:
+                np.multiply(rows, scale, out=out[block])
         return out
 
     return convolve

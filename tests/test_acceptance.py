@@ -60,7 +60,7 @@ def _report(number, message):
 def test_c01_speckle_statistics():
     start = time.perf_counter()
     field = generate_speckle(1000, 1000, "full", sigma_s=DEFAULT_SIGMA_S, seed=101)
-    amplitude = field.magnitude()
+    amplitude = np.hypot(field.real, field.imag)
 
     expected_mean = DEFAULT_SIGMA_S * np.sqrt(np.pi / 2.0)
     assert abs(amplitude.mean() - expected_mean) / expected_mean < 0.005
@@ -68,7 +68,7 @@ def test_c01_speckle_statistics():
     expected_var = (2.0 - np.pi / 2.0) * DEFAULT_SIGMA_S**2
     assert abs(amplitude.var() - expected_var) / expected_var < 0.01
 
-    phases = np.mod(np.arctan2(field.im, field.re), 2 * np.pi)
+    phases = np.mod(np.arctan2(field.imag, field.real), 2 * np.pi)
     ks = stats.kstest(phases.ravel(), stats.uniform(loc=0, scale=2 * np.pi).cdf)
     assert ks.pvalue > 0.01
 
@@ -88,7 +88,7 @@ def _synthetic_source(n_y, n_x, seed, response):
     rng = np.random.default_rng(seed)
     z = rng.uniform(400, 1200, (n_y, n_x)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (n_y, n_x)))
     shaped = np.fft.ifft2(np.fft.ifftshift(np.fft.fftshift(np.fft.fft2(z)) * response))
-    return ComplexImage(shaped.real, shaped.imag)
+    return ComplexImage(shaped)
 
 
 def test_c02_constraint_set_on_100_estimates():

@@ -240,7 +240,7 @@ def test_cli_metrics_signed_fingerprint(tmp_path, product):
     from sarfx import ComplexImage
 
     fp_path = tmp_path / "fp.sarf"
-    write_raster(ComplexImage(scores, np.zeros_like(scores)), fp_path)
+    write_raster(ComplexImage(scores), fp_path)
     mask_plane = np.zeros((128, 128), dtype=np.uint8)
     mask_plane[10:40, 10:40] = 1
     mask_path = tmp_path / "m.sarf"
@@ -415,6 +415,16 @@ _BAD_ATTACK_FLAGS = {
     "infinite-smoothing-sigma": (["--filter", "estimate:direct:{complex1}", "--smoothing-sigma", "inf"],
                                  "attack plan 'smoothing': sigma must be a positive number, got inf"),
 }
+
+
+def test_attack_rejects_a_complex_known_filter(tmp_path, product, capsys):
+    # a response is real: casting a complex raster to one would drop its imaginary part
+    path = product["complex1"]
+    assert main(["attack", "--input", str(product["amp0"]), "--filter", f"known:{path}",
+                 "--seed", "1", "--out", str(tmp_path / "out.sarf")]) == 1
+    assert capsys.readouterr().err == (
+        f"sarfx: error: {path}: a known H must be a real raster, not a complex one\n")
+    assert not list(tmp_path.glob("out.sarf*"))
 
 
 @pytest.mark.parametrize("case", list(_BAD_ATTACK_FLAGS))
@@ -787,7 +797,7 @@ def test_experiment_estimates_a_shared_filter_once(tmp_path, product, monkeypatc
 
 def test_experiment_failed_shared_estimate_fails_every_job(tmp_path, product):
     zero = tmp_path / "zero_complex.sarf"
-    write_raster(ComplexImage(np.zeros((128, 128)), np.zeros((128, 128))), zero)
+    write_raster(ComplexImage(np.zeros((128, 128))), zero)
     flt = {"estimate": {"strategy": "direct", "sources": [str(zero)]}}
     rc, out = _shared_filter_run(tmp_path, product, "zero", flt)
     assert rc == 1

@@ -3,10 +3,11 @@ in float64 planes.
 
 tracemalloc sees every numpy allocation, so the peak above the level at entry
 counts the planes a stage holds at once. At 256² the attack peaks at 4.00
-planes (4.00 at 1024²) and the scoring at 4.75 (4.14). Spectrum smoothing
-peaks at 3.35 (1.51 at 1024², where its 64-row blocks are a smaller share of
-a plane), a direct H estimate at 4.35 (3.00), and a whole job with a
-self-estimated H and a fingerprint at 7.16 planes above its entry (6.39).
+planes with phase-only and with full speckle alike (4.00 at 1024²), and the
+scoring at 4.75 (4.14). Spectrum smoothing peaks at 3.35 (1.51 at 1024²,
+where its 64-row blocks are a smaller share of a plane), a direct H estimate
+at 4.35 (3.00), and a whole job with a self-estimated H and a fingerprint at
+7.16 planes above its entry (6.39).
 
 Before, these were 4.26, 5.60, 6.11, 6.11 and 8.74 (at 1024²: 4.25, 5.23,
 5.99, 6.00 and 8.36). The histogram match wrote into a plane of its own
@@ -20,6 +21,9 @@ image type copied its planes and each SSIM moment had its own padded buffers,
 the attack and the scoring peaked at 11.26 and 9.38; with one zero-padded
 input buffer per scale the scoring peaked at 6.74, and with a whole product
 plane and each moment a view into its padded-width inverse at 6.23.
+Full speckle peaked at 5.00 (5.00) while ``generate_speckle`` held its phases,
+its uniform draw, its amplitudes and two product planes at once, instead of
+drawing into the one complex plane that the attack filters.
 The scoring peaked at 5.01 (4.32) while it ran five moments at fftconvolve's
 linear transform sizes and kept each call's formed row block through the
 inverse. The curve fits peak at 1.28 planes, the plane cost that the LM
@@ -38,6 +42,8 @@ import numpy as np
 
 from sarfx import (
     AttackConfig,
+    MODE_FULL,
+    MODE_PHASE_ONLY,
     EditOp,
     ExperimentConfig,
     default_smoothing,
@@ -74,13 +80,15 @@ def _peak_planes(fn):
 
 def test_attack_and_scoring_peaks_in_planes():
     image = smooth_reflectivity(N, 1)
-    config = AttackConfig(seed=3, transfer_function=raised_cosine_filter(N, 0.7))
-    attacked = run_attack(image, config)
+    h = raised_cosine_filter(N, 0.7)
+    for mode in (MODE_PHASE_ONLY, MODE_FULL):
+        config = AttackConfig(seed=3, transfer_function=h, speckle_mode=mode)
+        attacked = run_attack(image, config)
+        result, attack_peak = _peak_planes(lambda: run_attack(image, config))
+        assert np.array_equal(result.values, attacked.values)
+        assert attack_peak <= 4.25, mode
     evaluate_pair(attacked, image)  # caches the SSIM window spectra, once per shape
-    result, attack_peak = _peak_planes(lambda: run_attack(image, config))
-    assert np.array_equal(result.values, attacked.values)
     _, scoring_peak = _peak_planes(lambda: evaluate_pair(attacked, image))
-    assert attack_peak <= 4.25
     assert scoring_peak <= 5.0
 
 

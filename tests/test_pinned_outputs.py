@@ -119,7 +119,7 @@ def test_metrics_outputs_pinned(workdir):
     _amplitude(workdir / "a.sarf", (96, 96), 3)
     _amplitude(workdir / "b.sarf", (96, 96), 4)
     scores = np.random.default_rng(5).standard_normal((96, 96))
-    write_raster(ComplexImage(scores, np.zeros_like(scores)), workdir / "fp.sarf")
+    write_raster(ComplexImage(scores), workdir / "fp.sarf")
     mask = np.zeros((96, 96), dtype=np.uint8)
     mask[20:50, 30:70] = 1
     write_raster(TamperMask(mask), workdir / "mask.sarf")
@@ -169,7 +169,7 @@ def test_experiment_artifacts_pinned(workdir):
     _amplitude(workdir / "t1.sarf", (96, 96), 8)
     _amplitude(workdir / "small.sarf", (12, 12), 9)
     scores = np.random.default_rng(10).standard_normal((96, 96))
-    write_raster(ComplexImage(scores, np.zeros_like(scores)), workdir / "fp.sarf")
+    write_raster(ComplexImage(scores), workdir / "fp.sarf")
     config = {
         "schema_version": 1,
         "manifest": [

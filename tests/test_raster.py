@@ -18,7 +18,6 @@ from sarfx import (
 )
 from sarfx.cli import main
 from sarfx.raster import HEADER_SIZE, read_header
-from sarfx.speckle import MODE_FULL, SpeckleField
 
 
 def test_write_raster_payload_equals_astype_tobytes(tmp_path):
@@ -29,7 +28,7 @@ def test_write_raster_payload_equals_astype_tobytes(tmp_path):
     cases = [
         (AmplitudeImage(rng.uniform(0, 9, (20, 30))[::2, ::3], 12), lambda im: [im.values], "<f8"),
         (AmplitudeImage(rng.uniform(0, 9, (6, 5)).T), lambda im: [im.values], "<f8"),
-        (ComplexImage(z.real, z.imag), lambda im: [im.re, im.im], "<f8"),
+        (ComplexImage(z), lambda im: [im.values.real, im.values.imag], "<f8"),
         (TamperMask((rng.random((13, 8)) < 0.5).astype(np.int64).T), lambda im: [im.values],
          np.uint8),
     ]
@@ -61,7 +60,7 @@ def test_payload_size_mismatch_rejected(tmp_path):
 
 def test_complex_round_trip_indexed_planes(tmp_path):
     cols, rows = np.meshgrid(np.arange(5, dtype=float), np.arange(3, dtype=float))
-    image = ComplexImage(re=cols, im=rows)
+    image = ComplexImage(cols + 1j * rows)
     path = tmp_path / "c.sarf"
     write_raster(image, path)
     back = read_raster(path)
@@ -69,8 +68,8 @@ def test_complex_round_trip_indexed_planes(tmp_path):
     # elementwise comparison against the constructed planes
     for i in range(3):
         for j in range(5):
-            assert back.re[i, j] == j
-            assert back.im[i, j] == i
+            assert back.values.real[i, j] == j
+            assert back.values.imag[i, j] == i
 
 
 def test_single_pixel_file_layout(tmp_path):
@@ -90,17 +89,27 @@ def test_round_trip_bit_exact_all_kinds(tmp_path, seed):
     rng = np.random.default_rng(seed)
     images = [
         AmplitudeImage(rng.uniform(0, 60000, (7, 11)), dynamic_range_bits=16),
-        ComplexImage(rng.standard_normal((6, 4)), rng.standard_normal((6, 4))),
+        ComplexImage(rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))),
         TamperMask((rng.random((5, 9)) > 0.5).astype(np.uint8)),
     ]
     for k, image in enumerate(images):
         path = tmp_path / f"rt{k}.sarf"
         write_raster(image, path)
-        back = read_raster(path)
-        if isinstance(image, ComplexImage):
-            assert np.array_equal(back.re, image.re) and np.array_equal(back.im, image.im)
-        else:
-            assert np.array_equal(back.values, image.values)
+        assert np.array_equal(read_raster(path).values, image.values)
+
+
+def test_complex_round_trip_keeps_signed_zeros(tmp_path):
+    # the plane read back is filled part by part: re + 1j*im would turn a -0.0
+    # real part beside a +0.0 imaginary one into +0.0
+    z = np.empty((2, 3), np.complex128)
+    z.real = [[-0.0, 0.0, -0.0], [1.5, -0.0, -2.0]]
+    z.imag = [[0.0, -0.0, -0.0], [-0.0, 3.0, 0.0]]
+    path = tmp_path / "z.sarf"
+    write_raster(ComplexImage(z), path)
+    back = read_raster(path)
+    assert back.values.tobytes() == z.tobytes()
+    write_raster(back, tmp_path / "again.sarf")
+    assert (tmp_path / "again.sarf").read_bytes() == path.read_bytes()
 
 
 def test_header_validation(tmp_path):
@@ -143,7 +152,7 @@ def test_invariant_enforcement():
     with pytest.raises(RasterError):
         AmplitudeImage(np.array([[np.inf, 2.0]]))
     with pytest.raises(RasterError):
-        ComplexImage(np.zeros((2, 2)), np.zeros((3, 2)))
+        ComplexImage(np.array([[1.0 + 1.0j, np.nan]]))
     with pytest.raises(RasterError):
         TamperMask(np.array([[0, 2]]))
     with pytest.raises(RasterError):
@@ -158,17 +167,24 @@ def test_images_are_immutable():
 
 @pytest.mark.parametrize("shape", [(8, 8), (7, 9), (1, 6), (5, 1)])
 def test_complex_image_holds_one_plane(shape):
-    # re/im are views of one complex plane filled part by part; it equals
-    # re + 1j*im, and |z| over the strided views equals hypot of contiguous planes
+    # one read-only complex128 plane; |z| over its strided parts equals hypot
+    # of contiguous planes
     rng = np.random.default_rng(sum(shape))
     re, im = rng.standard_normal((2, *shape))
-    image = ComplexImage(re, im)
-    z = image.to_complex()
-    assert z.dtype == np.complex128 and not z.flags.writeable
-    assert np.shares_memory(image.re, z) and np.shares_memory(image.im, z)
-    assert np.array_equal(z, re + 1j * im)
+    image = ComplexImage(re + 1j * im)
+    z = image.values
+    assert z.dtype == np.complex128 and z.flags.c_contiguous and not z.flags.writeable
+    assert image.shape == shape and np.array_equal(z, re + 1j * im)
     assert np.array_equal(image.amplitude().values, np.hypot(re, im))
-    assert np.array_equal(ComplexImage.from_complex(re + 1j * im).to_complex(), z)
+    assert np.array_equal(ComplexImage(re).values, re + 0j)  # a real plane gains a zero imaginary part
+
+
+def test_complex_image_copies_unless_told_to_hold():
+    z = np.random.default_rng(4).standard_normal((5, 6)) + 0j
+    copied = ComplexImage(z)
+    assert not np.shares_memory(copied.values, z) and z.flags.writeable
+    held = ComplexImage(z, copy=False)
+    assert held.values is z and not z.flags.writeable
 
 
 def test_images_do_not_share_a_callers_arrays():
@@ -178,15 +194,13 @@ def test_images_do_not_share_a_callers_arrays():
     values, real, imag = rng.uniform(1.0, 2.0, (3, 6, 7))
     z = real + 1j * imag
     mask = (values > 1.5).astype(np.uint8)
-    images = [AmplitudeImage(values), ComplexImage(real, imag), ComplexImage.from_complex(z),
-              SpeckleField(real, imag, MODE_FULL, 1.0), TamperMask(mask)]
+    images = [AmplitudeImage(values), ComplexImage(real), ComplexImage(z), TamperMask(mask)]
 
     def planes():
-        return [np.copy(getattr(image, name)) for image in images
-                for name in ("values", "re", "im") if hasattr(image, name)]
+        return [np.copy(image.values) for image in images]
 
     before = planes()
-    for arr in (values, real, imag, z):
+    for arr in (values, real, z):
         arr[...] = -7.0
     mask ^= 1
     assert all(np.array_equal(a, b) for a, b in zip(planes(), before, strict=True))
@@ -194,10 +208,10 @@ def test_images_do_not_share_a_callers_arrays():
 
 def test_amplitude_extraction_nonnegative():
     rng = np.random.default_rng(7)
-    image = ComplexImage(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)))
+    image = ComplexImage(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
     amp = image.amplitude()
     assert np.all(amp.values >= 0)
-    assert np.allclose(amp.values, np.abs(image.to_complex()))
+    assert np.allclose(amp.values, np.abs(image.values))
 
 
 def test_quantized_export_range():
@@ -289,11 +303,10 @@ def test_tile_preserves_kind_and_errors():
     assert all(isinstance(p, TamperMask) for p, _, _ in pieces)
 
     rng = np.random.default_rng(11)
-    signal = ComplexImage(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+    signal = ComplexImage(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     piece, r, c = tile(signal, 4, 2)[1]
     assert isinstance(piece, ComplexImage)
-    assert np.array_equal(piece.re, signal.re[r : r + 4, c : c + 4])
-    assert np.array_equal(piece.im, signal.im[r : r + 4, c : c + 4])
+    assert np.array_equal(piece.values, signal.values[r : r + 4, c : c + 4])
 
     with pytest.raises(RasterError, match="exceeds"):
         tile(mask, 16, 0)
