@@ -11,7 +11,6 @@ Run:  python demos/05_counter_forensic_attack.py
 import numpy as np
 
 from sarfx import (
-    AttackConfig,
     EditOp,
     auc_roc,
     delta_enl,
@@ -45,13 +44,7 @@ print(f"stand-in detector AUC on the spliced tile: {auc_before:.3f}")
 
 # --- the attack ---------------------------------------------------------------
 h_est = estimate_transfer_function([sibling], "direct", sigma=10.1, kernel_size=61)
-config = AttackConfig(
-    seed=31,
-    speckle_mode="phase_only",
-    transfer_function=h_est,
-    histogram_match=True,
-)
-attacked = run_attack(spliced, config)
+attacked = run_attack(spliced, h_est, seed=31, speckle_mode="phase_only", match_histogram=True)
 
 auc_after = auc_roc(residual_variance(attacked), mask, polarity="max")
 print(f"stand-in detector AUC after the attack:    {auc_after:.3f}")

@@ -12,7 +12,6 @@ Run:  python demos/06_edit_catalog_evaluation.py   (~15 s)
 import numpy as np
 
 from sarfx import (
-    AttackConfig,
     EditOp,
     auc_roc,
     delta_enl,
@@ -57,7 +56,7 @@ for edit in EDITS:
             [tile], region=(64, 64), edit=edit, seed=derive_seed(41, label, str(k))
         )
         before.append(auc_roc(residual_variance(spliced), mask, polarity="max"))
-        attacked = run_attack(spliced, AttackConfig(seed=3000 + k, transfer_function=h_est))
+        attacked = run_attack(spliced, h_est, 3000 + k)
         after.append(auc_roc(residual_variance(attacked), mask, polarity="max"))
         quality.append(ssim(attacked, spliced))
         denl.append(delta_enl(attacked, spliced))

@@ -23,7 +23,6 @@ from .raster import (
 )
 from .spectral import (
     RadialProfile,
-    Spectrum,
     azimuthal_profile,
     central_flip,
     forward_dft,
@@ -64,7 +63,6 @@ from .forgery import (
     splice,
 )
 from .attack import (
-    AttackConfig,
     apply_system,
     histogram_match,
     run_attack,

@@ -7,31 +7,11 @@ against the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .raster import AmplitudeImage, ComplexImage, RasterError
-from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES, generate_speckle, inject_speckle
+from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, generate_speckle, inject_speckle
 from .sysid import TransferFunction
-
-@dataclass(frozen=True)
-class AttackConfig:
-    """Everything needed to reproduce one attack run.
-
-    The filter is the system response H, known or estimated beforehand with
-    :func:`sarfx.sysid.estimate_transfer_function`.
-    """
-
-    seed: int
-    transfer_function: TransferFunction
-    speckle_mode: str = MODE_PHASE_ONLY
-    sigma_s: float = DEFAULT_SIGMA_S
-    histogram_match: bool = True
-
-    def __post_init__(self):
-        if self.speckle_mode not in SPECKLE_MODES:
-            raise ValueError(f"unknown speckle mode {self.speckle_mode!r}")
 
 
 def apply_system(signal, h) -> ComplexImage:
@@ -84,16 +64,18 @@ def histogram_match(source, reference: AmplitudeImage) -> AmplitudeImage:
     return AmplitudeImage(matched.reshape(values.shape), reference.dynamic_range_bits, copy=False)
 
 
-def run_attack(image: AmplitudeImage, config: AttackConfig) -> AmplitudeImage:
-    """The attacked image: the full pipeline run on an amplitude image; deterministic under the seed."""
-    h = config.transfer_function
+def run_attack(image: AmplitudeImage, h: TransferFunction, seed: int, speckle_mode: str = MODE_PHASE_ONLY,
+               sigma_s: float = DEFAULT_SIGMA_S, match_histogram: bool = True) -> AmplitudeImage:
+    """The attacked image: the full pipeline run on an amplitude image through the
+    system response ``h``, known or estimated beforehand with
+    :func:`sarfx.sysid.estimate_transfer_function`; deterministic under the seed."""
     if h.shape != image.shape:
         raise RasterError(f"transfer function {h.shape} does not match image {image.shape}")
     # one complex plane is drawn, speckled and filtered in place, and goes once |z|
     # is taken: a bare plane the histogram match scatters into
     filtered = apply_system(inject_speckle(
-        image, generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)), h).values
+        image, generate_speckle(*image.shape, speckle_mode, sigma_s, seed)), h).values
     amplitude = np.hypot(filtered.real, filtered.imag)
     del filtered
-    return (histogram_match(amplitude, image) if config.histogram_match
+    return (histogram_match(amplitude, image) if match_histogram
             else AmplitudeImage(amplitude, image.dynamic_range_bits, copy=False))

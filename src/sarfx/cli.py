@@ -12,7 +12,6 @@ import csv
 import json
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -266,13 +265,14 @@ def cmd_attack(args) -> int:
     check_attack_plan(plan)
     rng(args.seed)  # range-checks the seed before H is loaded
     image = _read_amplitude(args.input)
-    config = attack_config(plan, args.seed, load_filter(plan))
-    write_raster(run_attack(image, config), args.out)
+    h, arguments = load_filter(plan), attack_config(plan)
+    write_raster(run_attack(image, h, args.seed, **arguments), args.out)
     if args.dump_intermediates:  # the same seed redraws the intermediates the attack dropped
-        field = generate_speckle(*image.shape, config.speckle_mode, config.sigma_s, config.seed)
+        field = generate_speckle(*image.shape, arguments["speckle_mode"], arguments["sigma_s"], args.seed)
         speckled = ComplexImage(inject_speckle(image, field), copy=False)
         write_raster(speckled, f"{args.out}.speckled.sarf")
-        write_raster(run_attack(image, replace(config, histogram_match=False)), f"{args.out}.filtered.sarf")
+        arguments["match_histogram"] = False
+        write_raster(run_attack(image, h, args.seed, **arguments), f"{args.out}.filtered.sarf")
     print(f"wrote {args.out}")
     return 0
 

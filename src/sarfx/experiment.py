@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .attack import AttackConfig, run_attack
+from .attack import run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
 from .raster import (KIND_AMPLITUDE_F64, KIND_MASK_U8, AmplitudeImage, ComplexImage, RasterError,
@@ -74,7 +74,6 @@ class ExperimentConfig:
     master_seed: int
     out_dir: str
     attack_plan: dict | None = None
-    schema_version: int = SCHEMA_VERSION
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -166,6 +165,8 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {
+    "config": {"schema_version", "manifest", "edits", "region", "attack", "master_seed", "out_dir"},
+    "manifest": {"id", "path", "product", "fingerprint"},
     "edits": {"kind", "parameter", "range_class"},
     "attack": {"filter", "smoothing", "speckle_mode", "sigma_s", "histogram_match"},
     "filter": {"known", "estimate"},
@@ -181,18 +182,16 @@ _WHERE = {"config": "the config", "manifest": "a manifest entry", "edits": "an e
 
 
 def _check_keys(section: str, value) -> None:
-    """``value`` is an object with every required key of ``section`` and, where
-    ``_CONFIG_KEYS`` lists the section's keys, no other key."""
+    """``value`` is an object with every required key of ``section`` and no key
+    that ``_CONFIG_KEYS`` does not list for it."""
     where = _WHERE.get(section, f"attack plan {section!r}")
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object, got {value!r}")
-    accepted = _CONFIG_KEYS.get(section)
-    unknown = value.keys() - accepted if accepted else set()
-    for problem, keys in (("unknown", unknown),
+    accepted = _CONFIG_KEYS[section]
+    for problem, keys in (("unknown", value.keys() - accepted),
                           ("missing", _REQUIRED_KEYS.get(section, set()) - value.keys())):
         if keys:
-            hint = f"; accepted: {sorted(accepted)}" if accepted else ""
-            raise ValueError(f"{problem} key(s) {sorted(keys)} in {where}{hint}")
+            raise ValueError(f"{problem} key(s) {sorted(keys)} in {where}; accepted: {sorted(accepted)}")
 
 
 def _is_number(value, kind=(int, float)) -> bool:
@@ -261,15 +260,14 @@ def _estimate_filter(plan: dict, sources: list) -> TransferFunction:
     )
 
 
-def attack_config(plan: dict, seed: int, h: TransferFunction) -> AttackConfig:
-    """The attack a checked plan runs with one seed through the response ``h``."""
-    return AttackConfig(
-        seed=seed,
-        transfer_function=h,
-        speckle_mode=plan.get("speckle_mode", MODE_PHASE_ONLY),
-        sigma_s=plan.get("sigma_s", DEFAULT_SIGMA_S),
-        histogram_match=plan.get("histogram_match", True),
-    )
+# attack plan key -> run_attack keyword
+_ATTACK_ARGUMENTS = {"speckle_mode": "speckle_mode", "sigma_s": "sigma_s", "histogram_match": "match_histogram"}
+
+
+def attack_config(plan: dict) -> dict:
+    """The keyword arguments of :func:`run_attack` that a checked plan sets; one
+    the plan leaves out keeps run_attack's default."""
+    return {arg: plan[key] for key, arg in _ATTACK_ARGUMENTS.items() if key in plan}
 
 
 @dataclass
@@ -316,7 +314,7 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         if h is None:
             h = _estimate_filter(config.attack_plan, [spliced])
         seed = derive_seed(config.master_seed, key, "attack")
-        attacked = run_attack(spliced, attack_config(config.attack_plan, seed, h))
+        attacked = run_attack(spliced, h, seed, **attack_config(config.attack_plan))
         del h  # a self-estimated H is a plane that scoring does not need
 
     # Scored at read, before any artifact is written (a bad one leaves none) or SSIM runs.

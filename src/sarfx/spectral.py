@@ -13,23 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError, _check_plane, _locked
+from .raster import AmplitudeImage, ComplexImage, RasterError
 from .tables import csv_text
-
-
-@dataclass(frozen=True)
-class Spectrum(PlaneShape):
-    """DC-centered complex spectrum with the dimensions of its source image."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _locked(self.values, np.complex128)
-        _check_plane(values, "spectrum")
-        object.__setattr__(self, "values", values)
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
 
 
 @dataclass(frozen=True)
@@ -55,14 +40,15 @@ class RadialProfile:
             object.__setattr__(self, name, arr)
 
 
-def forward_dft(image) -> Spectrum:
-    """Unnormalized forward 2D DFT of an image, returned DC-centered."""
+def forward_dft(image) -> ComplexImage:
+    """Unnormalized forward 2D DFT of an image, returned DC-centered as a complex
+    plane with the dimensions of its source."""
     if isinstance(image, (ComplexImage, AmplitudeImage)):
         image = image.values
-    return Spectrum(np.fft.fftshift(np.fft.fft2(np.asarray(image, np.complex128))))
+    return ComplexImage(np.fft.fftshift(np.fft.fft2(np.asarray(image, np.complex128))), copy=False)
 
 
-def inverse_dft(spectrum: Spectrum) -> ComplexImage:
+def inverse_dft(spectrum: ComplexImage) -> ComplexImage:
     """Inverse 2D DFT with 1/(N*M) scaling; exact inverse of :func:`forward_dft`."""
     return ComplexImage(np.fft.ifft2(np.fft.ifftshift(spectrum.values)), copy=False)
 
@@ -192,7 +178,7 @@ def smooth_spectrum(mag: np.ndarray, sigma: float, kernel_size: int) -> np.ndarr
     return np.maximum(out, 0.0, out=out)
 
 
-def azimuthal_profile(spectrum: Spectrum) -> RadialProfile:
+def azimuthal_profile(spectrum: ComplexImage) -> RadialProfile:
     """Mean of |S|^2 per annulus of rounded Euclidean radius from DC.
 
     Ring-mean normalization, so a flat (white) spectrum yields a flat profile.

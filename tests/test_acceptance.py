@@ -13,7 +13,6 @@ from scipy import stats
 
 from sarfx import (
     AmplitudeImage,
-    AttackConfig,
     ComplexImage,
     EditOp,
     GlobalEditOp,
@@ -218,7 +217,7 @@ def test_c05_synthetic_closure():
         scene = smooth_reflectivity(n, k).values.copy()
         scene[32:224, 32:224] = 1600.0
         pristine = simulate_pristine(AmplitudeImage(scene), h_true, seed=3000 + k).amplitude()
-        attacked = run_attack(pristine, AttackConfig(seed=4000 + k, transfer_function=h_est))
+        attacked = run_attack(pristine, h_est, 4000 + k)
         s = ssim(attacked, pristine)
         assert s >= 0.95
         d_tile = delta_enl(attacked, pristine)
@@ -350,7 +349,7 @@ def test_c09_attack_reduces_detectability():
             [tile], region=(64, 64), edit=EditOp("gaussian_blur"), seed=7000 + trial
         )
         before.append(auc_roc(residual_variance(spliced), mask, polarity="max"))
-        attacked = run_attack(spliced, AttackConfig(seed=8000 + trial, transfer_function=h_est))
+        attacked = run_attack(spliced, h_est, 8000 + trial)
         after.append(auc_roc(residual_variance(attacked), mask, polarity="max"))
 
     median_before = float(np.median(before))

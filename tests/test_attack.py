@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +8,9 @@ from sarfx import (
     AmplitudeImage,
     MODE_FULL,
     MODE_PHASE_ONLY,
-    AttackConfig,
     ComplexImage,
     EditOp,
     RasterError,
-    Spectrum,
     TransferFunction,
     apply_system,
     azimuthal_profile,
@@ -85,7 +82,7 @@ def test_apply_system_equals_centered_round_trip(shape, bare):
         h = (h + central_flip(h)) / 2.0
         h = TransferFunction(h / h.max())
     values = h.values if isinstance(h, TransferFunction) else h
-    old = inverse_dft(Spectrum(forward_dft(signal).values * values))
+    old = inverse_dft(ComplexImage(forward_dft(signal).values * values))
     new = apply_system(signal, h)
     assert np.array_equal(new.values, old.values)
 
@@ -253,7 +250,7 @@ def test_histogram_match_size_mismatch():
 
 def test_attack_preserves_value_multiset():
     image = AmplitudeImage(np.random.default_rng(7).uniform(100, 2000, (64, 64)))
-    attacked = run_attack(image, AttackConfig(seed=1, transfer_function=_flat_filter(64)))
+    attacked = run_attack(image, _flat_filter(64), 1)
     assert np.array_equal(np.sort(attacked.values, axis=None), np.sort(image.values, axis=None))
     assert attacked.shape == image.shape
     assert attacked.dynamic_range_bits == image.dynamic_range_bits
@@ -261,31 +258,31 @@ def test_attack_preserves_value_multiset():
     # under a real (mixing) low-pass the per-pixel values genuinely move,
     # while the multiset stays pinned by the rank map
     low_pass = raised_cosine_filter(64, 0.6)
-    mixed = run_attack(image, AttackConfig(seed=1, transfer_function=low_pass))
+    mixed = run_attack(image, low_pass, 1)
     assert np.array_equal(np.sort(mixed.values, axis=None), np.sort(image.values, axis=None))
     assert np.mean(mixed.values != image.values) > 0.9
 
 
 def test_attack_on_zero_image_is_zero():
     image = AmplitudeImage(np.zeros((32, 32)))
-    attacked = run_attack(image, AttackConfig(seed=2, transfer_function=_flat_filter(32)))
+    attacked = run_attack(image, _flat_filter(32), 2)
     assert np.abs(attacked.values).max() == 0.0
 
 
 def test_attack_deterministic():
     image = AmplitudeImage(np.random.default_rng(8).uniform(0, 100, (32, 32)))
-    cfg = AttackConfig(seed=33, transfer_function=_flat_filter(32))
-    a = run_attack(image, cfg)
-    b = run_attack(image, cfg)
+    h = _flat_filter(32)
+    a = run_attack(image, h, 33)
+    b = run_attack(image, h, 33)
     assert np.array_equal(a.values, b.values)
 
 
 def test_attack_without_matching_skips_rank_map():
     image = AmplitudeImage(np.random.default_rng(9).uniform(100, 200, (32, 32)))
-    cfg = AttackConfig(seed=3, transfer_function=_flat_filter(32), histogram_match=False)
+    h = _flat_filter(32)
     speckled = inject_speckle(image, generate_speckle(32, 32, seed=3))
-    filtered = apply_system(speckled, cfg.transfer_function)
-    assert np.array_equal(run_attack(image, cfg).values, filtered.amplitude().values)
+    filtered = apply_system(speckled, h)
+    assert np.array_equal(run_attack(image, h, 3, match_histogram=False).values, filtered.amplitude().values)
 
 
 @pytest.mark.parametrize("mode", [MODE_FULL, MODE_PHASE_ONLY])
@@ -293,13 +290,12 @@ def test_attack_is_speckle_then_filter_then_match(mode):
     # the attacked image against the chain run stage by stage
     image = AmplitudeImage(np.random.default_rng(10).uniform(0, 4000, (48, 48)), 12)
     h = raised_cosine_filter(48, 0.6)
-    cfg = AttackConfig(seed=5, transfer_function=h, speckle_mode=mode, sigma_s=0.9)
     field = generate_speckle(48, 48, mode, 0.9, seed=5)
     filtered = apply_system(inject_speckle(image, field), h).amplitude(12)
-    unmatched = run_attack(image, replace(cfg, histogram_match=False))
+    unmatched = run_attack(image, h, 5, speckle_mode=mode, sigma_s=0.9, match_histogram=False)
     assert np.array_equal(unmatched.values, filtered.values)
     assert unmatched.dynamic_range_bits == 12
-    attacked = run_attack(image, cfg)
+    attacked = run_attack(image, h, 5, speckle_mode=mode, sigma_s=0.9)
     assert np.array_equal(attacked.values, histogram_match(filtered, image).values)
     assert attacked.dynamic_range_bits == 12
 
@@ -316,7 +312,7 @@ def test_attack_calls_each_stage_through_its_module_binding_once(monkeypatch):
             return _stage(*args, **kwargs)
         monkeypatch.setattr(attack, name, counted)
     image = AmplitudeImage(np.random.default_rng(11).uniform(0, 100, (16, 16)))
-    run_attack(image, AttackConfig(seed=6, transfer_function=_flat_filter(16)))
+    run_attack(image, _flat_filter(16), 6)
     assert calls == {name: 1 for name in _STAGES}
 
 
@@ -328,15 +324,20 @@ def test_attack_with_estimation_sources():
     assert h_est.shape == (64, 64)
     assert h_est.values.max() == 1.0
     image = pristine.amplitude()
-    attacked = run_attack(image, AttackConfig(seed=4, transfer_function=h_est))
+    attacked = run_attack(image, h_est, 4)
     assert np.array_equal(np.sort(attacked.values, axis=None), np.sort(image.values, axis=None))
 
 
-def test_attack_config_validation():
-    with pytest.raises(TypeError, match="transfer_function"):
-        AttackConfig(seed=0)
-    with pytest.raises(ValueError, match="speckle mode"):
-        AttackConfig(seed=0, speckle_mode="sideways", transfer_function=_flat_filter(8))
+def test_attack_rejects_an_unknown_speckle_mode():
+    image = AmplitudeImage(np.ones((8, 8)))
+    with pytest.raises(ValueError, match="unknown speckle mode 'sideways'"):
+        run_attack(image, _flat_filter(8), 0, speckle_mode="sideways")
+
+
+def test_attack_rejects_a_response_of_another_shape():
+    image = AmplitudeImage(np.ones((8, 8)))
+    with pytest.raises(RasterError, match=r"transfer function \(8, 9\) does not match image \(8, 8\)"):
+        run_attack(image, TransferFunction(np.ones((8, 9)), "known"), 0)
 
 
 def test_attack_keeps_spliced_content():
@@ -346,7 +347,7 @@ def test_attack_keeps_spliced_content():
     spliced, mask, _ = random_splice([bright, tile], (48, 48), EditOp("none"), seed=6, target_index=1)
     h_est = estimate_transfer_function([simulate_pristine(smooth_reflectivity(128, 3), h_true, seed=22)],
                                        "direct", sigma=5.0, kernel_size=31)
-    attacked = run_attack(spliced, AttackConfig(seed=7, transfer_function=h_est))
+    attacked = run_attack(spliced, h_est, 7)
     inside = mask.values.astype(bool)
     mad_inside = np.mean(np.abs(attacked.values[inside] - spliced.values[inside]))
     mad_outside = np.mean(np.abs(attacked.values[~inside] - spliced.values[~inside]))
@@ -393,7 +394,7 @@ def test_scene_spectrum_tracks_response():
     scene = smooth_reflectivity(128, 4)
     pristine = simulate_pristine(scene, h_true, seed=32)
     profile = azimuthal_profile(forward_dft(pristine))
-    reference = azimuthal_profile(Spectrum(h_true.values.astype(complex)))
+    reference = azimuthal_profile(ComplexImage(h_true.values))
     n = min(profile.values.size, reference.values.size)
     corr = np.corrcoef(profile.values[:n], reference.values[:n])[0, 1]
     assert corr >= 0.9

@@ -367,6 +367,30 @@ def test_forge_pastes_through_place_splice(tmp_path, product, edit, region):
     assert sorted(provenance.keys() - record.keys()) == ["donor", "seed", "target"]
 
 
+def test_forge_takes_a_complex_target_as_its_amplitude(tmp_path, product):
+    # amp0 holds the amplitude of complex0
+    for name in ("amp0", "complex0"):
+        (tmp_path / name).mkdir()
+        argv = _forge_argv(product, tmp_path / name)
+        argv[argv.index("--target") + 1] = str(product[name])
+        assert main(argv) == 0
+    for raster in ("spliced.sarf", "mask.sarf"):
+        assert (tmp_path / "complex0" / raster).read_bytes() == (tmp_path / "amp0" / raster).read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--a", "{mask}", "--b", "{amp}"], "{mask}: expected an amplitude raster, got TamperMask"),
+    (["--a", "{amp}", "--b", "{amp}", "--mask", "{amp}"], "{amp}: expected a mask raster"),
+], ids=["mask-as-image", "amplitude-as-mask"])
+def test_metrics_rejects_a_raster_of_the_other_kind(tmp_path, product, capsys, flags, message):
+    paths = {"amp": product["amp0"], "mask": tmp_path / "mask.sarf"}
+    write_raster(TamperMask(np.eye(128, dtype=np.uint8)), paths["mask"])
+    assert main(["metrics", *(flag.format(**paths) for flag in flags)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sarfx: error: {message.format(**paths)}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("size", ["0", "-4"])
 def test_tile_rejects_a_nonpositive_size(tmp_path, product, capsys, size):
     out_dir = tmp_path / "tiles"
@@ -919,7 +943,21 @@ _BAD_ATTACK_PLANS = {
     "dot-dot-id": lambda c: c["manifest"][1].update({"id": ".."}),
     "backslash-id": lambda c: c["manifest"][1].update({"id": "a\\b"}),
     "nul-id": lambda c: c["manifest"][1].update({"id": "a\0b"}),
+    "misspelt-attack": lambda c: c.update({"atack": c.pop("attack")}),
+    "misspelt-fingerprint": lambda c: c["manifest"][0].update({"fingerprnt": "t0_fp.sarf"}),
+    "schema-version-2": lambda c: c.update({"schema_version": 2}),
+    "duplicate-manifest-id": lambda c: c["manifest"][1].update({"id": "t0"}),
+    "duplicate-edit-label": lambda c: c["edits"].append({"kind": "gaussian_blur", "parameter": 2.0}),
+    "number-manifest-entry": lambda c: c["manifest"].append(5),
+    "known-and-estimate-filter": lambda c: c["attack"]["filter"].update({"known": "h.sarf"}),
+    "absent-fingerprint-file": lambda c: c["manifest"][1].update({"fingerprint": "absent.sarf"}),
+    "absent-estimate-source": lambda c: c["attack"]["filter"]["estimate"].update({"sources": ["absent.sarf"]}),
 }
+
+
+def _rejection(case):
+    """The error a bad config case raises at load: a path that names no file is not found."""
+    return FileNotFoundError if case.startswith("absent-") else ValueError
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_ATTACK_PLANS))
@@ -928,12 +966,16 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     config = json.loads(path.read_text())
     _BAD_ATTACK_PLANS[case](config)
     path.write_text(json.dumps(config))
-    with pytest.raises(ValueError):
+    with pytest.raises(_rejection(case)):
         ExperimentConfig.from_json(path)
     assert main(["experiment", "--config", str(path)]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("sarfx: error: ")
     assert not (tmp_path / "bad").exists()
+
+
+_CONFIG_KEYS = "['attack', 'edits', 'manifest', 'master_seed', 'out_dir', 'region', 'schema_version']"
+_ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
 
 
 @pytest.mark.parametrize("case, message", [
@@ -943,9 +985,9 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     ("edit-without-kind",
      "missing key(s) ['kind'] in an edits entry; accepted: ['kind', 'parameter', 'range_class']"),
     ("string-edit-parameter", "an edits entry's parameter must be a number or null, got 'abc'"),
-    ("missing-master-seed", "missing key(s) ['master_seed'] in the config"),
+    ("missing-master-seed", "missing key(s) ['master_seed'] in the config; accepted: " + _CONFIG_KEYS),
     ("string-master-seed", "master_seed must be an integer, got 'abc'"),
-    ("manifest-entry-without-path", "missing key(s) ['path'] in a manifest entry"),
+    ("manifest-entry-without-path", "missing key(s) ['path'] in a manifest entry; accepted: " + _ENTRY_KEYS),
     ("fractional-region", "region must be two positive integers [height, width], got [16.5, 16]"),
     ("region-beyond-every-tile",
      "region [200, 16] is larger than every manifest tile; 't0' is 128x128"),
@@ -972,6 +1014,15 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
     ("infinite-edit-parameter", "edit parameter must be finite, got inf"),
     ("negative-blur-sigma", "gaussian_blur sigma must be nonnegative, got -1.0"),
     ("zero-fixed-downscale", "downscale factor must be positive, got 0.0"),
+    ("misspelt-attack", "unknown key(s) ['atack'] in the config; accepted: " + _CONFIG_KEYS),
+    ("misspelt-fingerprint", "unknown key(s) ['fingerprnt'] in a manifest entry; accepted: " + _ENTRY_KEYS),
+    ("schema-version-2", "unsupported config schema version 2"),
+    ("duplicate-manifest-id", "manifest ids must be unique"),
+    ("duplicate-edit-label", "edit labels must be unique, got ['gaussian_blur', 'upscale_near', 'gaussian_blur']"),
+    ("number-manifest-entry", "a manifest entry must be an object, got 5"),
+    ("known-and-estimate-filter", "attack plan filter must carry exactly one of 'known'/'estimate'"),
+    ("absent-fingerprint-file", "fingerprint path does not exist: absent.sarf"),
+    ("absent-estimate-source", "filter source does not exist: absent.sarf"),
 ], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
         "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
         "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
@@ -979,13 +1030,15 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
         "even-smoothing-kernel", "string-sources", "null-out-dir", "list-manifest-path",
         "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "unknown-strategy",
         "nan-edit-parameter", "infinite-edit-parameter", "negative-blur-sigma",
-        "zero-fixed-downscale"])
+        "zero-fixed-downscale", "misspelt-attack", "misspelt-fingerprint", "schema-version-2",
+        "duplicate-manifest-id", "duplicate-edit-label", "number-manifest-entry",
+        "known-and-estimate-filter", "absent-fingerprint-file", "absent-estimate-source"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())
     _BAD_ATTACK_PLANS[case](config)
     path.write_text(json.dumps(config))
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(_rejection(case)) as excinfo:
         ExperimentConfig.from_json(path)
     assert str(excinfo.value) == message
 

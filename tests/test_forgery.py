@@ -15,6 +15,7 @@ from sarfx import (
     splice,
 )
 from sarfx.forgery import (
+    BLUR_SIGMA,
     EDIT_PARAMETER_RANGES,
     GLOBAL_NOISE_LEVEL,
     _gaussian_blur,
@@ -363,6 +364,19 @@ def test_global_edit_clips_to_dynamic_range():
     low = AmplitudeImage(np.full((64, 64), 3.0))
     out_low = global_edit(low, GlobalEditOp("additive_gaussian"), seed=6)
     assert out_low.values.min() >= 0.0
+
+
+@pytest.mark.parametrize("parameter", [None, 2.5])
+def test_global_blur_equals_clipped_ndimage(parameter):
+    from scipy import ndimage
+
+    # 12 bits and values around full scale, so the clip holds some blurred values
+    image = AmplitudeImage(np.random.default_rng(33).uniform(2000.0, 6000.0, (37, 53)), 12)
+    out = global_edit(image, GlobalEditOp("gaussian_blur", parameter=parameter))
+    sigma = BLUR_SIGMA if parameter is None else parameter
+    expected = np.clip(ndimage.gaussian_filter(image.values, sigma, mode="reflect"), 0.0, 4095.0)
+    assert np.array_equal(out.values, expected)
+    assert 0 < np.mean(out.values == 4095.0) < 1
 
 
 def test_global_edit_determinism():

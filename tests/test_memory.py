@@ -41,7 +41,6 @@ import tracemalloc
 import numpy as np
 
 from sarfx import (
-    AttackConfig,
     MODE_FULL,
     MODE_PHASE_ONLY,
     EditOp,
@@ -82,9 +81,8 @@ def test_attack_and_scoring_peaks_in_planes():
     image = smooth_reflectivity(N, 1)
     h = raised_cosine_filter(N, 0.7)
     for mode in (MODE_PHASE_ONLY, MODE_FULL):
-        config = AttackConfig(seed=3, transfer_function=h, speckle_mode=mode)
-        attacked = run_attack(image, config)
-        result, attack_peak = _peak_planes(lambda: run_attack(image, config))
+        attacked = run_attack(image, h, 3, speckle_mode=mode)
+        result, attack_peak = _peak_planes(lambda: run_attack(image, h, 3, speckle_mode=mode))
         assert np.array_equal(result.values, attacked.values)
         assert attack_peak <= 4.25, mode
     evaluate_pair(attacked, image)  # caches the SSIM window spectra, once per shape
