@@ -73,9 +73,7 @@ def run_attack(image: AmplitudeImage, h: TransferFunction, seed: int, speckle_mo
         raise RasterError(f"transfer function {h.shape} does not match image {image.shape}")
     # one complex plane is drawn, speckled and filtered in place, and goes once |z|
     # is taken: a bare plane the histogram match scatters into
-    filtered = apply_system(inject_speckle(
-        image, generate_speckle(*image.shape, speckle_mode, sigma_s, seed)), h).values
-    amplitude = np.hypot(filtered.real, filtered.imag)
-    del filtered
+    amplitude = np.abs(apply_system(inject_speckle(
+        image, generate_speckle(*image.shape, speckle_mode, sigma_s, seed)), h).values)
     return (histogram_match(amplitude, image) if match_histogram
             else AmplitudeImage(amplitude, image.dynamic_range_bits, copy=False))

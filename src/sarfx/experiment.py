@@ -80,9 +80,8 @@ class ExperimentConfig:
         with open(path) as fh:
             raw = json.load(fh)
         _check_keys("config", raw)
-        version = raw.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema version {version!r}")
+        if raw["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(f"unsupported config schema version {raw['schema_version']!r}")
         raw_edits = raw.get("edits", [{"kind": "none"}])
         for key, value in (("manifest", raw["manifest"]), ("edits", raw_edits)):
             if not isinstance(value, list):
@@ -174,7 +173,7 @@ _CONFIG_KEYS = {
     "smoothing": {"sigma", "kernel"},
 }
 _REQUIRED_KEYS = {
-    "config": {"manifest", "master_seed", "out_dir"},
+    "config": {"schema_version", "manifest", "master_seed", "out_dir"},
     "manifest": {"id", "path"},
     "edits": {"kind"},
 }

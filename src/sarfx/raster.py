@@ -84,7 +84,7 @@ class ComplexImage(PlaneShape):
 
     def amplitude(self, dynamic_range_bits: int = 16) -> "AmplitudeImage":
         """|z| per pixel; always nonnegative by construction."""
-        return AmplitudeImage(np.hypot(self.values.real, self.values.imag), dynamic_range_bits, copy=False)
+        return AmplitudeImage(np.abs(self.values), dynamic_range_bits, copy=False)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,8 @@ def generate_speckle(
     gen = rng(seed)
     phase = gen.uniform(0.0, 2.0 * np.pi, size=(height, width))
     field = np.empty(phase.shape, np.complex128)
-    field.real = np.cos(phase)  # one part at a time, so one temporary plane at most
-    field.imag = np.sin(phase)
+    np.cos(phase, out=field.real)  # straight into each part: no temporary plane
+    np.sin(phase, out=field.imag)
     del phase  # gone before the amplitudes are drawn
     if mode == MODE_FULL:
         # Rayleigh via inverse CDF of the uniform draw; u < 1 keeps the log finite.

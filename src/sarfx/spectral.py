@@ -92,17 +92,26 @@ def _next_fast_len(n: int) -> int:
 _BLOCK_ROWS = 64  # rows per block of the convolutions; rows transform alone, so any count is exact
 
 
-def _convolve_rows(src, kernel_spectrum, n, out, pad=0):
-    """Each row of ``src``, padded symmetrically by ``pad`` at both ends, convolved by
-    length-``n`` FFTs with the kernel whose ``rfft`` is ``kernel_spectrum``; its valid
-    part is scaled into the same row of ``out``, maybe a transposed view. Rows run
-    ``_BLOCK_ROWS`` at a time, so no padded or spectrum plane exists."""
-    scale = np.float64(1 / np.longdouble(n))  # as in valid_convolver
-    start = src.shape[1] + 2 * pad - out.shape[1]  # the kernel's length less one
-    for r in range(0, len(src), _BLOCK_ROWS):
-        block = np.pad(src[r:r + _BLOCK_ROWS], ((0, 0), (pad, pad)), "symmetric")
-        rows = np.fft.irfft(np.fft.rfft(block, n, axis=1) * kernel_spectrum, n, axis=1, norm="forward")
-        np.multiply(rows[:, start:start + out.shape[1]], scale, out=out[r:r + _BLOCK_ROWS])
+def _smooth_rows(src, kernel, out):
+    """Each row of ``src``, padded symmetrically at any width (the 2N-periodic half-sample
+    extension) and convolved with the symmetric odd-length ``kernel``, into the same row of
+    ``out``, maybe a transposed view: DCT-II coefficient m scaled by the kernel's cosine
+    response K_m (Martucci 1994). The DCT is the length-N ``rfft`` V of the row reordered as
+    ``[x0, x2, ..., x3, x1]`` (Makhoul 1980), where it is ``V -> alpha V + beta conj(V)``."""
+    n, half, taps = src.shape[1], (src.shape[1] + 1) // 2, np.arange(len(kernel)) - len(kernel) // 2
+    cosine = np.fft.rfft(np.bincount(taps % (2 * n), kernel, 2 * n)).real
+    m = np.arange(n // 2 + 1)
+    alpha = (cosine[m] + cosine[n - m]) / 2
+    beta = np.exp(1j * np.pi * m / n) * (cosine[m] - cosine[n - m]) / 2
+    odd = slice(n - 1 - n % 2, 0, -2)  # the odd positions, last first
+    for i in range(0, len(src), _BLOCK_ROWS):
+        spectrum = np.fft.rfft(src[i:i + _BLOCK_ROWS][:, np.r_[0:n:2, odd]], axis=1)
+        conj = spectrum.conj()  # in place from here: fewer block temporaries
+        conj *= beta
+        spectrum *= alpha
+        spectrum += conj
+        rows, dest = np.fft.irfft(spectrum, n, axis=1), out[i:i + _BLOCK_ROWS]
+        dest[:, ::2], dest[:, odd] = rows[:, :half], rows[:, half:]
 
 
 def valid_convolver(shape, kernel: np.ndarray):
@@ -156,13 +165,9 @@ def smooth_spectrum(mag: np.ndarray, sigma: float, kernel_size: int) -> np.ndarr
     """Convolve a magnitude plane with a unit-sum Gaussian, reflective padding.
 
     Same-size output; the separable kernel keeps values nonnegative and, on
-    interior-supported inputs, preserves total mass. Symmetric padding, one
-    axis at a time, equals ndimage's ``reflect``; the convolution runs by FFT.
-    Axis 0, then axis 1, runs ``_BLOCK_ROWS`` rows at a time: each block is padded,
-    transformed, multiplied by the kernel spectrum, inverted and scaled into one
-    output plane. The first pass takes the input's columns as rows and writes its
-    blocks transposed; the second runs over that plane in place. Row transforms
-    are bit for bit the strided column ones, and faster.
+    interior-supported inputs, preserves total mass. Each axis in turn is a product in
+    the DCT basis (:func:`_smooth_rows`), equal to ndimage's ``reflect`` at any radius;
+    the first pass writes the input's columns transposed, the second runs in place.
     """
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2:
@@ -170,11 +175,9 @@ def smooth_spectrum(mag: np.ndarray, sigma: float, kernel_size: int) -> np.ndarr
     if np.any(mag < 0):
         raise ValueError("magnitude plane must be nonnegative")
     k = gaussian_kernel_1d(sigma, kernel_size)
-    r = kernel_size // 2
     out = np.empty(mag.shape)
     for src, dest in ((mag.T, out.T), (out, out)):
-        n = _next_fast_len(src.shape[1] + 2 * r + kernel_size - 1)
-        _convolve_rows(src, np.fft.rfft(k, n), n, dest, pad=r)
+        _smooth_rows(src, k, dest)
     return np.maximum(out, 0.0, out=out)
 
 

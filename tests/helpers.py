@@ -73,6 +73,25 @@ def circular_valid_convolve(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray
     return sp_fft.irfftn(sp_fft.rfftn(plane, sizes) * sp_fft.rfftn(kernel, sizes), sizes)[crop]
 
 
+def padded_row_smoothing(plane: np.ndarray, sigma: float, kernel_size: int) -> np.ndarray:
+    """The smoothing the DCT-domain product replaced: each axis in turn, rows of the
+    transposed plane padded symmetrically by the kernel radius and convolved by
+    ``rfft``/``irfft`` at ``next_fast_len(N + 2r + k - 1)`` points, valid part kept."""
+    from scipy import fft as sp_fft
+
+    from sarfx.spectral import gaussian_kernel_1d
+
+    k = gaussian_kernel_1d(sigma, kernel_size)
+    r = kernel_size // 2
+    out = np.asarray(plane, dtype=np.float64)
+    for _ in range(2):
+        padded = np.pad(out.T, ((0, 0), (r, r)), "symmetric")
+        n = sp_fft.next_fast_len(padded.shape[1] + kernel_size - 1, True)
+        rows = np.fft.irfft(np.fft.rfft(padded, n, axis=1) * np.fft.rfft(k, n), n, axis=1)
+        out = rows[:, kernel_size - 1:padded.shape[1]]
+    return np.maximum(out, 0.0)
+
+
 def fd_normal_equations(residual_fn, rel_step=1e-6, abs_floor=1e-9):
     """Solver oracle: ``x -> (JᵀJ, Jᵀr)`` from a central-difference Jacobian of
     ``residual_fn``, for residuals without an analytic one."""

@@ -946,6 +946,7 @@ _BAD_ATTACK_PLANS = {
     "misspelt-attack": lambda c: c.update({"atack": c.pop("attack")}),
     "misspelt-fingerprint": lambda c: c["manifest"][0].update({"fingerprnt": "t0_fp.sarf"}),
     "schema-version-2": lambda c: c.update({"schema_version": 2}),
+    "missing-schema-version": lambda c: c.pop("schema_version"),
     "duplicate-manifest-id": lambda c: c["manifest"][1].update({"id": "t0"}),
     "duplicate-edit-label": lambda c: c["edits"].append({"kind": "gaussian_blur", "parameter": 2.0}),
     "number-manifest-entry": lambda c: c["manifest"].append(5),
@@ -1017,6 +1018,7 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
     ("misspelt-attack", "unknown key(s) ['atack'] in the config; accepted: " + _CONFIG_KEYS),
     ("misspelt-fingerprint", "unknown key(s) ['fingerprnt'] in a manifest entry; accepted: " + _ENTRY_KEYS),
     ("schema-version-2", "unsupported config schema version 2"),
+    ("missing-schema-version", "missing key(s) ['schema_version'] in the config; accepted: " + _CONFIG_KEYS),
     ("duplicate-manifest-id", "manifest ids must be unique"),
     ("duplicate-edit-label", "edit labels must be unique, got ['gaussian_blur', 'upscale_near', 'gaussian_blur']"),
     ("number-manifest-entry", "a manifest entry must be an object, got 5"),
@@ -1031,7 +1033,7 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
         "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "unknown-strategy",
         "nan-edit-parameter", "infinite-edit-parameter", "negative-blur-sigma",
         "zero-fixed-downscale", "misspelt-attack", "misspelt-fingerprint", "schema-version-2",
-        "duplicate-manifest-id", "duplicate-edit-label", "number-manifest-entry",
+        "missing-schema-version", "duplicate-manifest-id", "duplicate-edit-label", "number-manifest-entry",
         "known-and-estimate-filter", "absent-fingerprint-file", "absent-estimate-source"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")

@@ -201,8 +201,8 @@ def _complex_siblings(workdir, n=64):
 
 
 ESTIMATE_FILTER_PINS = {
-    "default": {"h.sarf": "9d880abf718a6eb4", "h.sarf.json": "a5796a893a911e02"},
-    "explicit": {"h.sarf": "36d6e2429a0c2974", "h.sarf.json": "205e1ae99f0a61ff"},
+    "default": {"h.sarf": "11df49655b1b255f", "h.sarf.json": "e803dbff1e40c8d7"},
+    "explicit": {"h.sarf": "de566ca20b1f3d7d", "h.sarf.json": "f300490ee2c595fc"},
 }
 
 
@@ -223,7 +223,7 @@ ATTACK_PINS = {
     "known": {
         "out.sarf": "8d467ba381deddac",
         "out.sarf.speckled.sarf": "2e06e5cf978a2d51",
-        "out.sarf.filtered.sarf": "a6aaa2e9e16ca3e5",
+        "out.sarf.filtered.sarf": "a9e93cd36a24e94b",
     },
     "estimate": {"out.sarf": "90b3a6b97d3a3543"},
 }
