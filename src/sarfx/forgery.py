@@ -53,7 +53,8 @@ GLOBAL_UNIFORM_HALF_WIDTH = 50.0
 @dataclass(frozen=True)
 class EditOp:
     """One donor editing operation; parameter is drawn from the class range
-    unless range_class is "fixed"."""
+    unless range_class is "fixed". A parameter that would go unused, for
+    "none" or a drawn range class, is rejected."""
 
     kind: str
     parameter: float | None = None
@@ -69,6 +70,11 @@ class EditOp:
         p = self.parameter
         if p is not None and not np.isfinite(p):
             raise ValueError(f"edit parameter must be finite, got {p}")
+        if p is not None and self.kind == "none":
+            raise ValueError(f"edit kind 'none' takes no parameter, got {p}")
+        if p is not None and (self.kind, self.range_class) in EDIT_PARAMETER_RANGES:
+            raise ValueError(f"{self.kind} with range class {self.range_class!r} draws its parameter, "
+                             f"so {p} would be ignored; pass it with range class 'fixed'")
         if self.kind == "gaussian_blur" and p is not None and p < 0:
             raise ValueError(f"gaussian_blur sigma must be nonnegative, got {p}")
         if self.range_class == "fixed" and self.kind in ("upscale", "downscale") and p <= 0:

@@ -60,8 +60,14 @@ def generate_speckle(
     np.sin(phase, out=field.imag)
     del phase  # gone before the amplitudes are drawn
     if mode == MODE_FULL:
-        # Rayleigh via inverse CDF of the uniform draw; u < 1 keeps the log finite.
-        amp = sigma_s * np.sqrt(-2.0 * np.log1p(-gen.random(size=(height, width))))
+        # Rayleigh via inverse CDF of the uniform draw, sigma_s * sqrt(-2 log(1 - u)),
+        # each step in place on the draw; u < 1 keeps the log finite.
+        amp = gen.random(size=(height, width))
+        np.negative(amp, out=amp)
+        np.log1p(amp, out=amp)
+        amp *= -2.0
+        np.sqrt(amp, out=amp)
+        amp *= sigma_s
         field.real *= amp
         field.imag *= amp
     return field

@@ -182,7 +182,7 @@ def _marginal_moments(marginal: np.ndarray, f: np.ndarray) -> tuple[float, float
 
 
 _DET_MIN = 1e-12  # a candidate whose 2x2 Gram determinant is at most this is skipped
-_SCREEN_CHUNK = 1 << 13  # candidate-by-bin entries the screen holds at once
+_SCAN_CHUNK = 1 << 13  # candidate-by-bin entries the scan holds at once
 _EPS = np.finfo(np.float64).eps
 
 
@@ -191,49 +191,34 @@ def _gamma(n: int) -> float:
     return n * _EPS / (1.0 - n * _EPS)
 
 
-def _cutoff_candidate(marginal: np.ndarray, fa: np.ndarray, fc: float):
-    """Least-squares fit of ``alpha - beta*cos(pi(|f|-fc)/fc)`` on ``|f| <= fc``
-    to a 1D marginal: ``(cost, fc, alpha, beta)``, or None when the 2x2 system
-    is singular. The model is linear in (alpha, beta) for a fixed cutoff."""
-    inside = (fa <= fc).astype(np.float64)
-    b1 = -np.cos(np.pi * (fa - fc) / fc) * inside
-    g00 = inside @ inside
-    g01 = inside @ b1
-    g11 = b1 @ b1
-    r0 = inside @ marginal
-    r1 = b1 @ marginal
-    det = g00 * g11 - g01 * g01
-    if det <= _DET_MIN:
-        return None
-    alpha = (g11 * r0 - g01 * r1) / det
-    beta = (g00 * r1 - g01 * r0) / det
-    model = alpha * inside + beta * b1
-    return float(np.sum((model - marginal) ** 2)), float(fc), float(alpha), float(beta)
+def _prescan_cutoff(marginal: np.ndarray, f: np.ndarray, nyq: float):
+    """Best candidate cutoff for a 1D marginal profile: ``(fc, alpha, beta)``.
 
+    Candidate cutoffs run from 1.5 bins to Nyquist in quarter bins; for each
+    the axis model ``alpha - beta*cos(pi(|f|-fc)/fc)`` on ``|f| <= fc`` is
+    fitted by linear least squares, and the first candidate of least cost wins.
+    The scan sidesteps the spurious local minima that the moving support
+    boundary creates for derivative-based steps.
 
-def _screen_cutoffs(marginal: np.ndarray, fa: np.ndarray, candidates: np.ndarray):
-    """Every candidate's least-squares cost ‖m‖² − αr₀ − βr₁ at once, from the
-    marginal folded onto k = |f|, with an absolute bound on its distance from
-    what ``_cutoff_candidate`` computes; and each Gram determinant with its bound.
-
-    On the half-axis the basis vector is ``-cos(pi(k-fc)/fc) = cos(pi k/fc)``,
-    evaluated as the loop does, so the screen and the loop sum the same terms
-    and differ only in summation order and in the 2x2 solve. The screen drops
-    the basis's sign, which flips β, r₁ and g01 and leaves the cost alone.
+    Every candidate's five sums come at once from the marginal folded onto
+    k = |f|. Its cost is ‖m‖² − αr₀ − βr₁, and ‖m‖² is the same for all, so
+    candidates are ranked by −(αr₀ + βr₁). Against a plain loop that sums each
+    candidate's residual over the whole axis, only near-ties can choose
+    differently, at a loop cost within a few ε‖m‖² of the loop's least.
     """
-    k_of = fa.astype(np.intp)
+    candidates = np.arange(1.5, nyq + 0.25, 0.25)
+    k_of = np.abs(f).astype(np.intp)
     k = np.arange(k_of.max() + 1, dtype=np.float64)
     counts = np.bincount(k_of).astype(np.float64)
     folded = np.bincount(k_of, weights=marginal)
-    mm = float(np.einsum("i,i->", marginal, marginal))
     last = np.floor(candidates).astype(np.intp)  # the largest k inside each candidate
     g00 = np.cumsum(counts)[last]
     r0 = np.cumsum(folded)[last]
     g01, g11, r1 = (np.empty_like(candidates) for _ in range(3))
-    rows = max(1, _SCREEN_CHUNK // k.size)
+    rows = max(1, _SCAN_CHUNK // k.size)
     for start in range(0, candidates.size, rows):
         fc = candidates[start : start + rows, None]
-        basis = np.cos(np.pi * (k - fc) / fc)  # the loop's basis with the sign flipped
+        basis = -np.cos(np.pi * (k - fc) / fc)
         basis[k > fc] = 0.0
         chunk = slice(start, start + rows)
         g01[chunk] = basis @ counts
@@ -241,55 +226,14 @@ def _screen_cutoffs(marginal: np.ndarray, fa: np.ndarray, candidates: np.ndarray
         basis *= basis
         g11[chunk] = basis @ counts
     det = g00 * g11 - g01 * g01
-    gram = g00 * g11 + g01 * g01
-    gamma = _gamma(fa.size + 8)
-    det_bound = 8.0 * gamma * gram
+    valid = det > _DET_MIN
+    if not valid.any():
+        return 0.9 * nyq, 1.0, 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = (g11 * r0 - g01 * r1) / det
         beta = (g00 * r1 - g01 * r0) / det
-        cost = mm - alpha * r0 - beta * r1
-        # first order in every rounded sum, each within γ of a sum of |terms|
-        # that Cauchy-Schwarz bounds by (‖m‖ + |α|√g00 + |β|√g11)², and in the
-        # 2x2 solve, whose error the Gram matrix's condition gram/det scales;
-        # 8x covers the loop's own rounding of its cost as well
-        size = (math.sqrt(mm) + np.abs(alpha) * np.sqrt(g00) + np.abs(beta) * np.sqrt(g11)) ** 2
-        cost_bound = 8.0 * gamma * (gram / det) * size
-    return cost, cost_bound, det, det_bound
-
-
-def _prescan_cutoff(marginal: np.ndarray, f: np.ndarray, nyq: float):
-    """Best candidate cutoff for a 1D marginal profile: ``(fc, alpha, beta)``.
-
-    Candidate cutoffs run from 1.5 bins to Nyquist in quarter bins; for each
-    the axis model ``alpha - beta*cos(pi(|f|-fc)/fc)`` is fitted by linear least
-    squares, and the first candidate of least cost wins. The scan sidesteps the
-    spurious local minima that the moving support boundary creates for
-    derivative-based steps.
-
-    A vectorised screen bounds every candidate's cost. ``_cutoff_candidate``
-    then runs on the screen's best candidate, whose cost C bounds the winner's
-    from above, and on every candidate the screen cannot rule out: a lower
-    bound at most C, or a determinant within its bound of the threshold. The
-    result is the one a loop of ``_cutoff_candidate`` over all candidates gives.
-    """
-    fa = np.abs(f)
-    candidates = np.arange(1.5, nyq + 0.25, 0.25)
-    results = []
-    if candidates.size:
-        cost, cost_bound, det, det_bound = _screen_cutoffs(marginal, fa, candidates)
-        valid = det > _DET_MIN + det_bound
-        recheck = ~valid & (det > _DET_MIN - det_bound)
-        if valid.any():
-            first = int(np.argmin(np.where(valid, cost, np.inf)))
-            results.append(_cutoff_candidate(marginal, fa, candidates[first]))
-            ceiling = results[0][0] if results[0] else np.inf
-            recheck |= valid & (cost - cost_bound <= ceiling)
-            recheck[first] = False
-        results += [_cutoff_candidate(marginal, fa, fc) for fc in candidates[recheck]]
-    results = [r for r in results if r is not None]
-    if not results:
-        return 0.9 * nyq, 1.0, 1.0
-    return min(results)[1:]  # least cost, then the first candidate
+    best = int(np.argmin(np.where(valid, -(alpha * r0 + beta * r1), np.inf)))
+    return float(candidates[best]), float(alpha[best]), float(beta[best])
 
 
 def _run_fit(data: np.ndarray, x0, columns):

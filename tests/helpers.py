@@ -126,9 +126,19 @@ def plane_cost_and_jtr(data, model, jacobian):
     return float(r @ r), jacobian.T @ r
 
 
+def prescan_cost(marginal, f, fc, alpha, beta):
+    """Squared error of the axis lobe ``alpha - beta*cos(pi(|f|-fc)/fc)`` on
+    ``|f| <= fc`` against a marginal, summed over the whole axis."""
+    fa = np.abs(f)
+    inside = (fa <= fc).astype(np.float64)
+    b1 = -np.cos(np.pi * (fa - fc) / fc) * inside
+    model = alpha * inside + beta * b1
+    return float(np.sum((model - marginal) ** 2))
+
+
 def prescan_cutoff_loop(marginal, f, nyq):
-    """The cutoff prescan as a plain loop over the candidates: the oracle the
-    screened prescan must match tuple for tuple."""
+    """The cutoff prescan as a plain loop over the candidates: the oracle whose
+    least ``prescan_cost`` the folded scan must reach within rounding."""
     fa = np.abs(f)
     best = None
     for fc in np.arange(1.5, nyq + 0.25, 0.25):
@@ -144,8 +154,7 @@ def prescan_cutoff_loop(marginal, f, nyq):
             continue
         alpha = (g11 * r0 - g01 * r1) / det
         beta = (g00 * r1 - g01 * r0) / det
-        model = alpha * inside + beta * b1
-        cost = float(np.sum((model - marginal) ** 2))
+        cost = prescan_cost(marginal, f, fc, alpha, beta)
         if best is None or cost < best[0]:
             best = (cost, float(fc), float(alpha), float(beta))
     if best is None:

@@ -320,7 +320,8 @@ def test_forge_rejects_an_empty_region(tmp_path, product, capsys, region):
      "gaussian_blur sigma must be nonnegative, got -1.0"),
     (["--edit", "downscale", "--edit-class", "fixed", "--edit-parameter", "0"],
      "downscale factor must be positive, got 0.0"),
-], ids=["inf-upscale", "nan-rotate", "negative-blur", "zero-downscale"])
+    (["--edit", "none", "--edit-parameter", "2"], "edit kind 'none' takes no parameter, got 2.0"),
+], ids=["inf-upscale", "nan-rotate", "negative-blur", "zero-downscale", "parameter-for-none"])
 def test_forge_rejects_a_bad_edit_parameter(tmp_path, product, capsys, flags, message):
     out = tmp_path / "out"
     out.mkdir()
@@ -903,6 +904,7 @@ _BAD_ATTACK_PLANS = {
     "negative-blur-sigma": lambda c: c["edits"].append({"kind": "gaussian_blur", "parameter": -1.0}),
     "zero-fixed-downscale": lambda c: c["edits"].append(
         {"kind": "downscale", "range_class": "fixed", "parameter": 0.0}),
+    "drawn-edit-parameter": lambda c: c["edits"].append({"kind": "upscale", "parameter": 1.7}),
     "string-region": lambda c: c.update({"region": "abc"}),
     "one-side-region": lambda c: c.update({"region": [16]}),
     "fractional-region": lambda c: c.update({"region": [16.5, 16]}),
@@ -1015,6 +1017,8 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
     ("infinite-edit-parameter", "edit parameter must be finite, got inf"),
     ("negative-blur-sigma", "gaussian_blur sigma must be nonnegative, got -1.0"),
     ("zero-fixed-downscale", "downscale factor must be positive, got 0.0"),
+    ("drawn-edit-parameter", "upscale with range class 'near' draws its parameter, so 1.7 would be "
+                             "ignored; pass it with range class 'fixed'"),
     ("misspelt-attack", "unknown key(s) ['atack'] in the config; accepted: " + _CONFIG_KEYS),
     ("misspelt-fingerprint", "unknown key(s) ['fingerprnt'] in a manifest entry; accepted: " + _ENTRY_KEYS),
     ("schema-version-2", "unsupported config schema version 2"),
@@ -1032,7 +1036,8 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
         "even-smoothing-kernel", "string-sources", "null-out-dir", "list-manifest-path",
         "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "unknown-strategy",
         "nan-edit-parameter", "infinite-edit-parameter", "negative-blur-sigma",
-        "zero-fixed-downscale", "misspelt-attack", "misspelt-fingerprint", "schema-version-2",
+        "zero-fixed-downscale", "drawn-edit-parameter", "misspelt-attack", "misspelt-fingerprint",
+        "schema-version-2",
         "missing-schema-version", "duplicate-manifest-id", "duplicate-edit-label", "number-manifest-entry",
         "known-and-estimate-filter", "absent-fingerprint-file", "absent-estimate-source"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):

@@ -200,8 +200,11 @@ def _complex_siblings(workdir, n=64):
     write_raster(AmplitudeImage(h_true.values), workdir / "h_true.sarf")
 
 
+# "default" was re-recorded when the cutoff prescan became one folded scan: its
+# start moved in the last digits, H by at most 1.2e-15, the fits' parameters in
+# their last digits, and their iterations and stop rules not at all.
 ESTIMATE_FILTER_PINS = {
-    "default": {"h.sarf": "11df49655b1b255f", "h.sarf.json": "e803dbff1e40c8d7"},
+    "default": {"h.sarf": "5941f005853db34a", "h.sarf.json": "0318a1a3f6b2e24b"},
     "explicit": {"h.sarf": "de566ca20b1f3d7d", "h.sarf.json": "f300490ee2c595fc"},
 }
 

@@ -3,8 +3,9 @@
 Removing a function that the benchmark's span tracer wraps breaks only
 ``perfbench`` runs with ``--trace 1``, an import left behind by a cut, in
 the package, its tests or its demos, raises nothing at all, and neither does
-a demo that needs scipy, which only the tests install; these tests make all
-three fail here.
+a demo that needs scipy, which only the tests install, nor does a private
+helper that a cut leaves defined but uncalled; these tests make all four
+fail here.
 """
 
 import ast
@@ -64,3 +65,33 @@ def test_no_demo_imports_scipy():
                for path in demos for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert [(name, module) for name, module in imports if (module or "").split(".")[0] == "scipy"] == []
+
+
+def _private_definitions(tree):
+    """Private (single-underscore) names bound at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_in_the_package_is_used():
+    # read as a name, as an attribute or by an import anywhere in the package
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [(path.name, name) for name in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert len(defined) > 50
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []

@@ -15,6 +15,7 @@ from helpers import (
     naive_dft2,
     naive_idft2,
     plane_cost_and_jtr,
+    prescan_cost,
     prescan_cutoff_loop,
     sum_of_squares,
 )
@@ -276,8 +277,11 @@ _MARGINAL_KINDS = st.sampled_from(["random", "zero", "flat", "spike", "lowpass",
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 300), kind=_MARGINAL_KINDS, seed=st.integers(0, 2**32 - 1))
-def test_prescan_equals_the_loop(n, kind, seed):
-    # the screened prescan returns the loop oracle's (fc, alpha, beta) bit for bit
+def test_prescan_reaches_the_loops_least_cost(n, kind, seed):
+    # the folded scan ranks candidates by sums the loop does not form, so only
+    # near-ties may choose differently: its (fc, alpha, beta) costs, as the
+    # loop oracle sums it, at most 8 eps ||m||^2 more than the loop's answer
+    # (1.96 measured over 24000 marginals of these kinds)
     rng = np.random.default_rng(seed)
     f, nyq = freq_grid(n), nyquist_bins(n)
     if kind == "random":
@@ -298,18 +302,26 @@ def test_prescan_equals_the_loop(n, kind, seed):
         # so rounding alone picks the loop's winner among them
         plateau = np.abs(f) <= rng.integers(1, max(int(nyq), 1) + 1)
         marginal = np.where(plateau, rng.uniform(0.1, 10.0), rng.random(n) * rng.choice([0.0, 1.0]))
-    assert sysid._prescan_cutoff(marginal, f, nyq) == prescan_cutoff_loop(marginal, f, nyq)
+    got, want = sysid._prescan_cutoff(marginal, f, nyq), prescan_cutoff_loop(marginal, f, nyq)
+    if kind == "zero":
+        assert got == want  # every candidate ties at zero cost: the first wins
+    excess = prescan_cost(marginal, f, *got) - prescan_cost(marginal, f, *want)
+    assert excess <= 8 * np.finfo(np.float64).eps * float(marginal @ marginal)
 
 
 @pytest.mark.parametrize("n", [64, 1024])
 def test_prescan_equals_the_loop_at_fit_sizes(n):
-    # the 1024-bin axis of a tile, on the marginals of a smoothed low-pass plane
+    # the 1024-bin axis of a tile, on the marginals of a smoothed low-pass plane:
+    # the same cutoff, and the lobe within rounding of the loop's
     rng = np.random.default_rng(n)
     f, nyq = freq_grid(n), nyquist_bins(n)
     for cutoff in (0.3, 0.7, 0.95):
         lobe = raised_cosine_axis(f, 0.55, 0.45, cutoff * nyq)
         marginal = np.maximum(lobe * (1.0 + 0.05 * rng.standard_normal(n)), 0.0)
-        assert sysid._prescan_cutoff(marginal, f, nyq) == prescan_cutoff_loop(marginal, f, nyq)
+        (fc, *lobe_got), (fc_want, *lobe_want) = (
+            sysid._prescan_cutoff(marginal, f, nyq), prescan_cutoff_loop(marginal, f, nyq))
+        assert fc == fc_want
+        np.testing.assert_allclose(lobe_got, lobe_want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
