@@ -14,6 +14,14 @@ from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, generate_speckle, inject_
 from .sysid import TransferFunction
 
 
+def _bare_plane(plane, dtype, what: str) -> np.ndarray:
+    """``plane``, handed over to be written in place: a writable C-contiguous 2D plane of ``dtype``."""
+    if not (isinstance(plane, np.ndarray) and plane.ndim == 2 and plane.dtype == dtype
+            and plane.flags.c_contiguous and plane.flags.writeable):
+        raise RasterError(f"{what} or a writable C-contiguous 2D {np.dtype(dtype).name} plane")
+    return plane
+
+
 def apply_system(signal, h) -> ComplexImage:
     """Filter a complex signal through the response H (circular convolution).
 
@@ -23,10 +31,8 @@ def apply_system(signal, h) -> ComplexImage:
     is also accepted so unnormalized responses can be applied directly.
     """
     values = h.values if isinstance(h, TransferFunction) else np.asarray(h, dtype=np.float64)
-    buf = signal.values.copy() if isinstance(signal, ComplexImage) else signal
-    if not (isinstance(buf, np.ndarray) and buf.ndim == 2 and buf.dtype == np.complex128
-            and buf.flags.c_contiguous and buf.flags.writeable):
-        raise RasterError("signal must be a ComplexImage or a writable C-contiguous 2D complex128 plane")
+    buf = signal.values.copy() if isinstance(signal, ComplexImage) else _bare_plane(
+        signal, np.complex128, "signal must be a ComplexImage")
     if buf.shape != values.shape:
         raise RasterError(f"dimension mismatch: signal {buf.shape} vs H {values.shape}")
     # one work plane, transformed in place; ifftshift(fftshift(F) * H) == F * ifftshift(H)
@@ -45,23 +51,40 @@ def histogram_match(source, reference: AmplitudeImage) -> AmplitudeImage:
     """Exact rank mapping: pixel of rank k in source gets reference's rank-k value.
 
     Ties break by row-major index order; the output's sorted values equal the
-    reference's sorted values exactly. A float64 plane ``source``, as
-    :func:`run_attack` takes |z|, is handed over: the match is scattered into it.
+    reference's sorted values exactly. A bare ``source``, as :func:`run_attack`
+    takes |z|, is handed over: a writable C-contiguous 2D float64 plane of finite
+    nonnegative values that the match is scattered into.
     """
-    values = source.values if isinstance(source, AmplitudeImage) else source
+    values = source.values if isinstance(source, AmplitudeImage) else _bare_plane(
+        source, np.float64, "source must be an AmplitudeImage")
     if values.size != reference.values.size:
         raise RasterError(f"pixel count mismatch: {values.size} vs {reference.values.size}")
     flat = values.ravel()
-    order = np.argsort(flat)  # unstable; the stable order sorts by (value, index)
-    ordered = np.sort(flat)
-    tied = ordered[1:] == ordered[:-1]
-    if tied.any():  # re-sort the indices inside each run of equal values
-        order = np.sort(np.cumsum(np.r_[False, ~tied]) * flat.size + order) % flat.size
-    ordered[:] = reference.values.ravel()  # the sorted buffer now takes the reference's values
-    ordered.sort()
+    # the stable order from one sort of uint64 keys: a nonnegative double's bits order
+    # as its value (+ 0.0 makes -0.0 +0.0), and the index replaces its low bits
+    index_bits = (1 << (flat.size - 1).bit_length()) - 1
+    keys = np.add(flat, 0.0).view(np.uint64)
+    keys &= ~np.uint64(index_bits)
+    keys |= np.arange(flat.size, dtype=np.uint64)
+    keys.sort()
+    if keys[-1] >= 0x7FF0000000000000:  # +inf's bits; NaN and a sign bit sort above them
+        raise RasterError("source values must be finite and nonnegative")
+    _order_shared_high_bits(keys, flat, index_bits)
+    keys &= index_bits
+    ordered = np.sort(reference.values, axis=None)
     matched = flat if values is source else np.empty_like(flat)  # a handed-over source is spent
-    matched[order] = ordered
+    matched[keys.view(np.int64)] = ordered
     return AmplitudeImage(matched.reshape(values.shape), reference.dynamic_range_bits, copy=False)
+
+
+def _order_shared_high_bits(keys, flat, index_bits) -> None:
+    """Put in (value, index) order the sorted keys of distinct values that differ only
+    in the index bits: runs of neighbours whose high bits are equal."""
+    shared = (keys[1:] ^ keys[:-1]) <= index_bits
+    i = np.flatnonzero(shared)
+    if np.any(flat[keys[i] & index_bits] != flat[keys[i + 1] & index_bits]):  # not only exact ties
+        at = np.flatnonzero(np.r_[shared, False] | np.r_[False, shared])  # bits order the runs by value
+        keys[at] = keys[at][np.argsort(flat[keys[at] & index_bits], kind="stable")]
 
 
 def run_attack(image: AmplitudeImage, h: TransferFunction, seed: int, speckle_mode: str = MODE_PHASE_ONLY,

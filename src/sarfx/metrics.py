@@ -260,9 +260,10 @@ def auc_roc(fingerprint, mask: TamperMask, polarity: str = "max") -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("mask must contain both classes")
-    # 1-based ranks of the positives, tied scores sharing their group's mean rank
+    # 1-based ranks of the positives, tied scores sharing their group's mean rank; the
+    # positives are searched in sorted order, and their half-integer ranks sum exactly
     ordered = np.sort(scores)
-    positives = scores[labels]
+    positives = np.sort(scores[labels])
     ranks = 0.5 * (np.searchsorted(ordered, positives, "left")
                    + np.searchsorted(ordered, positives, "right") + 1)
     auc = (float(ranks.sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

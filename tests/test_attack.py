@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from sarfx import (
@@ -198,6 +199,25 @@ def _signed_zeros(rng, shape):
     return rng.choice([0.0, -0.0, 1.0, 2.5], shape)
 
 
+def _ulps_above(values, steps):
+    # the double ``steps`` ulps above each nonnegative value: its bits plus steps
+    return (np.asarray(values, np.float64).view(np.uint64) + np.asarray(steps, np.uint64)).view(np.float64)
+
+
+def _shared_high_bits(rng, shape):
+    # a few ulps apart around a subnormal, 1.0 and 1e300: distinct values share their
+    # kept high bits, among exact ties
+    return _ulps_above(rng.choice([1e-310, 1.0, 1e300], shape), rng.integers(0, 6, shape))
+
+
+def _runs_of_four(rng, shape):
+    # tie-free, every value one of four 1-ulp neighbours, in shuffled positions
+    size = shape[0] * shape[1]
+    values = _ulps_above(np.repeat(rng.uniform(0, 100, -(-size // 4)), 4)[:size], np.arange(size) % 4)
+    rng.shuffle(values)
+    return values.reshape(shape)
+
+
 _TIE_CASES = {
     "tie-free": lambda rng, shape: rng.uniform(0, 100, shape),
     "one-in-seven-tied": lambda rng, shape: np.where(
@@ -205,21 +225,57 @@ _TIE_CASES = {
     "five-levels": lambda rng, shape: rng.integers(0, 5, shape).astype(np.float64),
     "all-equal": lambda rng, shape: np.full(shape, 7.0),
     "signed-zeros": _signed_zeros,
+    "shared-high-bits": _shared_high_bits,
+    "runs-of-four": _runs_of_four,
 }
+
+
+def _stable_argsort_match(source, reference):
+    expected = np.empty(source.size)
+    expected[np.argsort(source.ravel(), kind="stable")] = np.sort(reference, axis=None)
+    return expected.reshape(source.shape)
 
 
 @pytest.mark.parametrize("case", sorted(_TIE_CASES))
 def test_histogram_match_equals_stable_argsort(case):
-    # the unstable sort plus tie re-sort against the stable argsort it replaced
+    # the packed-key sort against the stable argsort it replaced
     rng = np.random.default_rng(len(case))
     source = _TIE_CASES[case](rng, (300, 200))
     reference = rng.uniform(0, 1000, (300, 200))
-    expected = np.empty(source.size)
-    expected[np.argsort(source.ravel(), kind="stable")] = np.sort(reference, axis=None)
     out = histogram_match(AmplitudeImage(source), AmplitudeImage(reference))
-    assert np.array_equal(out.values, expected.reshape(source.shape))
+    assert np.array_equal(out.values, _stable_argsort_match(source, reference))
     if case == "signed-zeros":
         assert np.signbit(source).any()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 3), (1, 65), (17, 17)])
+@pytest.mark.parametrize("case", ["shared-high-bits", "signed-zeros", "tie-free"])
+def test_histogram_match_equals_stable_argsort_at_small_sizes(case, shape):
+    # n - 1 of 0, 1, 8, 64 and 288 pixels: the index field is 0, 1, 4, 7 and 9 bits
+    rng = np.random.default_rng(shape[1])
+    source = _TIE_CASES[case](rng, shape)
+    reference = rng.uniform(0, 1000, shape)
+    out = histogram_match(source.copy(), AmplitudeImage(reference))
+    assert np.array_equal(out.values, _stable_argsort_match(source, reference))
+
+
+_NEAR_VALUES = [0.0, 5e-324, 1e-310, 1.0, 1.5, 1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       bases=st.lists(st.sampled_from(_NEAR_VALUES) | st.floats(0.0, 1e308), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_histogram_match_equals_stable_argsort_property(shape, bases, seed):
+    # values a few ulps above a few bases: exact ties, signed zeros and distinct
+    # values that share their kept high bits, in any mix
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(0, 4, shape) * (rng.random(shape) < 0.7)
+    source = _ulps_above(np.array(bases)[rng.integers(0, len(bases), shape)], steps)
+    source[(source == 0.0) & (rng.random(shape) < 0.5)] = -0.0
+    reference = rng.uniform(0, 1000, shape)
+    out = histogram_match(AmplitudeImage(source), AmplitudeImage(reference))
+    assert np.array_equal(out.values, _stable_argsort_match(source, reference))
 
 
 def test_histogram_match_into_a_handed_over_plane():
@@ -241,6 +297,36 @@ def test_histogram_match_into_a_handed_over_plane():
 def test_histogram_match_size_mismatch():
     with pytest.raises(RasterError, match="count"):
         histogram_match(AmplitudeImage(np.ones((4, 4))), AmplitudeImage(np.ones((4, 5))))
+
+
+_UNMATCHABLE_PLANES = {
+    "integer": lambda x: np.array([[4, 3], [2, 1]]),
+    "read-only": lambda x: AmplitudeImage(x).values,
+    "float32": lambda x: x.astype(np.float32),
+    "strided": lambda x: np.concatenate([x, x], axis=1)[:, ::2],
+    "one-dimensional": lambda x: x.ravel(),
+    "list": lambda x: x.tolist(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNMATCHABLE_PLANES))
+def test_histogram_match_rejects_a_plane_it_cannot_scatter_into(case):
+    # an integer plane took its match as the reference values cast to int: [[3, 2], [1, 0]]
+    plane = _UNMATCHABLE_PLANES[case](np.array([[4.0, 3.0], [2.0, 1.0]]))
+    reference = AmplitudeImage(np.array([[0.5, 1.5], [2.5, 3.5]]))
+    with pytest.raises(RasterError, match="^source must be an AmplitudeImage or a writable "
+                                          "C-contiguous 2D float64 plane$"):
+        histogram_match(plane, reference)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, np.nan, -np.nan, np.inf, -np.inf])
+def test_histogram_match_rejects_a_negative_or_nonfinite_plane(bad):
+    plane = np.random.default_rng(12).uniform(0, 10, (6, 5))
+    plane[4, 1] = bad
+    kept = plane.copy()
+    with pytest.raises(RasterError, match="^source values must be finite and nonnegative$"):
+        histogram_match(plane, AmplitudeImage(np.ones((6, 5))))
+    assert np.array_equal(plane, kept, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

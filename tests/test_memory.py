@@ -3,7 +3,8 @@ in float64 planes.
 
 tracemalloc sees every numpy allocation, so the peak above the level at entry
 counts the planes a stage holds at once. At 256² the attack peaks at 3.25
-planes with phase-only and with full speckle (both 3.25 at 1024²), and
+planes with phase-only and with full speckle (both 3.13 at 1024²), its
+histogram match into the handed-over |z| at 2.13 (2.13), and
 the scoring at 4.75 (4.14). Spectrum smoothing peaks at 2.29 (1.32
 at 1024², where its 64-row blocks are a smaller share of a plane), a direct H
 estimate at 3.28 (3.00), and a whole job with a self-estimated H and a
@@ -31,7 +32,10 @@ drawing into the one complex plane that the attack filters, and at 4.00 (4.00)
 while each step of its Rayleigh amplitudes allocated a plane of its own.
 The scoring peaked at 5.01 (4.32) while it ran five moments at fftconvolve's
 linear transform sizes and kept each call's formed row block through the
-inverse. The curve fits peak at 1.28 planes, the plane cost that the LM
+inverse. The histogram match peaked at 2.25 (2.25, and the attack at 3.25 at 1024²)
+while it held an argsort's index plane beside the sorted values, instead of
+sorting one plane of keys that pack each value's high bits over its index.
+The curve fits peak at 1.28 planes, the plane cost that the LM
 evaluates at the solution; when every LM cost built a residual plane they
 peaked at 3.01.
 
@@ -55,6 +59,7 @@ from sarfx import (
     evaluate_pair,
     fit_gaussian,
     fit_raised_cosine,
+    histogram_match,
     magnitude_spectrum,
     normalize_energy,
     raised_cosine_filter,
@@ -93,6 +98,16 @@ def test_attack_and_scoring_peaks_in_planes():
     evaluate_pair(attacked, image)  # caches the SSIM window spectra, once per shape
     _, scoring_peak = _peak_planes(lambda: evaluate_pair(attacked, image))
     assert scoring_peak <= 5.0
+
+
+def test_histogram_match_peak_in_planes():
+    # the match of an attacked |z|, handed over as run_attack hands it
+    image = smooth_reflectivity(N, 1)
+    plane = run_attack(image, raised_cosine_filter(N, 0.7), 3, match_histogram=False).values.copy()
+    expected = histogram_match(plane.copy(), image)
+    result, peak = _peak_planes(lambda: histogram_match(plane, image))
+    assert np.array_equal(result.values, expected.values)
+    assert peak <= 2.2
 
 
 def test_smoothing_and_direct_estimate_peaks_in_planes():
