@@ -19,7 +19,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .raster import AmplitudeImage, RasterError, TamperMask, read_raster
-from .spectral import _BLOCK_ROWS, valid_convolver
+from .spectral import gaussian_kernel_1d
 
 SSIM_WINDOW_SIZE = 11
 SSIM_WINDOW_SIGMA = 1.5
@@ -99,10 +99,65 @@ def gaussian_window() -> np.ndarray:
     return k / k.sum()
 
 
+# Output rows and columns per banded product: a 32x42 tile's product stays below
+# OpenBLAS's threading size, so it runs on one BLAS thread whatever the thread count.
+_TILE = 32
+
+
+def _column_tiles(a, width, step):
+    """The 2D ``a``'s columns as ``width``-wide tiles ``step`` apart, one ``(count, rows,
+    width)`` view, and, where those miss columns, the tile that ends at the last column."""
+    count = (a.shape[1] - width) // step + 1
+    tiles = [np.lib.stride_tricks.as_strided(a, (count, len(a), width), (step * a.strides[1], *a.strides))]
+    if (count - 1) * step + width < a.shape[1]:
+        tiles.append(a[:, -width:])
+    return tiles
+
+
 @functools.lru_cache(maxsize=16)
 def _window_convolver(shape):
-    # the window is symmetric, so convolution equals correlation
-    return valid_convolver(shape, gaussian_window())
+    """``plane -> fftconvolve(plane, gaussian_window(), "valid")`` to roundoff for real
+    planes of ``shape``, as two passes of the normalised 1D taps. Each pass is a banded
+    matrix product per block of ``_TILE`` output rows over a stack of column tiles, all
+    views: the band, rows of shifted taps, times the block's input rows along axis 0,
+    then the overlapping column tiles of that result times the band's transpose along
+    axis 1. A last short tile is recomputed whole over the one before it. ``convolve(plane,
+    other)`` convolves ``form(plane, other, out=block)``, by default their product, formed
+    a block of input rows at a time, so no formed plane exists. The result is one compact
+    C-contiguous plane, or each output block is passed, with ``consume``, as
+    ``consume(rows, block)`` instead. The buffers are allocated per call, so threads can
+    share one convolver."""
+    taps = gaussian_kernel_1d(SSIM_WINDOW_SIGMA, SSIM_WINDOW_SIZE)
+    reach, tile = SSIM_WINDOW_SIZE - 1, _TILE
+    band = np.zeros((tile, tile + reach))
+    for i in range(tile):
+        band[i, i:i + SSIM_WINDOW_SIZE] = taps
+    kept_rows, kept_cols = shape[0] - reach, shape[1] - reach
+    t0, t1 = min(tile, shape[1]), min(tile, kept_cols)
+    # in C order, BLAS sums each output's taps in order, so no tile size changes a bit
+    band_t = band[:t1, :t1 + reach].T.copy()
+
+    def convolve(plane, other=None, consume=None, form=np.multiply):
+        src = plane if other is None else np.empty((tile + reach, shape[1]))
+        mid = np.empty((tile, shape[1]))
+        out = np.empty((tile if consume else kept_rows, kept_cols))
+        axis0 = list(zip(_column_tiles(src, t0, t0), _column_tiles(mid, t0, t0)))
+        axis1 = list(zip(_column_tiles(mid, t1 + reach, t1), _column_tiles(out, t1, t1)))
+        for r in range(0, kept_rows, tile):
+            m = min(tile, kept_rows - r)
+            first_in, first_out = (r if other is None else 0), (0 if consume else r)
+            if other is not None:
+                form(plane[r:r + m + reach], other[r:r + m + reach], out=src[:m + reach])
+            for rows, dest in axis0:
+                np.matmul(band[:m, :m + reach], rows[..., first_in:first_in + m + reach, :],
+                          out=dest[..., :m, :])
+            for rows, dest in axis1:
+                np.matmul(rows[..., :m, :], band_t, out=dest[..., first_out:first_out + m, :])
+            if consume:
+                consume(slice(r, r + m), out[:m])
+        return None if consume else out
+
+    return convolve
 
 
 def _square_sum(x, y, out):
@@ -133,9 +188,9 @@ def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminan
                                                 out=den[rows]))
     if not luminance:
         return None, float(np.mean(den))
-    for r in range(0, len(mu_a), _BLOCK_ROWS):
-        ma, mb = mu_a[r:r + _BLOCK_ROWS], mu_b[r:r + _BLOCK_ROWS]
-        ma[:] = (2 * ma * mb + c1) / (np.square(ma) + np.square(mb) + c1) * den[r:r + _BLOCK_ROWS]
+    for r in range(0, len(mu_a), _TILE):
+        ma, mb = mu_a[r:r + _TILE], mu_b[r:r + _TILE]
+        ma[:] = (2 * ma * mb + c1) / (np.square(ma) + np.square(mb) + c1) * den[r:r + _TILE]
     return float(np.mean(mu_a)), float(np.mean(den))
 
 

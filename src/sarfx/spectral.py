@@ -80,16 +80,7 @@ def gaussian_kernel_1d(sigma: float, size: int) -> np.ndarray:
     return k / k.sum()
 
 
-def _next_fast_len(n: int) -> int:
-    """The least 5-smooth integer >= ``n`` >= 1, as ``scipy.fft.next_fast_len(n, real=True)``.
-    Every 5-smooth number below 2**64 divides 30**64, and no other number does."""
-    n = int(n)  # a numpy integer cannot take 30**64 % n
-    while 30**64 % n:
-        n += 1
-    return n
-
-
-_BLOCK_ROWS = 64  # rows per block of the convolutions; rows transform alone, so any count is exact
+_BLOCK_ROWS = 64  # rows per block of the smoothing; rows transform alone, so any count is exact
 
 
 def _smooth_rows(src, kernel, out):
@@ -112,53 +103,6 @@ def _smooth_rows(src, kernel, out):
         spectrum += conj
         rows, dest = np.fft.irfft(spectrum, n, axis=1), out[i:i + _BLOCK_ROWS]
         dest[:, ::2], dest[:, odd] = rows[:, :half], rows[:, half:]
-
-
-def valid_convolver(shape, kernel: np.ndarray):
-    """``plane -> irfftn(rfftn(plane, s) * rfftn(kernel, s), s)[crop]`` for real planes
-    of ``shape``, bit-identical to it, with the kernel transformed once. ``s`` is the
-    circular size ``_next_fast_len(shape[a])``, not ``fftconvolve``'s linear one: an
-    output ``j >= k - 1`` reads inputs ``j - k + 1`` to ``j`` only, so ``crop``, the
-    valid part, never wraps and equals ``fftconvolve(plane, kernel, "valid")`` to
-    roundoff. ``convolve(plane, other)`` convolves ``form(plane, other, out=block)``,
-    by default their product, formed a block of rows at a time just before ``rfft``
-    writes their spectrum rows, so no formed plane exists. Only the plane's rows are
-    transformed, axis 0 runs in place on one spectrum buffer, and the kept rows are
-    inverted block by block into one compact C-contiguous result, or passed, with
-    ``consume``, as ``consume(rows, block)`` instead. The buffers are allocated per
-    call, so threads can share one convolver."""
-    sizes = [_next_fast_len(m) for m in shape]
-    kernel_spectrum = np.fft.rfftn(kernel, sizes, axes=(0, 1))
-    n = sizes[1]
-    # pocketfft's own T(1/ldbl(N)), applied after the unscaled inverse as it does
-    scale = np.float64(1 / np.longdouble(np.prod(sizes)))
-    crop = tuple(slice(k - 1, m) for m, k in zip(shape, kernel.shape))
-
-    def convolve(plane, other=None, consume=None, form=np.multiply):
-        spectrum = np.empty(kernel_spectrum.shape, np.complex128)
-        block = None if other is None else np.empty((_BLOCK_ROWS, shape[1]))
-        for r in range(0, shape[0], _BLOCK_ROWS):
-            rows = plane[r:r + _BLOCK_ROWS]
-            if other is not None:
-                rows = form(rows, other[r:r + _BLOCK_ROWS], out=block[: len(rows)])
-            np.fft.rfft(rows, n, axis=1, out=spectrum[r:r + len(rows)])
-        spectrum[shape[0]:] = 0
-        del block, rows  # the formed rows are spent once transformed
-        np.fft.fft(spectrum, axis=0, out=spectrum)
-        spectrum *= kernel_spectrum
-        np.fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)
-        kept = spectrum[crop[0]]
-        out = None if consume else np.empty((len(kept), shape[1] - kernel.shape[1] + 1))
-        for r in range(0, len(kept), _BLOCK_ROWS):
-            rows = np.fft.irfft(kept[r:r + _BLOCK_ROWS], n, axis=1, norm="forward")[:, crop[1]]
-            block = slice(r, r + len(rows))
-            if consume:
-                consume(block, np.multiply(rows, scale, out=rows))
-            else:
-                np.multiply(rows, scale, out=out[block])
-        return out
-
-    return convolve
 
 
 def smooth_spectrum(mag: np.ndarray, sigma: float, kernel_size: int) -> np.ndarray:

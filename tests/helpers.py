@@ -73,6 +73,15 @@ def circular_valid_convolve(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray
     return sp_fft.irfftn(sp_fft.rfftn(plane, sizes) * sp_fft.rfftn(kernel, sizes), sizes)[crop]
 
 
+def assert_near_fftconvolve(out, plane, kernel):
+    """``out`` within 8 eps of ``fftconvolve(plane, kernel, "valid")`` per unit of
+    max|plane| * sum|kernel|: the transforms' roundoff and a direct sum's differ."""
+    from scipy import signal
+
+    bound = 8 * np.finfo(np.float64).eps * np.abs(plane).max() * np.abs(kernel).sum()
+    assert np.abs(out - signal.fftconvolve(plane, kernel, "valid")).max() <= bound
+
+
 def padded_row_smoothing(plane: np.ndarray, sigma: float, kernel_size: int) -> np.ndarray:
     """The smoothing the DCT-domain product replaced: each axis in turn, rows of the
     transposed plane padded symmetrically by the kernel radius and convolved by

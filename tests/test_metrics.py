@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_threaded_equals_serial, circular_valid_convolve
+from helpers import assert_near_fftconvolve, assert_threaded_equals_serial, circular_valid_convolve
 
 from sarfx import (
     AmplitudeImage,
@@ -18,10 +22,10 @@ from sarfx import (
     ms_ssim,
     residual_variance,
     ssim,
+    write_raster,
 )
 from sarfx import metrics
 from sarfx.metrics import MSSSIM_WEIGHTS, gaussian_window, ms_ssim_scale_count
-from sarfx.spectral import valid_convolver
 
 
 def _image(shape, seed, low=0.0, high=1000.0):
@@ -134,49 +138,36 @@ def _fftconvolve_ssim_terms(a, b, drange, n_scales):
     return terms
 
 
-def _circular_ssim_terms(a, b, drange, n_scales):
-    """The four-moment SSIM pass on whole planes, each moment by scipy at the circular
-    transform sizes: mu_a, mu_b, W(a*a + b*b) and W(a*b)."""
-    c1, c2 = (0.01 * drange) ** 2, (0.03 * drange) ** 2
-    terms = []
-    for level in range(n_scales):
-        if level:
-            a, b = metrics._downsample2(a), metrics._downsample2(b)
-        mu_a, mu_b, e_ss, e_ab = (
-            circular_valid_convolve(p, gaussian_window()) for p in (a, b, a * a + b * b, a * b))
-        luminance = (2 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
-        cs = (2 * (e_ab - mu_a * mu_b) + c2) / ((e_ss - (mu_a * mu_a + mu_b * mu_b)) + c2)
-        full = float(np.mean(luminance * cs)) if level in (0, n_scales - 1) else None
-        terms.append((full, float(np.mean(cs))))
-    return terms
+def _assert_terms_near(terms, expected):
+    assert len(terms) == len(expected)
+    for (full, cs), (full_e, cs_e) in zip(terms, expected):
+        assert cs == pytest.approx(cs_e, rel=0, abs=1e-13)
+        assert (full is None) == (full_e is None)
+        assert full is None or full == pytest.approx(full_e, rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize(
     "shape", [(64, 64), (37, 53), (192, 176), (100, 100), (12, 17), (11, 11), (300, 400)])
 def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
-    # the cached one-window-spectrum path against whole-plane scipy transforms at its
-    # sizes, bit for bit, and against the five linear-size moments it replaced
+    # each of the four moments against scipy's fftconvolve within the roundoff bound,
+    # and the four-moment pass against the five linear-size moments it replaced
     rng = np.random.default_rng(sum(shape))
     a, b = rng.uniform(0, 65535, (2, *shape))
     window = gaussian_window()
-    windowed = valid_convolver(shape, window)
-    assert np.array_equal(windowed(a), circular_valid_convolve(a, window))
-    assert np.array_equal(windowed(b), circular_valid_convolve(b, window))
-    assert np.array_equal(windowed(a, b, form=metrics._square_sum),
-                          circular_valid_convolve(a * a + b * b, window))
-    assert np.array_equal(windowed(a, b), circular_valid_convolve(a * b, window))
+    windowed = metrics._window_convolver(shape)
+    assert_near_fftconvolve(windowed(a), a, window)
+    assert_near_fftconvolve(windowed(b), b, window)
+    assert_near_fftconvolve(windowed(a, b, form=metrics._square_sum), a * a + b * b, window)
+    assert_near_fftconvolve(windowed(a, b), a * b, window)
     n_scales = ms_ssim_scale_count(shape)
     fast = metrics._ssim_terms(a, b, 65535.0, n_scales)
-    assert fast == _circular_ssim_terms(a, b, 65535.0, n_scales)
-    # the summed second moment and the transform sizes round differently; on these
-    # uniform planes, whose cs is near 0, the terms moved by at most 5.4e-14
-    for (full, cs), (full_5, cs_5) in zip(fast, _fftconvolve_ssim_terms(a, b, 65535.0, n_scales)):
-        assert cs == pytest.approx(cs_5, rel=0, abs=1e-13)
-        assert (full is None) == (full_5 is None)
-        assert full is None or full == pytest.approx(full_5, rel=0, abs=1e-13)
+    # the summed second moment and the summation order round differently; on these
+    # uniform planes, whose cs is near 0, the terms moved by at most 5.7e-14
+    _assert_terms_near(fast, _fftconvolve_ssim_terms(a, b, 65535.0, n_scales))
     # the convolver is cached per shape, so patch the cached entry point itself;
     # each moment reaches it as a plane of the scale's shape, and a second moment
-    # with its second plane and the form that combines the two
+    # with its second plane and the form that combines the two; scipy's whole-plane
+    # transforms at the circular sizes stand in for it, all rows in one block
     calls = []
 
     def patched(scale_shape):
@@ -189,13 +180,31 @@ def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
             out = circular_valid_convolve(plane, window)
             if consume is None:
                 return out
-            consume(slice(0, len(out)), out)  # all rows in one block
+            consume(slice(0, len(out)), out)
 
         return oracle
 
     monkeypatch.setattr(metrics, "_window_convolver", patched)
-    assert fast == metrics._ssim_terms(a, b, 65535.0, n_scales)
+    _assert_terms_near(fast, metrics._ssim_terms(a, b, 65535.0, n_scales))
     assert len(calls) == 4 * n_scales
+
+
+def test_scores_do_not_depend_on_blas_threads(tmp_path):
+    # ``sarfx metrics`` on a 256² pair in children that differ only in the BLAS thread
+    # count: every tile product runs on one thread, so the report's bytes agree
+    src = Path(__file__).resolve().parents[1] / "src"
+    a, b = np.random.default_rng(256).uniform(0, 65535, (2, 256, 256))
+    write_raster(AmplitudeImage(a), tmp_path / "a.sarf")
+    write_raster(AmplitudeImage(b), tmp_path / "b.sarf")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-m", "sarfx.cli", "metrics", "--a", str(tmp_path / "a.sarf"),
+                        "--b", str(tmp_path / "b.sarf"), "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=120)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and b"ssim" in reports[0]
 
 
 def test_evaluate_pair_on_shared_convolvers_is_thread_safe():

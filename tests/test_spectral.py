@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from helpers import (
+    assert_near_fftconvolve,
     assert_threaded_equals_serial,
-    circular_valid_convolve,
     naive_convolve_reflect,
     naive_dft2,
     padded_row_smoothing,
@@ -21,105 +21,83 @@ from sarfx import (
     inverse_dft,
     smooth_spectrum,
 )
+from sarfx import metrics
 from sarfx.metrics import gaussian_window
-from sarfx.spectral import _next_fast_len, gaussian_kernel_1d, profile_to_csv, valid_convolver
+from sarfx.spectral import gaussian_kernel_1d, profile_to_csv
 
 
-def _assert_near_fftconvolve(out, plane, kernel):
-    # the circular and the linear transform sizes round differently; 3.7 eps was the
-    # largest deviation over 3000 random shapes and windows, 4.0 at 1024²
-    from scipy import signal
-
-    bound = 8 * np.finfo(np.float64).eps * np.abs(plane).max() * np.abs(kernel).sum()
-    assert np.abs(out - signal.fftconvolve(plane, kernel, "valid")).max() <= bound
-
-
-def _assert_formed_equal_oracle(convolve, plane, other, kernel):
-    # the formed plane, by default the product, is built a row block at a time
-    out = convolve(plane, other)
-    assert np.array_equal(out, circular_valid_convolve(plane * other, kernel))
-    assert out.flags.c_contiguous
-    difference = convolve(plane, other, form=np.subtract)
-    assert np.array_equal(difference, circular_valid_convolve(plane - other, kernel))
-
-
-# row counts below, equal to and not a multiple of the convolver's row block;
-# the window spans ``axes`` and is one tap wide on any other axis
-@pytest.mark.parametrize("shape", [(16, 16), (15, 17), (9, 30), (1, 40), (11, 11), (64, 64),
-                                   (130, 70), (300, 400), (1024, 1024)])
-@pytest.mark.parametrize("axes", [(1,), (0,), (0, 1)])
-def test_valid_convolver_equals_fftconvolve(shape, axes):
-    # the pruned in-place transforms against scipy's allocating ones at the same sizes
-    rng = np.random.default_rng(sum(shape))
-    plane = rng.uniform(0.0, 9.0, shape)
-    kernel = rng.uniform(0.0, 1.0, [min(n, 5) if a in axes else 1 for a, n in enumerate(shape)])
-    convolve = valid_convolver(shape, kernel)
-    out = convolve(plane)
-    assert np.array_equal(out, circular_valid_convolve(plane, kernel))
-    _assert_near_fftconvolve(out, plane, kernel)
-    _assert_formed_equal_oracle(convolve, plane, rng.uniform(0.0, 9.0, shape), kernel)
-
+# The SSIM window's valid convolution, ``metrics._window_convolver``: banded tile
+# products, against scipy's fftconvolve with the 2D window
 
 _SSIM_WINDOW = gaussian_window()
-_SMOOTHING_TAPS = gaussian_kernel_1d(100.0, 601)
 
 
-@pytest.mark.parametrize("shape, kernel, fft_sizes", [
-    # one kept row
-    ((11, 11), _SSIM_WINDOW, (12, 12)),
-    ((11, 40), _SSIM_WINDOW, (12, 40)),
-    # the SSIM scale chain of a 1024-pixel tile: no padding row or column
-    ((1024, 1024), _SSIM_WINDOW, (1024, 1024)),
-    ((512, 512), _SSIM_WINDOW, (512, 512)),
-    ((256, 256), _SSIM_WINDOW, (256, 256)),
-    ((128, 128), _SSIM_WINDOW, (128, 128)),
-    ((64, 64), _SSIM_WINDOW, (64, 64)),
-    # row counts not a multiple of the convolver's row block
-    ((130, 70), _SSIM_WINDOW, (135, 72)),
-    ((300, 400), _SSIM_WINDOW, (300, 400)),
-    # a 601-tap window along either axis: the valid part starts 600 in and never wraps
-    ((1624, 1024), _SMOOTHING_TAPS[:, None], (1728, 1024)),
-    ((1024, 1624), _SMOOTHING_TAPS[None, :], (1024, 1728)),
-], ids=["11x11", "11x40", "1024", "512", "256", "128", "64", "130x70", "300x400",
-        "601-taps-axis0", "601-taps-axis1"])
-def test_valid_convolver_equals_fftconvolve_at_job_sizes(shape, kernel, fft_sizes):
-    from scipy import fft as sp_fft
+def _assert_formed_near_fftconvolve(convolve, plane, other):
+    # each form is built a block of input rows at a time; the consume path hands over
+    # the same blocks the plane path writes
+    assert_near_fftconvolve(convolve(plane), plane, _SSIM_WINDOW)
+    for form, formed in ((np.multiply, plane * other), (np.subtract, plane - other),
+                         (metrics._square_sum, plane * plane + other * other)):
+        out = convolve(plane, other, form=form)
+        assert out.flags.c_contiguous
+        assert_near_fftconvolve(out, formed, _SSIM_WINDOW)
+        blocks = []
+        consume = lambda rows, block: blocks.append((rows, block.copy()))  # noqa: E731
+        assert convolve(plane, other, consume=consume, form=form) is None
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), out)
+        assert [rows.start for rows, _ in blocks] == list(range(0, len(out), metrics._TILE))
 
-    assert tuple(sp_fft.next_fast_len(m, True) for m in shape) == fft_sizes
-    # valid_convolver transforms the kernel with numpy, the oracle with scipy
-    assert np.array_equal(np.fft.rfftn(kernel, fft_sizes, axes=(0, 1)), sp_fft.rfftn(kernel, fft_sizes))
+
+# row and column counts below, equal to and not a multiple of the tile; ``axes`` are the
+# axes the plane is handed over reversed along, a view whose tiles keep its negative strides
+@pytest.mark.parametrize("shape", [(11, 11), (12, 17), (37, 53), (11, 200), (42, 42), (64, 64),
+                                   (130, 70), (300, 400), (1024, 1024)])
+@pytest.mark.parametrize("axes", [(), (0,), (0, 1)])
+def test_valid_convolver_equals_fftconvolve(shape, axes):
+    rng = np.random.default_rng(sum(shape))
+    plane, other = (np.flip(p, axes) for p in rng.uniform(0.0, 9.0, (2, *shape)))
+    _assert_formed_near_fftconvolve(metrics._window_convolver(shape), plane, other)
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (11, 40), (1024, 1024), (512, 512), (256, 256),
+                                   (128, 128), (64, 64), (130, 70), (300, 400)],
+                         ids=["11x11", "11x40", "1024", "512", "256", "128", "64", "130x70", "300x400"])
+def test_valid_convolver_equals_fftconvolve_at_job_sizes(shape):
+    # one kept row, the SSIM scale chain of a 1024-pixel tile, and row counts not a
+    # multiple of the tile, at the range of 16-bit amplitudes
     plane = np.random.default_rng(shape[1]).uniform(0.0, 65535.0, shape)
-    convolve = valid_convolver(shape, kernel)
-    out = convolve(plane)
-    assert np.array_equal(out, circular_valid_convolve(plane, kernel))
-    _assert_near_fftconvolve(out, plane, kernel)
     other = np.random.default_rng(shape[0]).uniform(0.0, 65535.0, shape)
-    _assert_formed_equal_oracle(convolve, plane, other, kernel)
+    _assert_formed_near_fftconvolve(metrics._window_convolver(shape), plane, other)
 
 
 @settings(max_examples=60, deadline=None)
-@given(shape=st.tuples(st.integers(11, 96), st.integers(11, 96)),
-       taps=st.tuples(st.integers(1, 11), st.integers(1, 11)), seed=st.integers(0, 2**32 - 1))
-def test_valid_convolver_is_near_fftconvolve_on_random_shapes(shape, taps, seed):
-    rng = np.random.default_rng(seed)
-    plane = rng.uniform(0.0, 65535.0, shape)
-    kernel = rng.uniform(0.0, 1.0, taps)
-    _assert_near_fftconvolve(valid_convolver(shape, kernel)(plane), plane, kernel)
-
-
-def test_next_fast_len_equals_scipy():
-    from scipy import fft as sp_fft
-
-    assert [_next_fast_len(n) for n in range(1, 5001)] == [sp_fft.next_fast_len(n, True) for n in range(1, 5001)]
+@given(shape=st.tuples(st.integers(11, 96), st.integers(11, 96)), seed=st.integers(0, 2**32 - 1))
+def test_valid_convolver_is_near_fftconvolve_on_random_shapes(shape, seed):
+    plane = np.random.default_rng(seed).uniform(0.0, 65535.0, shape)
+    assert_near_fftconvolve(metrics._window_convolver(shape)(plane), plane, _SSIM_WINDOW)
 
 
 def test_valid_convolver_takes_numpy_integer_sizes():
-    # a shape read off an array may hold numpy integers, which cannot take 30**64 % n
-    assert _next_fast_len(np.int64(40)) == 40 and type(_next_fast_len(np.int64(41))) is int
-    window = gaussian_window()
+    # a shape read off an array may hold numpy integers
     plane = np.random.default_rng(40).uniform(0.0, 9.0, (40, 40))
-    out = valid_convolver((np.int64(40), 40), window)(plane)
-    assert np.array_equal(out, valid_convolver((40, 40), window)(plane))
+    out = metrics._window_convolver.__wrapped__((np.int64(40), np.int64(40)))(plane)
+    assert np.array_equal(out, metrics._window_convolver((40, 40))(plane))
+
+
+@pytest.mark.parametrize("shape", [(1024, 1024), (300, 400), (64, 64)])
+def test_valid_convolver_bits_do_not_depend_on_the_tile(shape, monkeypatch):
+    # BLAS sums each output's eleven taps in order in every tile, whatever its place,
+    # so the tiling moves no bit; the scale chain's tiles are all _TILE columns wide
+    # (a plane narrower than the tile makes one narrower tile, whose columns BLAS's
+    # edge kernel may round differently)
+    rng = np.random.default_rng(sum(shape))
+    plane, other = rng.uniform(0.0, 65535.0, (2, *shape))
+    outs = []
+    for tile in (8, 32, 48):
+        monkeypatch.setattr(metrics, "_TILE", tile)
+        convolve = metrics._window_convolver.__wrapped__(shape)
+        outs.append([convolve(plane), convolve(plane, other), convolve(plane, other, form=metrics._square_sum)])
+    assert all(np.array_equal(x, y) for out in outs[1:] for x, y in zip(outs[0], out))
 
 
 def test_constant_image_is_dc_only():
