@@ -80,7 +80,7 @@ class ExperimentConfig:
         with open(path) as fh:
             raw = json.load(fh)
         _check_keys("config", raw)
-        if raw["schema_version"] != SCHEMA_VERSION:
+        if not (_is_number(raw["schema_version"], int) and raw["schema_version"] == SCHEMA_VERSION):
             raise ValueError(f"unsupported config schema version {raw['schema_version']!r}")
         raw_edits = raw.get("edits", [{"kind": "none"}])
         for key, value in (("manifest", raw["manifest"]), ("edits", raw_edits)):

@@ -12,7 +12,6 @@ that departs from its neighbourhood, which a splice leaves and the attack hides.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import asdict, astuple, dataclass
 
@@ -114,84 +113,67 @@ def _column_tiles(a, width, step):
     return tiles
 
 
-@functools.lru_cache(maxsize=16)
-def _window_convolver(shape):
-    """``plane -> fftconvolve(plane, gaussian_window(), "valid")`` to roundoff for real
-    planes of ``shape``, as two passes of the normalised 1D taps. Each pass is a banded
-    matrix product per block of ``_TILE`` output rows over a stack of column tiles, all
-    views: the band, rows of shifted taps, times the block's input rows along axis 0,
-    then the overlapping column tiles of that result times the band's transpose along
-    axis 1. A last short tile is recomputed whole over the one before it. ``convolve(plane,
-    other)`` convolves ``form(plane, other, out=block)``, by default their product, formed
-    a block of input rows at a time, so no formed plane exists. The result is one compact
-    C-contiguous plane, or each output block is passed, with ``consume``, as
-    ``consume(rows, block)`` instead. The buffers are allocated per call, so threads can
-    share one convolver."""
+def _moment_blocks(a, b):
+    """Yield ``(rows, (mu_a, mu_b, W(a*a + b*b), W(a*b)))`` per block of ``_TILE`` output
+    rows, ``W`` being ``fftconvolve(plane, gaussian_window(), "valid")`` to roundoff as two
+    passes of the normalised 1D taps. Each pass is a banded matrix product over a stack of
+    column tiles, all views: the band, rows of shifted taps, times the block's input rows
+    along axis 0, then the overlapping column tiles of that result times the band's
+    transpose along axis 1. A last short tile is recomputed whole over the one before it.
+    The products are formed a block of input rows at a time. The moments, one stacked view,
+    live in buffers that the next block overwrites, allocated per call so threads share none."""
     taps = gaussian_kernel_1d(SSIM_WINDOW_SIGMA, SSIM_WINDOW_SIZE)
     reach, tile = SSIM_WINDOW_SIZE - 1, _TILE
     band = np.zeros((tile, tile + reach))
     for i in range(tile):
         band[i, i:i + SSIM_WINDOW_SIZE] = taps
-    kept_rows, kept_cols = shape[0] - reach, shape[1] - reach
-    t0, t1 = min(tile, shape[1]), min(tile, kept_cols)
+    kept_rows, kept_cols = a.shape[0] - reach, a.shape[1] - reach
+    t0, t1 = min(tile, a.shape[1]), min(tile, kept_cols)
     # in C order, BLAS sums each output's taps in order, so no tile size changes a bit
     band_t = band[:t1, :t1 + reach].T.copy()
-
-    def convolve(plane, other=None, consume=None, form=np.multiply):
-        src = plane if other is None else np.empty((tile + reach, shape[1]))
-        mid = np.empty((tile, shape[1]))
-        out = np.empty((tile if consume else kept_rows, kept_cols))
-        axis0 = list(zip(_column_tiles(src, t0, t0), _column_tiles(mid, t0, t0)))
-        axis1 = list(zip(_column_tiles(mid, t1 + reach, t1), _column_tiles(out, t1, t1)))
-        for r in range(0, kept_rows, tile):
-            m = min(tile, kept_rows - r)
-            first_in, first_out = (r if other is None else 0), (0 if consume else r)
-            if other is not None:
-                form(plane[r:r + m + reach], other[r:r + m + reach], out=src[:m + reach])
+    formed = np.empty((2, tile + reach, a.shape[1]))
+    mid = np.empty((tile, a.shape[1]))
+    out = np.empty((4, tile, kept_cols))
+    mid_in, mid_out = _column_tiles(mid, t0, t0), _column_tiles(mid, t1 + reach, t1)
+    passes = [(list(zip(_column_tiles(src, t0, t0), mid_in)),
+               list(zip(mid_out, _column_tiles(dest, t1, t1)))) for src, dest in zip((a, b, *formed), out)]
+    for r in range(0, kept_rows, tile):
+        m = min(tile, kept_rows - r)
+        x, y, ss = a[r:r + m + reach], b[r:r + m + reach], formed[0, :m + reach]
+        np.add(np.square(x, out=ss), np.square(y), out=ss)
+        np.multiply(x, y, out=formed[1, :m + reach])
+        # a and b are read in place, their products from the first row of ``formed``
+        for first, (axis0, axis1) in zip((r, r, 0, 0), passes):
             for rows, dest in axis0:
-                np.matmul(band[:m, :m + reach], rows[..., first_in:first_in + m + reach, :],
-                          out=dest[..., :m, :])
+                np.matmul(band[:m, :m + reach], rows[..., first:first + m + reach, :], out=dest[..., :m, :])
             for rows, dest in axis1:
-                np.matmul(rows[..., :m, :], band_t, out=dest[..., first_out:first_out + m, :])
-            if consume:
-                consume(slice(r, r + m), out[:m])
-        return None if consume else out
-
-    return convolve
-
-
-def _square_sum(x, y, out):
-    return np.add(np.square(x, out=out), np.square(y), out=out)
+                np.matmul(rows[..., :m, :], band_t, out=dest[..., :m, :])
+        yield slice(r, r + m), out[:, :m]
 
 
 def _ssim_components(a: np.ndarray, b: np.ndarray, dynamic_range: float, luminance: bool):
-    """``(mean(lum*cs), mean(cs))``, the first None unless ``luminance``. ``a`` and ``b``
-    are windowed as they are into mu_a, mu_b, W(a*a + b*b) and W(a*b): var_a and var_b
-    enter only as a sum, so one moment of the summed squares carries both, exactly
-    twice W(a*a) when ``a`` is ``b``. Each second moment is consumed a row block at a
-    time into one ``den`` plane (var_a + var_b + c2, then cs), and lum*cs overwrites
-    mu_a by row block, so three compact moment planes exist. Both means run over
+    """``(mean(lum*cs), mean(cs))``, the first None unless ``luminance``. var_a and var_b
+    enter only as a sum, so one moment of the summed squares, W(a*a + b*b), carries both,
+    exactly twice W(a*a) when ``a`` is ``b``. One pass over the moment blocks fills a
+    compact cs plane and, with ``luminance``, a lum*cs plane, so both means run over
     whole contiguous planes."""
     if a.shape[0] < SSIM_WINDOW_SIZE or a.shape[1] < SSIM_WINDOW_SIZE:
         raise ValueError(
             f"images of shape {a.shape} are smaller than the {SSIM_WINDOW_SIZE}x"
             f"{SSIM_WINDOW_SIZE} SSIM window"
         )
-    windowed = _window_convolver(a.shape)
-    c1 = (SSIM_K1 * dynamic_range) ** 2
-    c2 = (SSIM_K2 * dynamic_range) ** 2
-    mu_a, mu_b = windowed(a), windowed(b)
-    den = np.empty_like(mu_a)  # var_a + var_b + c2, then cs
-    windowed(a, b, lambda rows, e_ss: np.add(
-        e_ss - (mu_a[rows] * mu_a[rows] + mu_b[rows] * mu_b[rows]), c2, out=den[rows]), _square_sum)
-    windowed(a, b, lambda rows, e_ab: np.divide(2 * (e_ab - mu_a[rows] * mu_b[rows]) + c2, den[rows],
-                                                out=den[rows]))
-    if not luminance:
-        return None, float(np.mean(den))
-    for r in range(0, len(mu_a), _TILE):
-        ma, mb = mu_a[r:r + _TILE], mu_b[r:r + _TILE]
-        ma[:] = (2 * ma * mb + c1) / (np.square(ma) + np.square(mb) + c1) * den[r:r + _TILE]
-    return float(np.mean(mu_a)), float(np.mean(den))
+    c1, c2 = (SSIM_K1 * dynamic_range) ** 2, (SSIM_K2 * dynamic_range) ** 2
+    cs = np.empty((a.shape[0] - SSIM_WINDOW_SIZE + 1, a.shape[1] - SSIM_WINDOW_SIZE + 1))
+    full = np.empty_like(cs) if luminance else None
+    for rows, (mu_a, mu_b, e_ss, e_ab) in _moment_blocks(a, b):
+        # one line each, so the last block's ab is freed before this ss is formed;
+        # 2 * (mu_a * mu_b) is (2 * mu_a) * mu_b unless the product is subnormal
+        ab = mu_a * mu_b
+        ss = mu_a * mu_a + mu_b * mu_b
+        np.divide(2 * (e_ab - ab) + c2, (e_ss - ss) + c2, out=cs[rows])
+        if luminance:
+            np.multiply((2 * ab + c1) / (ss + c1), cs[rows], out=full[rows])
+    return (None if full is None else float(np.mean(full))), float(np.mean(cs))
 
 
 def _ssim_terms(pa: np.ndarray, pb: np.ndarray, dynamic_range: float, n_scales: int):

@@ -82,6 +82,25 @@ def assert_near_fftconvolve(out, plane, kernel):
     assert np.abs(out - signal.fftconvolve(plane, kernel, "valid")).max() <= bound
 
 
+def moment_planes(a, b):
+    """The four moments ``metrics._moment_blocks(a, b)`` yields as planes: each block is
+    copied before the next overwrites it, and the blocks start every ``_TILE`` rows."""
+    from sarfx import metrics
+
+    blocks = [(rows, block.copy()) for rows, block in metrics._moment_blocks(a, b)]
+    kept_rows = len(a) - metrics.SSIM_WINDOW_SIZE + 1
+    assert [rows.start for rows, _ in blocks] == list(range(0, kept_rows, metrics._TILE))
+    return np.concatenate([block for _, block in blocks], axis=1)
+
+
+def assert_moments_near_fftconvolve(a, b):
+    """mu_a, mu_b, W(a*a + b*b) and W(a*b) each near ``fftconvolve`` with the SSIM window."""
+    from sarfx.metrics import gaussian_window
+
+    for moment, formed in zip(moment_planes(a, b), (a, b, a * a + b * b, a * b)):
+        assert_near_fftconvolve(moment, formed, gaussian_window())
+
+
 def padded_row_smoothing(plane: np.ndarray, sigma: float, kernel_size: int) -> np.ndarray:
     """The smoothing the DCT-domain product replaced: each axis in turn, rows of the
     transposed plane padded symmetrically by the kernel radius and convolved by

@@ -948,6 +948,8 @@ _BAD_ATTACK_PLANS = {
     "misspelt-attack": lambda c: c.update({"atack": c.pop("attack")}),
     "misspelt-fingerprint": lambda c: c["manifest"][0].update({"fingerprnt": "t0_fp.sarf"}),
     "schema-version-2": lambda c: c.update({"schema_version": 2}),
+    "schema-version-true": lambda c: c.update({"schema_version": True}),
+    "schema-version-float": lambda c: c.update({"schema_version": 1.0}),
     "missing-schema-version": lambda c: c.pop("schema_version"),
     "duplicate-manifest-id": lambda c: c["manifest"][1].update({"id": "t0"}),
     "duplicate-edit-label": lambda c: c["edits"].append({"kind": "gaussian_blur", "parameter": 2.0}),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_near_fftconvolve, assert_threaded_equals_serial, circular_valid_convolve
+from helpers import assert_moments_near_fftconvolve, assert_threaded_equals_serial, circular_valid_convolve
 
 from sarfx import (
     AmplitudeImage,
@@ -153,40 +153,27 @@ def test_ssim_moments_equal_fftconvolve(shape, monkeypatch):
     # and the four-moment pass against the five linear-size moments it replaced
     rng = np.random.default_rng(sum(shape))
     a, b = rng.uniform(0, 65535, (2, *shape))
-    window = gaussian_window()
-    windowed = metrics._window_convolver(shape)
-    assert_near_fftconvolve(windowed(a), a, window)
-    assert_near_fftconvolve(windowed(b), b, window)
-    assert_near_fftconvolve(windowed(a, b, form=metrics._square_sum), a * a + b * b, window)
-    assert_near_fftconvolve(windowed(a, b), a * b, window)
+    assert_moments_near_fftconvolve(a, b)
     n_scales = ms_ssim_scale_count(shape)
     fast = metrics._ssim_terms(a, b, 65535.0, n_scales)
     # the summed second moment and the summation order round differently; on these
     # uniform planes, whose cs is near 0, the terms moved by at most 5.7e-14
     _assert_terms_near(fast, _fftconvolve_ssim_terms(a, b, 65535.0, n_scales))
-    # the convolver is cached per shape, so patch the cached entry point itself;
-    # each moment reaches it as a plane of the scale's shape, and a second moment
-    # with its second plane and the form that combines the two; scipy's whole-plane
-    # transforms at the circular sizes stand in for it, all rows in one block
+    # each scale reaches the moment blocks once with its two planes; scipy's
+    # whole-plane transforms at the circular sizes stand in for them, all rows in
+    # one block
+    window = gaussian_window()
     calls = []
 
-    def patched(scale_shape):
-        def oracle(plane, other=None, consume=None, form=np.multiply):
-            calls.append(plane.shape)
-            assert plane.shape == scale_shape
-            if other is not None:
-                assert other.shape == scale_shape
-                plane = form(plane, other, out=np.empty(scale_shape))
-            out = circular_valid_convolve(plane, window)
-            if consume is None:
-                return out
-            consume(slice(0, len(out)), out)
+    def oracle(x, y):
+        calls.append(x.shape)
+        assert y.shape == x.shape
+        moments = [circular_valid_convolve(p, window) for p in (x, y, x * x + y * y, x * y)]
+        yield slice(0, len(moments[0])), moments
 
-        return oracle
-
-    monkeypatch.setattr(metrics, "_window_convolver", patched)
+    monkeypatch.setattr(metrics, "_moment_blocks", oracle)
     _assert_terms_near(fast, metrics._ssim_terms(a, b, 65535.0, n_scales))
-    assert len(calls) == 4 * n_scales
+    assert len(calls) == n_scales
 
 
 def test_scores_do_not_depend_on_blas_threads(tmp_path):
@@ -208,7 +195,7 @@ def test_scores_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_evaluate_pair_on_shared_convolvers_is_thread_safe():
-    # the window convolvers are cached per shape and shared by every job thread
+    # job threads score at once; each SSIM pass allocates its own moment buffers
     pairs = []
     for seed, shape in enumerate([(256, 256), (192, 320)] * 3):
         a, b = np.random.default_rng(seed).uniform(0, 65535, (2, *shape))

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from helpers import (
-    assert_near_fftconvolve,
+    assert_moments_near_fftconvolve,
     assert_threaded_equals_serial,
+    moment_planes,
     naive_convolve_reflect,
     naive_dft2,
     padded_row_smoothing,
@@ -22,41 +23,22 @@ from sarfx import (
     smooth_spectrum,
 )
 from sarfx import metrics
-from sarfx.metrics import gaussian_window
 from sarfx.spectral import gaussian_kernel_1d, profile_to_csv
 
 
-# The SSIM window's valid convolution, ``metrics._window_convolver``: banded tile
-# products, against scipy's fftconvolve with the 2D window
-
-_SSIM_WINDOW = gaussian_window()
-
-
-def _assert_formed_near_fftconvolve(convolve, plane, other):
-    # each form is built a block of input rows at a time; the consume path hands over
-    # the same blocks the plane path writes
-    assert_near_fftconvolve(convolve(plane), plane, _SSIM_WINDOW)
-    for form, formed in ((np.multiply, plane * other), (np.subtract, plane - other),
-                         (metrics._square_sum, plane * plane + other * other)):
-        out = convolve(plane, other, form=form)
-        assert out.flags.c_contiguous
-        assert_near_fftconvolve(out, formed, _SSIM_WINDOW)
-        blocks = []
-        consume = lambda rows, block: blocks.append((rows, block.copy()))  # noqa: E731
-        assert convolve(plane, other, consume=consume, form=form) is None
-        assert np.array_equal(np.concatenate([block for _, block in blocks]), out)
-        assert [rows.start for rows, _ in blocks] == list(range(0, len(out), metrics._TILE))
+# The SSIM window's valid convolution, ``metrics._moment_blocks``: banded tile products
+# of both planes and of their two products, against scipy's fftconvolve with the 2D window
 
 
 # row and column counts below, equal to and not a multiple of the tile; ``axes`` are the
-# axes the plane is handed over reversed along, a view whose tiles keep its negative strides
+# axes the planes are handed over reversed along, views whose tiles keep their negative strides
 @pytest.mark.parametrize("shape", [(11, 11), (12, 17), (37, 53), (11, 200), (42, 42), (64, 64),
                                    (130, 70), (300, 400), (1024, 1024)])
 @pytest.mark.parametrize("axes", [(), (0,), (0, 1)])
 def test_valid_convolver_equals_fftconvolve(shape, axes):
     rng = np.random.default_rng(sum(shape))
     plane, other = (np.flip(p, axes) for p in rng.uniform(0.0, 9.0, (2, *shape)))
-    _assert_formed_near_fftconvolve(metrics._window_convolver(shape), plane, other)
+    assert_moments_near_fftconvolve(plane, other)
 
 
 @pytest.mark.parametrize("shape", [(11, 11), (11, 40), (1024, 1024), (512, 512), (256, 256),
@@ -67,21 +49,14 @@ def test_valid_convolver_equals_fftconvolve_at_job_sizes(shape):
     # multiple of the tile, at the range of 16-bit amplitudes
     plane = np.random.default_rng(shape[1]).uniform(0.0, 65535.0, shape)
     other = np.random.default_rng(shape[0]).uniform(0.0, 65535.0, shape)
-    _assert_formed_near_fftconvolve(metrics._window_convolver(shape), plane, other)
+    assert_moments_near_fftconvolve(plane, other)
 
 
 @settings(max_examples=60, deadline=None)
 @given(shape=st.tuples(st.integers(11, 96), st.integers(11, 96)), seed=st.integers(0, 2**32 - 1))
 def test_valid_convolver_is_near_fftconvolve_on_random_shapes(shape, seed):
-    plane = np.random.default_rng(seed).uniform(0.0, 65535.0, shape)
-    assert_near_fftconvolve(metrics._window_convolver(shape)(plane), plane, _SSIM_WINDOW)
-
-
-def test_valid_convolver_takes_numpy_integer_sizes():
-    # a shape read off an array may hold numpy integers
-    plane = np.random.default_rng(40).uniform(0.0, 9.0, (40, 40))
-    out = metrics._window_convolver.__wrapped__((np.int64(40), np.int64(40)))(plane)
-    assert np.array_equal(out, metrics._window_convolver((40, 40))(plane))
+    plane, other = np.random.default_rng(seed).uniform(0.0, 65535.0, (2, *shape))
+    assert_moments_near_fftconvolve(plane, other)
 
 
 @pytest.mark.parametrize("shape", [(1024, 1024), (300, 400), (64, 64)])
@@ -95,9 +70,8 @@ def test_valid_convolver_bits_do_not_depend_on_the_tile(shape, monkeypatch):
     outs = []
     for tile in (8, 32, 48):
         monkeypatch.setattr(metrics, "_TILE", tile)
-        convolve = metrics._window_convolver.__wrapped__(shape)
-        outs.append([convolve(plane), convolve(plane, other), convolve(plane, other, form=metrics._square_sum)])
-    assert all(np.array_equal(x, y) for out in outs[1:] for x, y in zip(outs[0], out))
+        outs.append(moment_planes(plane, other))
+    assert all(np.array_equal(outs[0], out) for out in outs[1:])
 
 
 def test_constant_image_is_dc_only():
