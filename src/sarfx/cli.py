@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .attack import run_attack
-from .experiment import ExperimentConfig, attack_config, check_attack_plan, load_filter, run_experiment
+from .experiment import ExperimentConfig, check_attack_plan, load_filter, run_experiment
 from .forgery import (
     EDIT_KINDS,
     EditOp,
@@ -211,10 +211,10 @@ def cmd_estimate_filter(args) -> int:
             check_gaussian_kernel(sigma, size)
         except ValueError as exc:
             raise CliError(f"{flag}: {exc}") from None
-    h = load_filter({
+    h = load_filter(check_attack_plan({
         "filter": {"estimate": {"strategy": args.strategy, "sources": args.sources}},
         "smoothing": {"sigma": args.smoothing_sigma, "kernel": args.smoothing_kernel},
-    })
+    }))
     write_raster(AmplitudeImage(h.values, 16), args.out)
     sidecar = {
         "strategy": h.strategy,
@@ -255,24 +255,22 @@ def cmd_forge(args) -> int:
 
 def cmd_attack(args) -> int:
     # the flags form an experiment's attack plan, checked and loaded the same way
-    plan = {
+    plan = check_attack_plan({
         "filter": args.filter_spec,
         "smoothing": {"sigma": args.smoothing_sigma, "kernel": args.smoothing_kernel},
         "speckle_mode": args.speckle_mode.replace("-", "_"),
         "sigma_s": args.speckle_sigma,
         "histogram_match": not args.no_histogram_match,
-    }
-    check_attack_plan(plan)
+    })
     rng(args.seed)  # range-checks the seed before H is loaded
     image = _read_amplitude(args.input)
-    h, arguments = load_filter(plan), attack_config(plan)
-    write_raster(run_attack(image, h, args.seed, **arguments), args.out)
+    h, speckle = load_filter(plan), (plan["speckle_mode"], plan["sigma_s"])
+    write_raster(run_attack(image, h, args.seed, *speckle, plan["histogram_match"]), args.out)
     if args.dump_intermediates:  # the same seed redraws the intermediates the attack dropped
-        field = generate_speckle(*image.shape, arguments["speckle_mode"], arguments["sigma_s"], args.seed)
+        field = generate_speckle(*image.shape, *speckle, args.seed)
         speckled = ComplexImage(inject_speckle(image, field), copy=False)
         write_raster(speckled, f"{args.out}.speckled.sarf")
-        arguments["match_histogram"] = False
-        write_raster(run_attack(image, h, args.seed, **arguments), f"{args.out}.filtered.sarf")
+        write_raster(run_attack(image, h, args.seed, *speckle, False), f"{args.out}.filtered.sarf")
     print(f"wrote {args.out}")
     return 0
 

@@ -75,6 +75,10 @@ class ExperimentConfig:
     out_dir: str
     attack_plan: dict | None = None
 
+    def __post_init__(self):
+        if self.attack_plan is not None:
+            self.attack_plan = check_attack_plan(self.attack_plan)
+
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
@@ -119,14 +123,7 @@ class ExperimentConfig:
             parameter = e.get("parameter")
             if parameter is not None and not _is_number(parameter):
                 raise ValueError(f"an edits entry's parameter must be a number or null, got {parameter!r}")
-        edits = [
-            EditOp(
-                kind=str(e["kind"]),
-                parameter=e.get("parameter"),
-                range_class=str(e.get("range_class", "near")),
-            )
-            for e in raw_edits
-        ]
+        edits = [EditOp(**e) for e in raw_edits]
         labels = [edit_label(op) for op in edits]
         if len(set(labels)) != len(labels):
             # labels key the per-item seed derivation and artifact names
@@ -150,16 +147,13 @@ class ExperimentConfig:
         if headers and not any(region[0] <= h.height and region[1] <= h.width for h in headers):
             raise ValueError(f"region {region} is larger than every manifest tile; "
                              f"{manifest[0].id!r} is {headers[0].height}x{headers[0].width}")
-        attack_plan = raw.get("attack")
-        if attack_plan is not None:
-            check_attack_plan(attack_plan)
-        return cls(
+        return cls(  # checks the attack plan last
             manifest=manifest,
             edits=edits,
             region=tuple(region),
             master_seed=raw["master_seed"],
             out_dir=raw["out_dir"],
-            attack_plan=attack_plan,
+            attack_plan=raw.get("attack"),
         )
 
 
@@ -203,8 +197,10 @@ def _check_path(where: str, value) -> None:
         raise ValueError(f"{where} must be a nonempty path string, got {value!r}")
 
 
-def check_attack_plan(plan: dict) -> None:
-    """Check an ``attack`` plan, the config's or one ``sarfx attack`` builds from its flags."""
+def check_attack_plan(plan: dict) -> dict:
+    """Check an ``attack`` plan, the config's or one a CLI command builds from its
+    flags, and return it resolved: every key present, each default filled in. A
+    smoothing value left None is set from the tile size when H is estimated."""
     _check_keys("attack", plan)
     mode = plan.get("speckle_mode", MODE_PHASE_ONLY)
     if mode not in SPECKLE_MODES:
@@ -219,10 +215,13 @@ def check_attack_plan(plan: dict) -> None:
         raise ValueError(f"attack plan 'sigma_s' must be a positive number, got {sigma_s!r}")
     smoothing = plan.get("smoothing", {})
     _check_keys("smoothing", smoothing)
+    smoothing = {"sigma": smoothing.get("sigma"), "kernel": smoothing.get("kernel")}
     try:
-        check_gaussian_kernel(smoothing.get("sigma"), smoothing.get("kernel"))
+        check_gaussian_kernel(smoothing["sigma"], smoothing["kernel"])
     except ValueError as exc:
         raise ValueError(f"attack plan 'smoothing': {exc}") from None
+    resolved = {"speckle_mode": mode, "sigma_s": sigma_s, "histogram_match": histogram,
+                "smoothing": smoothing}
     flt = plan.get("filter")
     _check_keys("filter", flt)
     if len(flt) != 1:
@@ -231,12 +230,16 @@ def check_attack_plan(plan: dict) -> None:
         _check_path("attack plan 'known'", flt["known"])
         if not Path(flt["known"]).exists():
             raise FileNotFoundError(f"known filter path does not exist: {flt['known']}")
-        return
+        return {**resolved, "filter": {"known": flt["known"]}}
     est = flt["estimate"]
     _check_keys("estimate", est)
-    if _strategy(plan) not in ESTIMATORS:
+    strategy = str(est.get("strategy", STRATEGY_DIRECT)).replace("-", "_")
+    if strategy not in ESTIMATORS:
         raise ValueError(f"invalid estimation strategy {est['strategy']!r}; accepted: {list(ESTIMATORS)}")
     sources = est.get("sources", "self")
+    if sources == "self" and strategy != STRATEGY_DIRECT:  # the curve fits need complex sources
+        raise ValueError(f"attack plan 'estimate' sources \"self\" are amplitude splices, which only "
+                         f"strategy 'direct' takes; got strategy {strategy!r}")
     if sources != "self":
         if not (isinstance(sources, list) and sources and all(isinstance(s, str) and s for s in sources)):
             raise ValueError(
@@ -246,27 +249,13 @@ def check_attack_plan(plan: dict) -> None:
         for src in sources:
             if not Path(src).exists():
                 raise FileNotFoundError(f"filter source does not exist: {src}")
-
-
-def _strategy(plan: dict) -> str:
-    return str(plan["filter"]["estimate"].get("strategy", STRATEGY_DIRECT)).replace("-", "_")
+    return {**resolved, "filter": {"estimate": {"strategy": strategy, "sources": sources}}}
 
 
 def _estimate_filter(plan: dict, sources: list) -> TransferFunction:
-    smoothing = plan.get("smoothing", {})
-    return estimate_transfer_function(
-        sources, _strategy(plan), sigma=smoothing.get("sigma"), kernel_size=smoothing.get("kernel")
-    )
-
-
-# attack plan key -> run_attack keyword
-_ATTACK_ARGUMENTS = {"speckle_mode": "speckle_mode", "sigma_s": "sigma_s", "histogram_match": "match_histogram"}
-
-
-def attack_config(plan: dict) -> dict:
-    """The keyword arguments of :func:`run_attack` that a checked plan sets; one
-    the plan leaves out keeps run_attack's default."""
-    return {arg: plan[key] for key, arg in _ATTACK_ARGUMENTS.items() if key in plan}
+    smoothing = plan["smoothing"]
+    return estimate_transfer_function(sources, plan["filter"]["estimate"]["strategy"],
+                                      sigma=smoothing["sigma"], kernel_size=smoothing["kernel"])
 
 
 @dataclass
@@ -278,7 +267,7 @@ class ExperimentResult:
 
 
 def load_filter(plan: dict) -> TransferFunction | None:
-    """The H every attack of a checked plan shares: the known response, or one
+    """The H every attack of a resolved plan shares: the known response, or one
     estimate from the shared sources. None when each job estimates its own
     from its splice."""
     flt = plan["filter"]
@@ -287,7 +276,7 @@ def load_filter(plan: dict) -> TransferFunction | None:
         if isinstance(h, ComplexImage):  # a response is real: its imaginary part would be dropped
             raise RasterError(f"{flt['known']}: a known H must be a real raster, not a complex one")
         return TransferFunction(h.values)
-    sources = flt["estimate"].get("sources", "self")
+    sources = flt["estimate"]["sources"]
     if sources == "self":
         return None
     return _estimate_filter(plan, [read_raster(p) for p in sources])
@@ -307,13 +296,14 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         target_index=target_index,
     )
 
-    attacked = None
-    if config.attack_plan is not None:
+    attacked, plan = None, config.attack_plan
+    if plan is not None:
         h = shared["filter"]
         if h is None:
-            h = _estimate_filter(config.attack_plan, [spliced])
+            h = _estimate_filter(plan, [spliced])
         seed = derive_seed(config.master_seed, key, "attack")
-        attacked = run_attack(spliced, h, seed, **attack_config(config.attack_plan))
+        attacked = run_attack(spliced, h, seed, plan["speckle_mode"], plan["sigma_s"],
+                              plan["histogram_match"])
         del h  # a self-estimated H is a plane that scoring does not need
 
     # Scored at read, before any artifact is written (a bad one leaves none) or SSIM runs.

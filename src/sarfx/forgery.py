@@ -83,7 +83,8 @@ class EditOp:
 
 @dataclass(frozen=True)
 class GlobalEditOp:
-    """One whole-image editing operation with catalog default parameters."""
+    """One whole-image editing operation with catalog default parameters; a given
+    parameter must be finite, a scale factor positive and any other nonnegative."""
 
     kind: str
     range_class: str = "near"
@@ -94,6 +95,13 @@ class GlobalEditOp:
             raise ValueError(f"unknown global edit kind {self.kind!r}")
         if self.range_class not in ("near", "far"):
             raise ValueError(f"unknown range class {self.range_class!r}")
+        p = self.parameter
+        if p is not None and not np.isfinite(p):
+            raise ValueError(f"global edit parameter must be finite, got {p}")
+        if p is not None and self.kind in ("updownscale", "downupscale") and p <= 0:
+            raise ValueError(f"{self.kind} factor must be positive, got {p}")
+        if p is not None and p < 0:
+            raise ValueError(f"{self.kind} parameter must be nonnegative, got {p}")
 
 
 @dataclass(frozen=True)
@@ -430,27 +438,28 @@ def global_edit(image: AmplitudeImage, op: GlobalEditOp, seed: int = 0) -> Ampli
     """Apply a whole-image edit; output is clipped into the declared range."""
     gen = rng(seed)
     values = image.values
+    if op.parameter is not None:
+        p = float(op.parameter)
+    elif op.kind in ("updownscale", "downupscale"):
+        p = GLOBAL_SCALE_FACTORS[op.range_class]
+    else:
+        p = {"gaussian_blur": BLUR_SIGMA, "additive_uniform": GLOBAL_UNIFORM_HALF_WIDTH}.get(
+            op.kind, GLOBAL_NOISE_LEVEL)
 
     if op.kind == "gaussian_blur":
-        sigma = BLUR_SIGMA if op.parameter is None else float(op.parameter)
-        out = _gaussian_blur(values, sigma)
+        out = _gaussian_blur(values, p)
     elif op.kind in ("updownscale", "downupscale"):
-        factor = GLOBAL_SCALE_FACTORS[op.range_class] if op.parameter is None else float(op.parameter)
-        first = factor if op.kind == "updownscale" else 1.0 / factor
+        first = p if op.kind == "updownscale" else 1.0 / p
         out = _resize_to(resize(values, first), image.shape)
     elif op.kind == "additive_gaussian":
-        level = GLOBAL_NOISE_LEVEL if op.parameter is None else float(op.parameter)
-        out = values + gen.normal(0.0, level, size=values.shape)
+        out = values + gen.normal(0.0, p, size=values.shape)
     elif op.kind == "additive_laplacian":
-        level = GLOBAL_NOISE_LEVEL if op.parameter is None else float(op.parameter)
-        out = values + gen.laplace(0.0, level, size=values.shape)
+        out = values + gen.laplace(0.0, p, size=values.shape)
     elif op.kind == "additive_poisson":
         # Zero-centered: draw ~ P(lambda), add (draw - lambda).
-        lam = GLOBAL_NOISE_LEVEL if op.parameter is None else float(op.parameter)
-        out = values + (gen.poisson(lam, size=values.shape).astype(np.float64) - lam)
+        out = values + (gen.poisson(p, size=values.shape).astype(np.float64) - p)
     else:
-        half = GLOBAL_UNIFORM_HALF_WIDTH if op.parameter is None else float(op.parameter)
-        out = values + gen.uniform(-half, half, size=values.shape)
+        out = values + gen.uniform(-p, p, size=values.shape)
 
     out = np.clip(out, 0.0, image.dynamic_range)
     return AmplitudeImage(out, image.dynamic_range_bits, copy=False)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -29,7 +30,7 @@ from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliErro
 from sarfx.experiment import ExperimentConfig, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp, place_splice
 from sarfx.leastsq import FitDivergenceError
-from sarfx.speckle import rng
+from sarfx.speckle import DEFAULT_SIGMA_S, rng
 
 
 def test_cli_import_does_not_load_scipy_signal():
@@ -321,7 +322,10 @@ def test_forge_rejects_an_empty_region(tmp_path, product, capsys, region):
     (["--edit", "downscale", "--edit-class", "fixed", "--edit-parameter", "0"],
      "downscale factor must be positive, got 0.0"),
     (["--edit", "none", "--edit-parameter", "2"], "edit kind 'none' takes no parameter, got 2.0"),
-], ids=["inf-upscale", "nan-rotate", "negative-blur", "zero-downscale", "parameter-for-none"])
+    (["--edit", "downscale", "--edit-class", "fixed", "--edit-parameter", "0.5", "--region", "96x96"],
+     "edited donor (64, 64) is too small for a 96x96 region"),
+], ids=["inf-upscale", "nan-rotate", "negative-blur", "zero-downscale", "parameter-for-none",
+        "donor-smaller-than-region"])
 def test_forge_rejects_a_bad_edit_parameter(tmp_path, product, capsys, flags, message):
     out = tmp_path / "out"
     out.mkdir()
@@ -330,6 +334,15 @@ def test_forge_rejects_a_bad_edit_parameter(tmp_path, product, capsys, flags, me
     assert main(argv) == 1
     assert capsys.readouterr().err == f"sarfx: error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+def test_estimate_filter_rejects_a_missing_source_like_the_attack_plan(tmp_path, product, capsys,
+                                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["estimate-filter", "--strategy", "direct", "--sources", str(product["complex0"]),
+                 "nope.sarf", "--out", str(tmp_path / "h.sarf")]) == 1
+    assert capsys.readouterr().err == "sarfx: error: filter source does not exist: nope.sarf\n"
+    assert not list(tmp_path.glob("h.sarf*"))
 
 
 _FORGE_EDITS = {
@@ -881,6 +894,39 @@ def test_experiment_manifest_read_error_raises_before_out_dir(tmp_path, product)
     assert not (tmp_path / "late").exists()
 
 
+def test_attack_plan_is_resolved_once_with_every_default(tmp_path, product):
+    sources = [str(product["complex1"])]
+    plan = experiment.check_attack_plan({"filter": {"estimate": {"strategy": "raised-cosine",
+                                                                 "sources": sources}}})
+    assert plan == {"speckle_mode": "phase_only", "sigma_s": DEFAULT_SIGMA_S, "histogram_match": True,
+                    "smoothing": {"sigma": None, "kernel": None},
+                    "filter": {"estimate": {"strategy": "raised_cosine", "sources": sources}}}
+    assert experiment.check_attack_plan(plan) == plan
+    # a config read from JSON and one built directly hold the same resolved plan
+    loaded = ExperimentConfig.from_json(_experiment_config(tmp_path, product))
+    raw = json.loads((tmp_path / "run.json").read_text())["attack"]
+    built = ExperimentConfig(loaded.manifest, loaded.edits, loaded.region, 1, "out", raw)
+    assert built.attack_plan == loaded.attack_plan
+    assert loaded.attack_plan["filter"] == {"estimate": {"strategy": "direct", "sources": "self"}}
+
+
+# The README's accepted-keys table: its level names, and each row's keys (its backticked
+# names outside parentheses)
+_README_LEVELS = {"the config": "config", "each `manifest` entry": "manifest",
+                  "each `edits` entry": "edits", "`attack`": "attack", "`attack.filter`": "filter",
+                  "`attack.filter.estimate`": "estimate", "`attack.smoothing`": "smoothing"}
+
+
+def test_readme_key_table_names_exactly_the_accepted_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| level | keys |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        _, level, keys, _ = line.split("|")
+        rows[_README_LEVELS[level.strip()]] = set(re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", keys)))
+    assert rows == experiment._CONFIG_KEYS
+
+
 _BAD_ATTACK_PLANS = {
     "unknown-top-key": lambda c: c["attack"].update({"speckle-mode": "full"}),
     "unknown-filter-key": lambda c: c["attack"]["filter"].update({"guess": {}}),
@@ -957,6 +1003,7 @@ _BAD_ATTACK_PLANS = {
     "known-and-estimate-filter": lambda c: c["attack"]["filter"].update({"known": "h.sarf"}),
     "absent-fingerprint-file": lambda c: c["manifest"][1].update({"fingerprint": "absent.sarf"}),
     "absent-estimate-source": lambda c: c["attack"]["filter"]["estimate"].update({"sources": ["absent.sarf"]}),
+    "curve-fit-on-self": lambda c: c["attack"]["filter"]["estimate"].update({"strategy": "raised-cosine"}),
 }
 
 
@@ -1031,6 +1078,8 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
     ("known-and-estimate-filter", "attack plan filter must carry exactly one of 'known'/'estimate'"),
     ("absent-fingerprint-file", "fingerprint path does not exist: absent.sarf"),
     ("absent-estimate-source", "filter source does not exist: absent.sarf"),
+    ("curve-fit-on-self", "attack plan 'estimate' sources \"self\" are amplitude splices, which only "
+                          "strategy 'direct' takes; got strategy 'raised_cosine'"),
 ], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
         "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
         "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
@@ -1041,7 +1090,8 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
         "zero-fixed-downscale", "drawn-edit-parameter", "misspelt-attack", "misspelt-fingerprint",
         "schema-version-2",
         "missing-schema-version", "duplicate-manifest-id", "duplicate-edit-label", "number-manifest-entry",
-        "known-and-estimate-filter", "absent-fingerprint-file", "absent-estimate-source"])
+        "known-and-estimate-filter", "absent-fingerprint-file", "absent-estimate-source",
+        "curve-fit-on-self"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())

@@ -237,6 +237,29 @@ def test_random_splice_too_small_tiles():
         random_splice([tiny], (128, 128), EditOp("none"), seed=0)
 
 
+def test_random_splice_single_tile_without_room_for_two_regions():
+    tile = _random_amplitude((64, 64), 25)
+    with pytest.raises(RasterError) as excinfo:
+        random_splice([tile], region=(40, 40))
+    assert str(excinfo.value) == "single (64, 64) tile is too small for disjoint 40x40 regions"
+
+
+def test_random_splice_gives_up_on_disjoint_regions_after_its_attempts():
+    # a 64x32 tile holds two disjoint 32x32 boxes only at rows 0 and 32: seed 8 draws
+    # no such pair in its attempts (36 of seeds 0-199 do not)
+    tile = _random_amplitude((64, 32), 25)
+    with pytest.raises(RasterError) as excinfo:
+        random_splice([tile], region=(32, 32), seed=8)
+    assert str(excinfo.value) == "could not place disjoint donor/target regions on a single tile"
+
+
+def test_place_splice_rejects_an_edited_donor_smaller_than_the_region():
+    tile = _random_amplitude((64, 64), 25)
+    with pytest.raises(RasterError) as excinfo:
+        place_splice(rng(0), tile, tile, (48, 48), EditOp("downscale", 0.5, "fixed"), 0)
+    assert str(excinfo.value) == "edited donor (32, 32) is too small for a 48x48 region"
+
+
 def test_vehicle_style_stencil_splices_pixel_exact():
     # elongated ~35x16 blob, the kind a small-vehicle insertion uses
     yy, xx = np.mgrid[0:16, 0:35]
@@ -377,6 +400,28 @@ def test_global_blur_equals_clipped_ndimage(parameter):
     expected = np.clip(ndimage.gaussian_filter(image.values, sigma, mode="reflect"), 0.0, 4095.0)
     assert np.array_equal(out.values, expected)
     assert 0 < np.mean(out.values == 4095.0) < 1
+
+
+@pytest.mark.parametrize("kind, parameter, message", [
+    ("gaussian_blur", -1.0, "gaussian_blur parameter must be nonnegative, got -1.0"),
+    ("additive_gaussian", np.inf, "global edit parameter must be finite, got inf"),
+    ("additive_laplacian", np.nan, "global edit parameter must be finite, got nan"),
+    ("additive_poisson", -2.0, "additive_poisson parameter must be nonnegative, got -2.0"),
+    ("additive_uniform", -50.0, "additive_uniform parameter must be nonnegative, got -50.0"),
+    ("updownscale", 0.0, "updownscale factor must be positive, got 0.0"),
+    ("downupscale", -1.5, "downupscale factor must be positive, got -1.5"),
+    ("downupscale", -np.inf, "global edit parameter must be finite, got -inf"),
+])
+def test_global_edit_op_rejects_a_bad_parameter(kind, parameter, message):
+    with pytest.raises(ValueError) as excinfo:
+        GlobalEditOp(kind, parameter=parameter)
+    assert str(excinfo.value) == message
+
+
+def test_global_edit_op_takes_a_zero_spread():
+    image = _random_amplitude((32, 32), 31)
+    for kind in ("gaussian_blur", "additive_gaussian", "additive_uniform"):
+        assert np.array_equal(global_edit(image, GlobalEditOp(kind, parameter=0.0)).values, image.values)
 
 
 def test_global_edit_determinism():

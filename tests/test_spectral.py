@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from helpers import (
-    assert_moments_near_fftconvolve,
     assert_threaded_equals_serial,
-    moment_planes,
     naive_convolve_reflect,
     naive_dft2,
     padded_row_smoothing,
@@ -22,56 +20,7 @@ from sarfx import (
     inverse_dft,
     smooth_spectrum,
 )
-from sarfx import metrics
 from sarfx.spectral import gaussian_kernel_1d, profile_to_csv
-
-
-# The SSIM window's valid convolution, ``metrics._moment_blocks``: banded tile products
-# of both planes and of their two products, against scipy's fftconvolve with the 2D window
-
-
-# row and column counts below, equal to and not a multiple of the tile; ``axes`` are the
-# axes the planes are handed over reversed along, views whose tiles keep their negative strides
-@pytest.mark.parametrize("shape", [(11, 11), (12, 17), (37, 53), (11, 200), (42, 42), (64, 64),
-                                   (130, 70), (300, 400), (1024, 1024)])
-@pytest.mark.parametrize("axes", [(), (0,), (0, 1)])
-def test_valid_convolver_equals_fftconvolve(shape, axes):
-    rng = np.random.default_rng(sum(shape))
-    plane, other = (np.flip(p, axes) for p in rng.uniform(0.0, 9.0, (2, *shape)))
-    assert_moments_near_fftconvolve(plane, other)
-
-
-@pytest.mark.parametrize("shape", [(11, 11), (11, 40), (1024, 1024), (512, 512), (256, 256),
-                                   (128, 128), (64, 64), (130, 70), (300, 400)],
-                         ids=["11x11", "11x40", "1024", "512", "256", "128", "64", "130x70", "300x400"])
-def test_valid_convolver_equals_fftconvolve_at_job_sizes(shape):
-    # one kept row, the SSIM scale chain of a 1024-pixel tile, and row counts not a
-    # multiple of the tile, at the range of 16-bit amplitudes
-    plane = np.random.default_rng(shape[1]).uniform(0.0, 65535.0, shape)
-    other = np.random.default_rng(shape[0]).uniform(0.0, 65535.0, shape)
-    assert_moments_near_fftconvolve(plane, other)
-
-
-@settings(max_examples=60, deadline=None)
-@given(shape=st.tuples(st.integers(11, 96), st.integers(11, 96)), seed=st.integers(0, 2**32 - 1))
-def test_valid_convolver_is_near_fftconvolve_on_random_shapes(shape, seed):
-    plane, other = np.random.default_rng(seed).uniform(0.0, 65535.0, (2, *shape))
-    assert_moments_near_fftconvolve(plane, other)
-
-
-@pytest.mark.parametrize("shape", [(1024, 1024), (300, 400), (64, 64)])
-def test_valid_convolver_bits_do_not_depend_on_the_tile(shape, monkeypatch):
-    # BLAS sums each output's eleven taps in order in every tile, whatever its place,
-    # so the tiling moves no bit; the scale chain's tiles are all _TILE columns wide
-    # (a plane narrower than the tile makes one narrower tile, whose columns BLAS's
-    # edge kernel may round differently)
-    rng = np.random.default_rng(sum(shape))
-    plane, other = rng.uniform(0.0, 65535.0, (2, *shape))
-    outs = []
-    for tile in (8, 32, 48):
-        monkeypatch.setattr(metrics, "_TILE", tile)
-        outs.append(moment_planes(plane, other))
-    assert all(np.array_equal(outs[0], out) for out in outs[1:])
 
 
 def test_constant_image_is_dc_only():
