@@ -5,9 +5,9 @@ one splice per configured edit, optionally attacks it, and scores the result.
 All randomness is derived from the master seed through a stable hash keyed by
 item id and stage, so report files are byte-identical across runs; rows are
 emitted in manifest x edit order regardless of worker completion order. A
-shared system response H is loaded or estimated once per run, on a pool worker
-so its freed temporaries do not stay resident; a job's own H is estimated from
-its splice and freed before scoring. ``SARFX_THREADS`` caps the worker pool.
+shared system response H is loaded or estimated once per run, as the pool's
+first task, and each job waits for it; a job's own H is estimated from its
+splice and freed before scoring. ``SARFX_THREADS`` caps the worker pool.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from pathlib import Path
 from .attack import run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
-from .raster import (KIND_AMPLITUDE_F64, KIND_MASK_U8, AmplitudeImage, ComplexImage, RasterError,
+from .raster import (KIND_AMPLITUDE_F64, KIND_COMPLEX_F64, KIND_MASK_U8, AmplitudeImage, RasterError,
                      atomic_open, read_header, read_raster, write_raster)
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
-from .sysid import ESTIMATORS, STRATEGY_DIRECT, TransferFunction, estimate_transfer_function
+from .sysid import (ESTIMATORS, STRATEGY_DIRECT, TransferFunction, check_amplitude_sources,
+                    estimate_transfer_function)
 from .tables import csv_text
 
 SCHEMA_VERSION = 1
@@ -230,6 +231,7 @@ def check_attack_plan(plan: dict) -> dict:
         _check_path("attack plan 'known'", flt["known"])
         if not Path(flt["known"]).exists():
             raise FileNotFoundError(f"known filter path does not exist: {flt['known']}")
+        _check_known_h(flt["known"])
         return {**resolved, "filter": {"known": flt["known"]}}
     est = flt["estimate"]
     _check_keys("estimate", est)
@@ -249,7 +251,15 @@ def check_attack_plan(plan: dict) -> dict:
         for src in sources:
             if not Path(src).exists():
                 raise FileNotFoundError(f"filter source does not exist: {src}")
+            if read_header(src).kind == KIND_MASK_U8:
+                raise ValueError(f"{src}: masks cannot serve as filter sources")
+        check_amplitude_sources(strategy, [read_header(s).kind == KIND_AMPLITUDE_F64 for s in sources])
     return {**resolved, "filter": {"estimate": {"strategy": strategy, "sources": sources}}}
+
+
+def _check_known_h(path) -> None:
+    if read_header(path).kind == KIND_COMPLEX_F64:  # a response is real: its imaginary part would drop
+        raise RasterError(f"{path}: a known H must be a real raster, not a complex one")
 
 
 def _estimate_filter(plan: dict, sources: list) -> TransferFunction:
@@ -272,10 +282,8 @@ def load_filter(plan: dict) -> TransferFunction | None:
     from its splice."""
     flt = plan["filter"]
     if "known" in flt:
-        h = read_raster(flt["known"])
-        if isinstance(h, ComplexImage):  # a response is real: its imaginary part would be dropped
-            raise RasterError(f"{flt['known']}: a known H must be a real raster, not a complex one")
-        return TransferFunction(h.values)
+        _check_known_h(flt["known"])
+        return TransferFunction(read_raster(flt["known"]).values)
     sources = flt["estimate"]["sources"]
     if sources == "self":
         return None
@@ -283,6 +291,8 @@ def load_filter(plan: dict) -> TransferFunction | None:
 
 
 def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared, images_dir):
+    plan = config.attack_plan  # the shared H's future raises its load's error in every job
+    h = None if plan is None else shared["filter"].result()
     label = edit_label(edit)
     key = f"{item.id}/{label}"
     tiles, target_index = shared["products"][item.product], shared["index_in_product"][item.id]
@@ -296,9 +306,8 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
         target_index=target_index,
     )
 
-    attacked, plan = None, config.attack_plan
+    attacked = None
     if plan is not None:
-        h = shared["filter"]
         if h is None:
             h = _estimate_filter(plan, [spliced])
         seed = derive_seed(config.master_seed, key, "attack")
@@ -326,64 +335,51 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured experiment and write report/summary CSVs."""
-    workers = worker_count()
-    products: dict[str, list[AmplitudeImage]] = {}
-    index_in_product: dict[str, int] = {}
-    for item in config.manifest:
-        image = read_raster(item.path)
-        if not isinstance(image, AmplitudeImage):
-            raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
-        index_in_product[item.id] = len(products.setdefault(item.product, []))
-        products[item.product].append(image)
-
+    jobs = [(item, edit) for item in config.manifest for edit in config.edits]
+    shared = {"products": {}, "index_in_product": {}}
     out_dir = Path(config.out_dir)
     images_dir = out_dir / "images"
-    images_dir.mkdir(parents=True, exist_ok=True)
-
-    shared = {"products": products, "index_in_product": index_in_product}
-    jobs = [(item, edit) for item in config.manifest for edit in config.edits]
-
-    def failure(exc: Exception) -> tuple[None, str]:
-        return None, f"{type(exc).__name__}: {exc}"
 
     def execute(job):
         try:
             return _run_job(*job, config, shared, images_dir), None
         except Exception as exc:  # per-item failures must not abort the run
-            return failure(exc)
+            return None, f"{type(exc).__name__}: {exc}"
 
-    outcomes = []
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(jobs)))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(worker_count(), len(jobs)))) as pool:
+        # H is built on a worker: on the main thread its freed temporaries stayed resident. The
+        # pool starts tasks in submission order, so with any worker count, one included, the load
+        # is running or finished before a job waits on it.
         if config.attack_plan is not None:
-            try:  # on a worker: built on the main thread, its freed temporaries stayed resident
-                shared["filter"] = pool.submit(load_filter, config.attack_plan).result()
-            except Exception as exc:  # without the shared H every job fails alike
-                outcomes = [failure(exc)] * len(jobs)
-        if not outcomes:
-            outcomes = list(pool.map(execute, jobs))
-    rows = [row for row, _ in outcomes]
-    errors = {
-        f"{item.id}/{edit_label(edit)}": error
-        for (item, edit), (_, error) in zip(jobs, outcomes)
-        if error is not None
-    }
+            shared["filter"] = pool.submit(load_filter, config.attack_plan)
+        for item in config.manifest:  # read while H loads, and before out_dir is made
+            image = read_raster(item.path)
+            if not isinstance(image, AmplitudeImage):
+                raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
+            tiles = shared["products"].setdefault(item.product, [])
+            shared["index_in_product"][item.id] = len(tiles)
+            tiles.append(image)
+        images_dir.mkdir(parents=True, exist_ok=True)
+        outcomes = list(pool.map(execute, jobs))
+    errors = {f"{item.id}/{edit_label(edit)}": error
+              for (item, edit), (_, error) in zip(jobs, outcomes) if error is not None}
 
     report_path = out_dir / "report.csv"
-    report = [
-        row or {"id": item.id, "edit": edit_label(edit)} for row, (item, edit) in zip(rows, jobs)
-    ]
+    report = [row or {"id": item.id, "edit": edit_label(edit)}
+              for (row, _), (item, edit) in zip(outcomes, jobs)]
     with atomic_open(report_path, "w") as fh:
         fh.write(csv_text(REPORT_COLUMNS, report))
 
+    rows = [row for row, _ in outcomes if row is not None]
     summary_path = out_dir / "summary.csv"
-    _write_summary(summary_path, [r for r in rows if r is not None], config.edits)
+    _write_summary(summary_path, rows, config.edits)
 
     if errors:
         with atomic_open(out_dir / "errors.json", "w") as fh:
             json.dump(errors, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    return ExperimentResult(str(report_path), str(summary_path), [r for r in rows if r], errors)
+    return ExperimentResult(str(report_path), str(summary_path), rows, errors)
 
 
 def _write_summary(path, rows: list[dict], edits: list[EditOp]) -> None:

@@ -218,8 +218,9 @@ def _prescan_cutoff(marginal: np.ndarray, f: np.ndarray, nyq: float):
     rows = max(1, _SCAN_CHUNK // k.size)
     for start in range(0, candidates.size, rows):
         fc = candidates[start : start + rows, None]
-        basis = -np.cos(np.pi * (k - fc) / fc)
-        basis[k > fc] = 0.0
+        inside = k <= fc
+        basis = np.cos(np.pi * (k - fc) / fc, out=np.zeros(inside.shape), where=inside)
+        np.negative(basis, out=basis, where=inside)
         chunk = slice(start, start + rows)
         g01[chunk] = basis @ counts
         r1[chunk] = basis @ folded
@@ -471,6 +472,17 @@ def default_smoothing(min_dim: int) -> tuple[int, float]:
     return k, k / 6.01
 
 
+def check_amplitude_sources(strategy: str, amplitude: list[bool]) -> None:
+    """The amplitude-only rules of :func:`estimate_transfer_function`, for sources
+    of which ``amplitude`` flags each amplitude raster."""
+    if any(amplitude):
+        if strategy != STRATEGY_DIRECT:
+            raise ValueError("amplitude-only sources are permitted only with the direct strategy: "
+                             "curve fits do not converge on amplitude spectra")
+        if len(amplitude) != 1:
+            raise ValueError("amplitude-only estimation takes exactly one amplitude image")
+
+
 def estimate_transfer_function(
     sources,
     strategy: str = STRATEGY_DIRECT,
@@ -499,15 +511,7 @@ def estimate_transfer_function(
     if any(src.shape != shape for src in sources):
         raise RasterError("all source images must share dimensions")
 
-    amplitude_only = [isinstance(src, AmplitudeImage) for src in sources]
-    if any(amplitude_only):
-        if strategy != STRATEGY_DIRECT:
-            raise ValueError(
-                "amplitude-only sources are permitted only with the direct strategy: "
-                "curve fits do not converge on amplitude spectra"
-            )
-        if len(sources) != 1 or not all(amplitude_only):
-            raise ValueError("amplitude-only estimation takes exactly one amplitude image")
+    check_amplitude_sources(strategy, [isinstance(src, AmplitudeImage) for src in sources])
 
     if kernel_size is None or sigma is None:
         default_k, default_s = default_smoothing(min(shape))

@@ -465,6 +465,33 @@ def test_attack_rejects_a_complex_known_filter(tmp_path, product, capsys):
     assert not list(tmp_path.glob("out.sarf*"))
 
 
+_AMPLITUDE_COUNT = "amplitude-only estimation takes exactly one amplitude image"
+_BAD_PLAN_RASTERS = {  # filter spec and message, {name} naming a raster of the product or the mask
+    "curve-fit-on-amplitude": ("estimate:raised-cosine:{amp1}",
+                               "amplitude-only sources are permitted only with the direct strategy: "
+                               "curve fits do not converge on amplitude spectra"),
+    "two-amplitude-sources": ("estimate:direct:{amp0},{amp1}", _AMPLITUDE_COUNT),
+    "amplitude-beside-complex": ("estimate:direct:{complex1},{amp1}", _AMPLITUDE_COUNT),
+    "mask-source": ("estimate:direct:{mask}", "{mask}: masks cannot serve as filter sources"),
+    "complex-known": ("known:{complex1}", "{complex1}: a known H must be a real raster, not a complex one"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_PLAN_RASTERS))
+def test_attack_plan_rasters_are_checked_at_load(tmp_path, product, capsys, case):
+    # the plan's rasters are checked by their headers at load, before H is built or a job runs
+    write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
+    names = {**{key: str(path) for key, path in product.items()}, "mask": str(tmp_path / "mask.sarf")}
+    spec, message = (text.format(**names) for text in _BAD_PLAN_RASTERS[case])
+    rc, out_dir = _shared_filter_run(tmp_path, product, "bad", parse_filter_spec(spec))
+    assert rc == 1 and not out_dir.exists()
+    assert capsys.readouterr().err == f"sarfx: error: {message}\n"
+    assert main(["attack", "--input", names["amp0"], "--filter", spec, "--seed", "1",
+                 "--out", str(tmp_path / "out.sarf")]) == 1
+    assert capsys.readouterr().err == f"sarfx: error: {message}\n"
+    assert not list(tmp_path.glob("out.sarf*"))
+
+
 @pytest.mark.parametrize("case", list(_BAD_ATTACK_FLAGS))
 def test_attack_flags_are_checked_like_the_config_attack_plan(tmp_path, product, capsys,
                                                              monkeypatch, case):
@@ -851,6 +878,7 @@ def test_experiment_failed_shared_estimate_fails_every_job(tmp_path, product):
     assert (out / "summary.csv").read_text().splitlines()[1:] == [
         "gaussian_blur,0,,,,", "upscale_near,0,,,,"
     ]
+    assert not list((out / "images").iterdir())  # each job waited on H before its splice
 
 
 def test_experiment_pool_is_capped_by_the_jobs(tmp_path, product, monkeypatch):
@@ -883,6 +911,31 @@ def test_experiment_shared_filter_is_built_on_a_pool_worker(tmp_path, product, m
     rc, _ = _shared_filter_run(tmp_path, product, "worker", flt)
     assert rc == 0
     assert len(threads) == 1 and threads[0] is not threading.main_thread()
+
+
+@pytest.mark.parametrize("shared_h", ["known", "estimate"])
+def test_experiment_one_worker_runs_the_shared_filter_first(tmp_path, product, monkeypatch, shared_h):
+    # the load is the pool's first task, so a lone worker runs it before the jobs that wait on it
+    sibling = str(product["complex1"])
+    flt = {"estimate": {"strategy": "raised-cosine", "sources": [sibling]}}
+    if shared_h == "known":
+        h = estimate_transfer_function([read_raster(sibling)], "direct", sigma=5.0, kernel_size=31)
+        write_raster(AmplitudeImage(h.values, 16), tmp_path / "h.sarf")
+        flt = {"known": str(tmp_path / "h.sarf")}
+    runs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("SARFX_THREADS", threads)
+        outcome = []
+        run = threading.Thread(daemon=True, target=lambda: outcome.append(
+            _shared_filter_run(tmp_path, product, f"threads{threads}", flt)))
+        run.start()
+        run.join(timeout=120)
+        assert not run.is_alive(), f"a {threads}-worker run waits on a load that never starts"
+        (rc, out), = outcome
+        assert rc == 0
+        runs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(runs[0]) == 2 + 4 * 4  # report, summary and four artifacts per job
+    assert runs[0] == runs[1]
 
 
 def test_experiment_manifest_read_error_raises_before_out_dir(tmp_path, product):

@@ -49,6 +49,7 @@ so the smoothing's bounds understate what its row-block transforms hold.
 """
 
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -131,7 +132,9 @@ def test_job_peak_in_planes(tmp_path):
     item = ManifestItem("t0", "unused", "P", str(tmp_path / "fp.sarf"))
     config = ExperimentConfig([item], [], (N // 8, N // 8), 7, str(tmp_path),
                               {"filter": {"estimate": {"strategy": "direct", "sources": "self"}}})
-    shared = {"products": {"P": [tile]}, "index_in_product": {"t0": 0}, "filter": None}
+    no_shared_h = Future()  # a job takes the shared H from the pool's load, here resolved to none
+    no_shared_h.set_result(None)
+    shared = {"products": {"P": [tile]}, "index_in_product": {"t0": 0}, "filter": no_shared_h}
     edit = EditOp("upscale")
     row = _run_job(item, edit, config, shared, tmp_path)  # the row the measured run repeats
     again, job_peak = _peak_planes(lambda: _run_job(item, edit, config, shared, tmp_path))
