@@ -23,7 +23,7 @@ from pathlib import Path
 from .attack import run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
-from .raster import (KIND_AMPLITUDE_F64, KIND_COMPLEX_F64, KIND_MASK_U8, AmplitudeImage, RasterError,
+from .raster import (KIND_AMPLITUDE_F64, KIND_COMPLEX_F64, KIND_MASK_U8, RasterError, RasterHeader,
                      atomic_open, read_header, read_raster, write_raster)
 from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
@@ -77,11 +77,42 @@ class ExperimentConfig:
     attack_plan: dict | None = None
 
     def __post_init__(self):
+        """The content checks, run alike on a loaded or a built config; one header read per raster."""
+        ids = [item.id for item in self.manifest]
+        if len(set(ids)) != len(ids):
+            raise ValueError("manifest ids must be unique")
+        headers = []
+        for item in self.manifest:
+            if item.id in ("", ".", "..") or any(c in item.id for c in "/\\\0"):  # an id names files
+                raise ValueError(f"a manifest entry's 'id' must be a file name without '/', '\\' "
+                                 f"or NUL, and not '.' or '..', got {item.id!r}")
+            header = _raster_header("manifest path", item.path)
+            if header.kind != KIND_AMPLITUDE_F64:
+                raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
+            if item.fingerprint:  # scored against masks of the tile's shape
+                scores = _raster_header("fingerprint path", item.fingerprint)
+                if scores.kind == KIND_MASK_U8:
+                    raise ValueError(f"{item.fingerprint}: masks cannot serve as fingerprints")
+                if (scores.height, scores.width) != (header.height, header.width):
+                    raise ValueError(f"fingerprint {item.fingerprint} is {scores.height}x{scores.width}, "
+                                     f"its tile {item.path} {header.height}x{header.width}")
+            headers.append(header)
+        labels = [edit_label(op) for op in self.edits]
+        if len(set(labels)) != len(labels):
+            # labels key the per-item seed derivation and artifact names
+            raise ValueError(f"edit labels must be unique, got {labels}")
+        # one tile smaller than the region fails only its own jobs; reject a region none holds
+        height, width = self.region
+        if headers and not any(height <= h.height and width <= h.width for h in headers):
+            raise ValueError(f"region {[height, width]} is larger than every manifest tile; "
+                             f"{self.manifest[0].id!r} is {headers[0].height}x{headers[0].width}")
         if self.attack_plan is not None:
             self.attack_plan = check_attack_plan(self.attack_plan)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
+        """Read a config, checking here only what JSON alone can get wrong: keys, the
+        schema version, types and path strings. Construction checks the rest."""
         with open(path) as fh:
             raw = json.load(fh)
         _check_keys("config", raw)
@@ -94,68 +125,26 @@ class ExperimentConfig:
         if not _is_number(raw["master_seed"], int):
             raise ValueError(f"master_seed must be an integer, got {raw['master_seed']!r}")
         _check_path("'out_dir'", raw["out_dir"])
+        manifest = []
         for entry in raw["manifest"]:
             _check_keys("manifest", entry)
             _check_path("a manifest entry's 'path'", entry["path"])
             if entry.get("fingerprint") is not None:
                 _check_path("a manifest entry's 'fingerprint'", entry["fingerprint"])
-        manifest = [
-            ManifestItem(
-                id=str(entry["id"]),
-                path=entry["path"],
-                product=str(entry.get("product", entry["id"])),
-                fingerprint=entry.get("fingerprint"),
-            )
-            for entry in raw["manifest"]
-        ]
-        ids = [item.id for item in manifest]
-        if len(set(ids)) != len(ids):
-            raise ValueError("manifest ids must be unique")
-        for item in manifest:
-            if item.id in ("", ".", "..") or any(c in item.id for c in "/\\\0"):  # an id names files
-                raise ValueError(f"a manifest entry's 'id' must be a file name without '/', '\\' "
-                                 f"or NUL, and not '.' or '..', got {item.id!r}")
-            if not Path(item.path).exists():
-                raise FileNotFoundError(f"manifest path does not exist: {item.path}")
-            if item.fingerprint and not Path(item.fingerprint).exists():
-                raise FileNotFoundError(f"fingerprint path does not exist: {item.fingerprint}")
+            manifest.append(ManifestItem(str(entry["id"]), entry["path"],
+                                         str(entry.get("product", entry["id"])), entry.get("fingerprint")))
+        edits = []
         for e in raw_edits:
             _check_keys("edits", e)
             parameter = e.get("parameter")
             if parameter is not None and not _is_number(parameter):
                 raise ValueError(f"an edits entry's parameter must be a number or null, got {parameter!r}")
-        edits = [EditOp(**e) for e in raw_edits]
-        labels = [edit_label(op) for op in edits]
-        if len(set(labels)) != len(labels):
-            # labels key the per-item seed derivation and artifact names
-            raise ValueError(f"edit labels must be unique, got {labels}")
+            edits.append(EditOp(**e))
         region = raw.get("region", [128, 128])
         if not (isinstance(region, list) and len(region) == 2
                 and all(_is_number(side, int) and side > 0 for side in region)):
             raise ValueError(f"region must be two positive integers [height, width], got {region!r}")
-        # one tile smaller than the region fails only its own jobs; reject a region none holds
-        headers = [read_header(item.path) for item in manifest]
-        for item, header in zip(manifest, headers):
-            if header.kind != KIND_AMPLITUDE_F64:
-                raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
-            if item.fingerprint:  # scored against masks of the tile's shape
-                scores = read_header(item.fingerprint)
-                if scores.kind == KIND_MASK_U8:
-                    raise ValueError(f"{item.fingerprint}: masks cannot serve as fingerprints")
-                if (scores.height, scores.width) != (header.height, header.width):
-                    raise ValueError(f"fingerprint {item.fingerprint} is {scores.height}x{scores.width}, "
-                                     f"its tile {item.path} {header.height}x{header.width}")
-        if headers and not any(region[0] <= h.height and region[1] <= h.width for h in headers):
-            raise ValueError(f"region {region} is larger than every manifest tile; "
-                             f"{manifest[0].id!r} is {headers[0].height}x{headers[0].width}")
-        return cls(  # checks the attack plan last
-            manifest=manifest,
-            edits=edits,
-            region=tuple(region),
-            master_seed=raw["master_seed"],
-            out_dir=raw["out_dir"],
-            attack_plan=raw.get("attack"),
-        )
+        return cls(manifest, edits, tuple(region), raw["master_seed"], raw["out_dir"], raw.get("attack"))
 
 
 _CONFIG_KEYS = {
@@ -198,6 +187,13 @@ def _check_path(where: str, value) -> None:
         raise ValueError(f"{where} must be a nonempty path string, got {value!r}")
 
 
+def _raster_header(label: str, path) -> RasterHeader:
+    """The header of a raster the config names; ``label`` names it if the file is missing."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"{label} does not exist: {path}")
+    return read_header(path)
+
+
 def check_attack_plan(plan: dict) -> dict:
     """Check an ``attack`` plan, the config's or one a CLI command builds from its
     flags, and return it resolved: every key present, each default filled in. A
@@ -229,9 +225,9 @@ def check_attack_plan(plan: dict) -> dict:
         raise ValueError("attack plan filter must carry exactly one of 'known'/'estimate'")
     if "known" in flt:
         _check_path("attack plan 'known'", flt["known"])
-        if not Path(flt["known"]).exists():
-            raise FileNotFoundError(f"known filter path does not exist: {flt['known']}")
-        _check_known_h(flt["known"])
+        if _raster_header("known filter path", flt["known"]).kind == KIND_COMPLEX_F64:
+            # a response is real: its imaginary part would drop
+            raise RasterError(f"{flt['known']}: a known H must be a real raster, not a complex one")
         return {**resolved, "filter": {"known": flt["known"]}}
     est = flt["estimate"]
     _check_keys("estimate", est)
@@ -248,18 +244,14 @@ def check_attack_plan(plan: dict) -> dict:
                 f"attack plan 'estimate' sources must be \"self\" or a nonempty list of raster "
                 f"paths, got {sources!r}"
             )
+        amplitude = []
         for src in sources:
-            if not Path(src).exists():
-                raise FileNotFoundError(f"filter source does not exist: {src}")
-            if read_header(src).kind == KIND_MASK_U8:
+            kind = _raster_header("filter source", src).kind
+            if kind == KIND_MASK_U8:
                 raise ValueError(f"{src}: masks cannot serve as filter sources")
-        check_amplitude_sources(strategy, [read_header(s).kind == KIND_AMPLITUDE_F64 for s in sources])
+            amplitude.append(kind == KIND_AMPLITUDE_F64)
+        check_amplitude_sources(strategy, amplitude)
     return {**resolved, "filter": {"estimate": {"strategy": strategy, "sources": sources}}}
-
-
-def _check_known_h(path) -> None:
-    if read_header(path).kind == KIND_COMPLEX_F64:  # a response is real: its imaginary part would drop
-        raise RasterError(f"{path}: a known H must be a real raster, not a complex one")
 
 
 def _estimate_filter(plan: dict, sources: list) -> TransferFunction:
@@ -282,7 +274,6 @@ def load_filter(plan: dict) -> TransferFunction | None:
     from its splice."""
     flt = plan["filter"]
     if "known" in flt:
-        _check_known_h(flt["known"])
         return TransferFunction(read_raster(flt["known"]).values)
     sources = flt["estimate"]["sources"]
     if sources == "self":
@@ -354,8 +345,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             shared["filter"] = pool.submit(load_filter, config.attack_plan)
         for item in config.manifest:  # read while H loads, and before out_dir is made
             image = read_raster(item.path)
-            if not isinstance(image, AmplitudeImage):
-                raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
             tiles = shared["products"].setdefault(item.product, [])
             shared["index_in_product"][item.id] = len(tiles)
             tiles.append(image)

@@ -359,11 +359,9 @@ def evaluate_pair(
     |Delta-ENL| reuses the two ENLs; every value equals what the standalone
     function returns.
     """
-    auc = None
-    if fingerprint is not None:
-        if mask is None:
-            raise ValueError("AUC needs both a fingerprint and a mask")
-        auc = auc_roc(fingerprint, mask, polarity="max")
+    if (fingerprint is None) != (mask is None):
+        raise ValueError("AUC needs both a fingerprint and a mask")
+    auc = None if fingerprint is None else auc_roc(fingerprint, mask, polarity="max")
     pa, pb, drange = _planes(source, reference, dynamic_range)
     terms = _ssim_terms(pa, pb, drange, ms_ssim_scale_count(pa.shape))
     msssim = _combine_scales(terms, pa.shape)

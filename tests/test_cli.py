@@ -27,7 +27,7 @@ from sarfx import (
 )
 from sarfx import cli, experiment, sysid
 from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliError
-from sarfx.experiment import ExperimentConfig, derive_seed, edit_label, worker_count
+from sarfx.experiment import ExperimentConfig, ManifestItem, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp, place_splice
 from sarfx.leastsq import FitDivergenceError
 from sarfx.speckle import DEFAULT_SIGMA_S, rng
@@ -820,6 +820,15 @@ def test_cli_metrics_rejects_fingerprint_of_another_shape(tmp_path, product, cap
     assert not out.exists()
 
 
+def test_cli_metrics_rejects_a_mask_without_a_fingerprint(tmp_path, product, capsys):
+    write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "m.sarf")
+    out = tmp_path / "m.json"
+    assert main(["metrics", "--a", str(product["amp0"]), "--b", str(product["amp1"]),
+                 "--mask", str(tmp_path / "m.sarf"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "sarfx: error: AUC needs both a fingerprint and a mask\n"
+    assert not out.exists()
+
+
 def _shared_filter_run(tmp_path, product, name, flt):
     config = json.loads(_experiment_config(tmp_path, product, name).read_text())
     config["attack"]["filter"] = flt
@@ -1153,6 +1162,34 @@ def test_experiment_config_error_names_accepted_values(tmp_path, product, case, 
     with pytest.raises(_rejection(case)) as excinfo:
         ExperimentConfig.from_json(path)
     assert str(excinfo.value) == message
+
+
+_RASTER_CASES = {  # bad configs naming a raster of the product, or the mask
+    "complex-manifest-raster": lambda c, names: c["manifest"][1].update({"path": names["complex1"]}),
+    "mask-fingerprint": lambda c, names: c["manifest"][1].update({"fingerprint": names["mask"]}),
+}
+
+
+@pytest.mark.parametrize("case", ["complex-manifest-raster", "duplicate-manifest-id", "dot-dot-id",
+                                  "absent-fingerprint-file", "mask-fingerprint", "duplicate-edit-label",
+                                  "region-beyond-every-tile", "curve-fit-on-self"])
+def test_experiment_config_built_in_code_is_checked_like_a_loaded_one(tmp_path, product, case):
+    write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
+    names = {**{key: str(path) for key, path in product.items()}, "mask": str(tmp_path / "mask.sarf")}
+    path = _experiment_config(tmp_path, product, "bad")
+    config = json.loads(path.read_text())
+    if case in _RASTER_CASES:
+        _RASTER_CASES[case](config, names)
+    else:
+        _BAD_ATTACK_PLANS[case](config)
+    path.write_text(json.dumps(config))
+    with pytest.raises((ValueError, OSError)) as loaded:
+        ExperimentConfig.from_json(path)
+    with pytest.raises((ValueError, OSError)) as built:
+        ExperimentConfig([ManifestItem(**entry) for entry in config["manifest"]],
+                         [EditOp(**entry) for entry in config["edits"]], tuple(config["region"]),
+                         config["master_seed"], config["out_dir"], config["attack"])
+    assert (type(built.value), str(built.value)) == (type(loaded.value), str(loaded.value))
 
 
 @pytest.mark.parametrize("kind", ["complex", "mask"])

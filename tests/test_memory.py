@@ -128,8 +128,9 @@ def test_smoothing_and_direct_estimate_peaks_in_planes():
 def test_job_peak_in_planes(tmp_path):
     # one splice-geo job: whole-tile edit, self-estimated direct H, attack, fingerprint AUC
     tile = simulate_pristine(smooth_reflectivity(N, 1), raised_cosine_filter(N, 0.7), seed=5).amplitude()
+    write_raster(tile, tmp_path / "t0.sarf")  # the config reads the header of every raster it names
     write_raster(AmplitudeImage(residual_variance(tile), copy=False), tmp_path / "fp.sarf")
-    item = ManifestItem("t0", "unused", "P", str(tmp_path / "fp.sarf"))
+    item = ManifestItem("t0", str(tmp_path / "t0.sarf"), "P", str(tmp_path / "fp.sarf"))
     config = ExperimentConfig([item], [], (N // 8, N // 8), 7, str(tmp_path),
                               {"filter": {"estimate": {"strategy": "direct", "sources": "self"}}})
     no_shared_h = Future()  # a job takes the shared H from the pool's load, here resolved to none

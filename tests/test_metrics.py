@@ -502,8 +502,9 @@ def test_evaluate_pair_report():
     assert set(payload) == {
         "ssim", "msssim", "enl_source", "enl_reference", "delta_enl_pct", "auc", "auc_polarity",
     }
-    with pytest.raises(ValueError, match="needs both"):
-        evaluate_pair(a, b, fingerprint=fingerprint)
+    for half in ({"fingerprint": fingerprint}, {"mask": mask}):
+        with pytest.raises(ValueError, match="AUC needs both a fingerprint and a mask"):
+            evaluate_pair(a, b, **half)
 
 
 @pytest.mark.parametrize("shape", [(192, 176), (100, 100)], ids=["five-scale", "reduced"])
