@@ -12,6 +12,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -309,14 +310,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.out_dir is not None:
-        if not args.out_dir:
-            raise CliError("--out-dir must be a nonempty path")
-        config.out_dir = args.out_dir
-    result = run_experiment(config)
+    overrides = {k: v for k, v in (("master_seed", args.seed), ("out_dir", args.out_dir)) if v is not None}
+    result = run_experiment(replace(ExperimentConfig.from_json(args.config), **overrides))  # rechecks all
     print(f"report: {result.report_path}")
     print(f"summary: {result.summary_path}")
     if result.errors:

@@ -66,26 +66,43 @@ class ManifestItem:
     product: str
     fingerprint: str | None = None
 
+    def __post_init__(self):
+        """The entry's own checks; the config that holds it reads its rasters' headers."""
+        _check_path("a manifest entry's 'path'", self.path)
+        if self.fingerprint is not None:
+            _check_path("a manifest entry's 'fingerprint'", self.fingerprint)
+        if not (isinstance(self.id, str) and self.id not in ("", ".", "..")  # an id names files
+                and not any(c in self.id for c in "/\\\0")):
+            raise ValueError(f"a manifest entry's 'id' must be a file name without '/', '\\' "
+                             f"or NUL, and not '.' or '..', got {self.id!r}")
+        if not isinstance(self.product, str):
+            raise ValueError(f"a manifest entry's 'product' must be a string, got {self.product!r}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    manifest: list[ManifestItem]
-    edits: list[EditOp]
+    manifest: tuple[ManifestItem, ...]
+    edits: tuple[EditOp, ...]
     region: tuple[int, int]
     master_seed: int
     out_dir: str
     attack_plan: dict | None = None
 
     def __post_init__(self):
-        """The content checks, run alike on a loaded or a built config; one header read per raster."""
+        """All content checks, for a loaded, built or replaced config; one header read per raster."""
+        if not _is_number(self.master_seed, int):
+            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
+        _check_path("'out_dir'", self.out_dir)
+        if not (isinstance(self.region, (list, tuple)) and len(self.region) == 2
+                and all(_is_number(side, int) and side > 0 for side in self.region)):
+            raise ValueError(f"region must be two positive integers [height, width], got {self.region!r}")
+        for name in ("manifest", "edits", "region"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         ids = [item.id for item in self.manifest]
         if len(set(ids)) != len(ids):
             raise ValueError("manifest ids must be unique")
         headers = []
         for item in self.manifest:
-            if item.id in ("", ".", "..") or any(c in item.id for c in "/\\\0"):  # an id names files
-                raise ValueError(f"a manifest entry's 'id' must be a file name without '/', '\\' "
-                                 f"or NUL, and not '.' or '..', got {item.id!r}")
             header = _raster_header("manifest path", item.path)
             if header.kind != KIND_AMPLITUDE_F64:
                 raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
@@ -107,12 +124,13 @@ class ExperimentConfig:
             raise ValueError(f"region {[height, width]} is larger than every manifest tile; "
                              f"{self.manifest[0].id!r} is {headers[0].height}x{headers[0].width}")
         if self.attack_plan is not None:
-            self.attack_plan = check_attack_plan(self.attack_plan)
+            object.__setattr__(self, "attack_plan", check_attack_plan(self.attack_plan))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        """Read a config, checking here only what JSON alone can get wrong: keys, the
-        schema version, types and path strings. Construction checks the rest."""
+        """Read a config, checking here only what JSON alone can get wrong: the closed key
+        sets, the schema version, the list types and the edit parameters' numbers.
+        Construction checks everything else, on every config, ``dataclasses.replace`` too."""
         with open(path) as fh:
             raw = json.load(fh)
         _check_keys("config", raw)
@@ -122,17 +140,11 @@ class ExperimentConfig:
         for key, value in (("manifest", raw["manifest"]), ("edits", raw_edits)):
             if not isinstance(value, list):
                 raise ValueError(f"{key} must be a list of entries, got {value!r}")
-        if not _is_number(raw["master_seed"], int):
-            raise ValueError(f"master_seed must be an integer, got {raw['master_seed']!r}")
-        _check_path("'out_dir'", raw["out_dir"])
         manifest = []
         for entry in raw["manifest"]:
             _check_keys("manifest", entry)
-            _check_path("a manifest entry's 'path'", entry["path"])
-            if entry.get("fingerprint") is not None:
-                _check_path("a manifest entry's 'fingerprint'", entry["fingerprint"])
-            manifest.append(ManifestItem(str(entry["id"]), entry["path"],
-                                         str(entry.get("product", entry["id"])), entry.get("fingerprint")))
+            manifest.append(ManifestItem(entry["id"], entry["path"], entry.get("product", entry["id"]),
+                                         entry.get("fingerprint")))
         edits = []
         for e in raw_edits:
             _check_keys("edits", e)
@@ -140,11 +152,8 @@ class ExperimentConfig:
             if parameter is not None and not _is_number(parameter):
                 raise ValueError(f"an edits entry's parameter must be a number or null, got {parameter!r}")
             edits.append(EditOp(**e))
-        region = raw.get("region", [128, 128])
-        if not (isinstance(region, list) and len(region) == 2
-                and all(_is_number(side, int) and side > 0 for side in region)):
-            raise ValueError(f"region must be two positive integers [height, width], got {region!r}")
-        return cls(manifest, edits, tuple(region), raw["master_seed"], raw["out_dir"], raw.get("attack"))
+        return cls(manifest, edits, raw.get("region", [128, 128]), raw["master_seed"], raw["out_dir"],
+                   raw.get("attack"))
 
 
 _CONFIG_KEYS = {
@@ -371,7 +380,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(str(report_path), str(summary_path), rows, errors)
 
 
-def _write_summary(path, rows: list[dict], edits: list[EditOp]) -> None:
+def _write_summary(path, rows: list[dict], edits: tuple[EditOp, ...]) -> None:
     """Per-edit aggregate means, one row per configured editing operation."""
     table = []
     for edit in edits:

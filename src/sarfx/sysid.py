@@ -332,13 +332,9 @@ def fit_gaussian(f_kn: np.ndarray) -> GaussianFitParams:
     mu_y0, sd_y0 = _marginal_moments(data.sum(axis=1), fy)
     g0 = max(float(data.max()), 1e-12)
 
-    def bells(p):
-        g, mx, sx, my, sy = p
-        return np.exp(-((fx - mx) ** 2) / (2.0 * sx**2)), np.exp(-((fy - my) ** 2) / (2.0 * sy**2))
-
     def columns(p):
         g, mx, sx, my, sy = p
-        gx, gy = bells(p)
+        gx, gy = gaussian_axis(fx, 1.0, mx, sx), gaussian_axis(fy, 1.0, my, sy)
         return [
             (gy, gx),
             (g * gy, gx * (fx - mx) / sx**2),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -1053,6 +1054,9 @@ _BAD_ATTACK_PLANS = {
     "dot-dot-id": lambda c: c["manifest"][1].update({"id": ".."}),
     "backslash-id": lambda c: c["manifest"][1].update({"id": "a\\b"}),
     "nul-id": lambda c: c["manifest"][1].update({"id": "a\0b"}),
+    "null-id": lambda c: c["manifest"][0].update({"id": None}),
+    "number-id": lambda c: c["manifest"][1].update({"id": 5}),
+    "number-product": lambda c: c["manifest"][0].update({"product": 5}),
     "misspelt-attack": lambda c: c.update({"atack": c.pop("attack")}),
     "misspelt-fingerprint": lambda c: c["manifest"][0].update({"fingerprnt": "t0_fp.sarf"}),
     "schema-version-2": lambda c: c.update({"schema_version": 2}),
@@ -1122,6 +1126,11 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
                     "and not '.' or '..', got '../escape'"),
     ("dot-dot-id", "a manifest entry's 'id' must be a file name without '/', '\\' or NUL, "
                    "and not '.' or '..', got '..'"),
+    ("null-id", "a manifest entry's 'id' must be a file name without '/', '\\' or NUL, "
+                "and not '.' or '..', got None"),
+    ("number-id", "a manifest entry's 'id' must be a file name without '/', '\\' or NUL, "
+                  "and not '.' or '..', got 5"),
+    ("number-product", "a manifest entry's 'product' must be a string, got 5"),
     ("unknown-strategy",
      "invalid estimation strategy 'wiener'; accepted: ['gaussian', 'raised_cosine', 'direct']"),
     ("nan-edit-parameter", "edit parameter must be finite, got nan"),
@@ -1147,7 +1156,8 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
         "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
         "infinite-sigma-s", "infinite-smoothing-sigma",
         "even-smoothing-kernel", "string-sources", "null-out-dir", "list-manifest-path",
-        "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "unknown-strategy",
+        "number-fingerprint", "list-fingerprint", "escaping-id", "dot-dot-id", "null-id", "number-id",
+        "number-product", "unknown-strategy",
         "nan-edit-parameter", "infinite-edit-parameter", "negative-blur-sigma",
         "zero-fixed-downscale", "drawn-edit-parameter", "misspelt-attack", "misspelt-fingerprint",
         "schema-version-2",
@@ -1170,9 +1180,12 @@ _RASTER_CASES = {  # bad configs naming a raster of the product, or the mask
 }
 
 
-@pytest.mark.parametrize("case", ["complex-manifest-raster", "duplicate-manifest-id", "dot-dot-id",
-                                  "absent-fingerprint-file", "mask-fingerprint", "duplicate-edit-label",
-                                  "region-beyond-every-tile", "curve-fit-on-self"])
+@pytest.mark.parametrize("case", [
+    "complex-manifest-raster", "duplicate-manifest-id", "absent-fingerprint-file", "mask-fingerprint",
+    "duplicate-edit-label", "region-beyond-every-tile", "curve-fit-on-self", "string-region",
+    "one-side-region", "negative-region", "string-master-seed", "fractional-master-seed", "null-out-dir",
+    "empty-out-dir", "list-manifest-path", "number-fingerprint", "escaping-id", "empty-id", "dot-id",
+    "dot-dot-id", "backslash-id", "nul-id", "null-id", "number-id", "number-product"])
 def test_experiment_config_built_in_code_is_checked_like_a_loaded_one(tmp_path, product, case):
     write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
     names = {**{key: str(path) for key, path in product.items()}, "mask": str(tmp_path / "mask.sarf")}
@@ -1187,7 +1200,7 @@ def test_experiment_config_built_in_code_is_checked_like_a_loaded_one(tmp_path, 
         ExperimentConfig.from_json(path)
     with pytest.raises((ValueError, OSError)) as built:
         ExperimentConfig([ManifestItem(**entry) for entry in config["manifest"]],
-                         [EditOp(**entry) for entry in config["edits"]], tuple(config["region"]),
+                         [EditOp(**entry) for entry in config["edits"]], config["region"],
                          config["master_seed"], config["out_dir"], config["attack"])
     assert (type(built.value), str(built.value)) == (type(loaded.value), str(loaded.value))
 
@@ -1213,8 +1226,18 @@ def test_experiment_empty_out_dir_override_is_rejected(tmp_path, product, capsys
     path = _experiment_config(tmp_path, product)
     monkeypatch.chdir(tmp_path)
     assert main(["experiment", "--config", str(path), "--out-dir", ""]) == 1
-    assert capsys.readouterr().err == "sarfx: error: --out-dir must be a nonempty path\n"
+    assert capsys.readouterr().err == "sarfx: error: 'out_dir' must be a nonempty path string, got ''\n"
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_experiment_config_cannot_be_changed_past_its_checks(tmp_path, product):
+    config = ExperimentConfig.from_json(_experiment_config(tmp_path, product))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.region = (512, 512)
+    assert isinstance(config.manifest, tuple) and isinstance(config.edits, tuple)
+    with pytest.raises(ValueError) as excinfo:  # a changed copy is checked as a loaded one is
+        dataclasses.replace(config, region=(512, 512))
+    assert str(excinfo.value) == "region [512, 512] is larger than every manifest tile; 't0' is 128x128"
 
 
 def test_experiment_null_fingerprint_means_none(tmp_path, product):
