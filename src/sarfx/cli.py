@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .attack import run_attack
-from .experiment import ExperimentConfig, check_attack_plan, load_filter, run_experiment
+from .experiment import AttackPlan, ExperimentConfig, load_filter, run_experiment
 from .forgery import (
     EDIT_KINDS,
     EditOp,
@@ -212,10 +212,8 @@ def cmd_estimate_filter(args) -> int:
             check_gaussian_kernel(sigma, size)
         except ValueError as exc:
             raise CliError(f"{flag}: {exc}") from None
-    h = load_filter(check_attack_plan({
-        "filter": {"estimate": {"strategy": args.strategy, "sources": args.sources}},
-        "smoothing": {"sigma": args.smoothing_sigma, "kernel": args.smoothing_kernel},
-    }))
+    h = load_filter(AttackPlan(strategy=args.strategy, sources=args.sources,
+                               smoothing_sigma=args.smoothing_sigma, smoothing_kernel=args.smoothing_kernel))
     write_raster(AmplitudeImage(h.values, 16), args.out)
     sidecar = {
         "strategy": h.strategy,
@@ -256,7 +254,7 @@ def cmd_forge(args) -> int:
 
 def cmd_attack(args) -> int:
     # the flags form an experiment's attack plan, checked and loaded the same way
-    plan = check_attack_plan({
+    plan = AttackPlan.from_json({
         "filter": args.filter_spec,
         "smoothing": {"sigma": args.smoothing_sigma, "kernel": args.smoothing_kernel},
         "speckle_mode": args.speckle_mode.replace("-", "_"),
@@ -265,8 +263,8 @@ def cmd_attack(args) -> int:
     })
     rng(args.seed)  # range-checks the seed before H is loaded
     image = _read_amplitude(args.input)
-    h, speckle = load_filter(plan), (plan["speckle_mode"], plan["sigma_s"])
-    write_raster(run_attack(image, h, args.seed, *speckle, plan["histogram_match"]), args.out)
+    h, speckle = load_filter(plan), (plan.speckle_mode, plan.sigma_s)
+    write_raster(run_attack(image, h, args.seed, *speckle, plan.histogram_match), args.out)
     if args.dump_intermediates:  # the same seed redraws the intermediates the attack dropped
         field = generate_speckle(*image.shape, *speckle, args.seed)
         speckled = ComplexImage(inject_speckle(image, field), copy=False)

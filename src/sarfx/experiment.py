@@ -86,7 +86,7 @@ class ExperimentConfig:
     region: tuple[int, int]
     master_seed: int
     out_dir: str
-    attack_plan: dict | None = None
+    attack_plan: AttackPlan | None = None
 
     def __post_init__(self):
         """All content checks, for a loaded, built or replaced config; one header read per raster."""
@@ -123,8 +123,8 @@ class ExperimentConfig:
         if headers and not any(height <= h.height and width <= h.width for h in headers):
             raise ValueError(f"region {[height, width]} is larger than every manifest tile; "
                              f"{self.manifest[0].id!r} is {headers[0].height}x{headers[0].width}")
-        if self.attack_plan is not None:
-            object.__setattr__(self, "attack_plan", check_attack_plan(self.attack_plan))
+        if self.attack_plan is not None and not isinstance(self.attack_plan, AttackPlan):
+            object.__setattr__(self, "attack_plan", AttackPlan.from_json(self.attack_plan))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -203,70 +203,75 @@ def _raster_header(label: str, path) -> RasterHeader:
     return read_header(path)
 
 
-def check_attack_plan(plan: dict) -> dict:
-    """Check an ``attack`` plan, the config's or one a CLI command builds from its
-    flags, and return it resolved: every key present, each default filled in. A
-    smoothing value left None is set from the tile size when H is estimated."""
-    _check_keys("attack", plan)
-    mode = plan.get("speckle_mode", MODE_PHASE_ONLY)
-    if mode not in SPECKLE_MODES:
-        raise ValueError(
-            f"unknown speckle mode {mode!r} in attack plan; accepted: {list(SPECKLE_MODES)}"
-        )
-    histogram = plan.get("histogram_match", True)
-    if not isinstance(histogram, bool):
-        raise ValueError(f"attack plan 'histogram_match' must be true or false, got {histogram!r}")
-    sigma_s = plan.get("sigma_s", DEFAULT_SIGMA_S)
-    if not (_is_number(sigma_s) and 0 < sigma_s <= sys.float_info.max):
-        raise ValueError(f"attack plan 'sigma_s' must be a positive number, got {sigma_s!r}")
-    smoothing = plan.get("smoothing", {})
-    _check_keys("smoothing", smoothing)
-    smoothing = {"sigma": smoothing.get("sigma"), "kernel": smoothing.get("kernel")}
-    try:
-        check_gaussian_kernel(smoothing["sigma"], smoothing["kernel"])
-    except ValueError as exc:
-        raise ValueError(f"attack plan 'smoothing': {exc}") from None
-    resolved = {"speckle_mode": mode, "sigma_s": sigma_s, "histogram_match": histogram,
-                "smoothing": smoothing}
-    flt = plan.get("filter")
-    _check_keys("filter", flt)
-    if len(flt) != 1:
-        raise ValueError("attack plan filter must carry exactly one of 'known'/'estimate'")
-    if "known" in flt:
-        _check_path("attack plan 'known'", flt["known"])
-        if _raster_header("known filter path", flt["known"]).kind == KIND_COMPLEX_F64:
-            # a response is real: its imaginary part would drop
-            raise RasterError(f"{flt['known']}: a known H must be a real raster, not a complex one")
-        return {**resolved, "filter": {"known": flt["known"]}}
-    est = flt["estimate"]
-    _check_keys("estimate", est)
-    strategy = str(est.get("strategy", STRATEGY_DIRECT)).replace("-", "_")
-    if strategy not in ESTIMATORS:
-        raise ValueError(f"invalid estimation strategy {est['strategy']!r}; accepted: {list(ESTIMATORS)}")
-    sources = est.get("sources", "self")
-    if sources == "self" and strategy != STRATEGY_DIRECT:  # the curve fits need complex sources
-        raise ValueError(f"attack plan 'estimate' sources \"self\" are amplitude splices, which only "
-                         f"strategy 'direct' takes; got strategy {strategy!r}")
-    if sources != "self":
-        if not (isinstance(sources, list) and sources and all(isinstance(s, str) and s for s in sources)):
-            raise ValueError(
-                f"attack plan 'estimate' sources must be \"self\" or a nonempty list of raster "
-                f"paths, got {sources!r}"
-            )
-        amplitude = []
-        for src in sources:
-            kind = _raster_header("filter source", src).kind
-            if kind == KIND_MASK_U8:
-                raise ValueError(f"{src}: masks cannot serve as filter sources")
-            amplitude.append(kind == KIND_AMPLITUDE_F64)
-        check_amplitude_sources(strategy, amplitude)
-    return {**resolved, "filter": {"estimate": {"strategy": strategy, "sources": sources}}}
+@dataclass(frozen=True)
+class AttackPlan:
+    """A checked ``attack`` plan; construction checks every field, ``dataclasses.replace`` too.
+    H is a ``known`` raster or a ``strategy`` estimated from ``sources`` ("self": each job's splice)."""
+    known: str | None = None
+    strategy: str | None = None
+    sources: str | tuple[str, ...] | None = None
+    speckle_mode: str = MODE_PHASE_ONLY
+    sigma_s: float = DEFAULT_SIGMA_S
+    histogram_match: bool = True
+    smoothing_sigma: float | None = None  # None: set from the tile size when H is estimated
+    smoothing_kernel: int | None = None
 
+    def __post_init__(self):
+        if self.speckle_mode not in SPECKLE_MODES:
+            raise ValueError(f"unknown speckle mode {self.speckle_mode!r} in attack plan; "
+                             f"accepted: {list(SPECKLE_MODES)}")
+        if not isinstance(self.histogram_match, bool):
+            raise ValueError("attack plan 'histogram_match' must be true or false, "
+                             f"got {self.histogram_match!r}")
+        if not (_is_number(self.sigma_s) and 0 < self.sigma_s <= sys.float_info.max):
+            raise ValueError(f"attack plan 'sigma_s' must be a positive number, got {self.sigma_s!r}")
+        try:
+            check_gaussian_kernel(self.smoothing_sigma, self.smoothing_kernel)
+        except ValueError as exc:
+            raise ValueError(f"attack plan 'smoothing': {exc}") from None
+        if self.strategy is None and self.sources is None:
+            _check_path("attack plan 'known'", self.known)
+            if _raster_header("known filter path", self.known).kind == KIND_COMPLEX_F64:
+                # a response is real: its imaginary part would drop
+                raise RasterError(f"{self.known}: a known H must be a real raster, not a complex one")
+            return
+        if self.known is not None:
+            raise ValueError("attack plan filter must carry exactly one of 'known'/'estimate'")
+        strategy = str(self.strategy).replace("-", "_")
+        if strategy not in ESTIMATORS:
+            raise ValueError(f"invalid estimation strategy {self.strategy!r}; accepted: {list(ESTIMATORS)}")
+        object.__setattr__(self, "strategy", strategy)
+        if self.sources == "self" and strategy != STRATEGY_DIRECT:  # the curve fits need complex sources
+            raise ValueError(f"attack plan 'estimate' sources \"self\" are amplitude splices, which only "
+                             f"strategy 'direct' takes; got strategy {strategy!r}")
+        if self.sources != "self":
+            if not (isinstance(self.sources, (list, tuple)) and self.sources
+                    and all(isinstance(s, str) and s for s in self.sources)):
+                raise ValueError(f"attack plan 'estimate' sources must be \"self\" or a nonempty list "
+                                 f"of raster paths, got {self.sources!r}")
+            object.__setattr__(self, "sources", tuple(self.sources))
+            kinds = []
+            for src in self.sources:
+                kinds.append(_raster_header("filter source", src).kind)
+                if kinds[-1] == KIND_MASK_U8:
+                    raise ValueError(f"{src}: masks cannot serve as filter sources")
+            check_amplitude_sources(strategy, [kind == KIND_AMPLITUDE_F64 for kind in kinds])
 
-def _estimate_filter(plan: dict, sources: list) -> TransferFunction:
-    smoothing = plan["smoothing"]
-    return estimate_transfer_function(sources, plan["filter"]["estimate"]["strategy"],
-                                      sigma=smoothing["sigma"], kernel_size=smoothing["kernel"])
+    @classmethod
+    def from_json(cls, raw) -> "AttackPlan":
+        """Resolve a JSON ``attack`` plan; only its closed key sets and one filter key are checked here."""
+        _check_keys("attack", raw)
+        smoothing = raw.get("smoothing", {})
+        _check_keys("smoothing", smoothing)
+        named = raw.get("filter")  # the fields that name H
+        _check_keys("filter", named)
+        if len(named) != 1:
+            raise ValueError("attack plan filter must carry exactly one of 'known'/'estimate'")
+        if "estimate" in named:
+            _check_keys("estimate", named["estimate"])
+            named = {"strategy": STRATEGY_DIRECT, "sources": "self", **named["estimate"]}
+        settings = {key: value for key, value in raw.items() if key not in ("filter", "smoothing")}
+        return cls(**named, **settings, **{f"smoothing_{key}": value for key, value in smoothing.items()})
 
 
 @dataclass
@@ -277,17 +282,14 @@ class ExperimentResult:
     errors: dict = field(default_factory=dict)
 
 
-def load_filter(plan: dict) -> TransferFunction | None:
-    """The H every attack of a resolved plan shares: the known response, or one
-    estimate from the shared sources. None when each job estimates its own
-    from its splice."""
-    flt = plan["filter"]
-    if "known" in flt:
-        return TransferFunction(read_raster(flt["known"]).values)
-    sources = flt["estimate"]["sources"]
-    if sources == "self":
+def load_filter(plan: AttackPlan) -> TransferFunction | None:
+    """The H that every attack of a plan shares; None when each job estimates its own from its splice."""
+    if plan.known is not None:
+        return TransferFunction(read_raster(plan.known).values)
+    if plan.sources == "self":
         return None
-    return _estimate_filter(plan, [read_raster(p) for p in sources])
+    return estimate_transfer_function([read_raster(p) for p in plan.sources], plan.strategy,
+                                      sigma=plan.smoothing_sigma, kernel_size=plan.smoothing_kernel)
 
 
 def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared, images_dir):
@@ -309,10 +311,10 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
     attacked = None
     if plan is not None:
         if h is None:
-            h = _estimate_filter(plan, [spliced])
+            h = estimate_transfer_function([spliced], plan.strategy, sigma=plan.smoothing_sigma,
+                                           kernel_size=plan.smoothing_kernel)
         seed = derive_seed(config.master_seed, key, "attack")
-        attacked = run_attack(spliced, h, seed, plan["speckle_mode"], plan["sigma_s"],
-                              plan["histogram_match"])
+        attacked = run_attack(spliced, h, seed, plan.speckle_mode, plan.sigma_s, plan.histogram_match)
         del h  # a self-estimated H is a plane that scoring does not need
 
     # Scored at read, before any artifact is written (a bad one leaves none) or SSIM runs.

@@ -28,7 +28,7 @@ from sarfx import (
 )
 from sarfx import cli, experiment, sysid
 from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliError
-from sarfx.experiment import ExperimentConfig, ManifestItem, derive_seed, edit_label, worker_count
+from sarfx.experiment import AttackPlan, ExperimentConfig, ManifestItem, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp, place_splice
 from sarfx.leastsq import FitDivergenceError
 from sarfx.speckle import DEFAULT_SIGMA_S, rng
@@ -959,18 +959,19 @@ def test_experiment_manifest_read_error_raises_before_out_dir(tmp_path, product)
 
 def test_attack_plan_is_resolved_once_with_every_default(tmp_path, product):
     sources = [str(product["complex1"])]
-    plan = experiment.check_attack_plan({"filter": {"estimate": {"strategy": "raised-cosine",
-                                                                 "sources": sources}}})
-    assert plan == {"speckle_mode": "phase_only", "sigma_s": DEFAULT_SIGMA_S, "histogram_match": True,
-                    "smoothing": {"sigma": None, "kernel": None},
-                    "filter": {"estimate": {"strategy": "raised_cosine", "sources": sources}}}
-    assert experiment.check_attack_plan(plan) == plan
-    # a config read from JSON and one built directly hold the same resolved plan
+    plan = AttackPlan.from_json({"filter": {"estimate": {"strategy": "raised-cosine", "sources": sources}}})
+    assert plan == AttackPlan(strategy="raised_cosine", sources=tuple(sources), speckle_mode="phase_only",
+                              sigma_s=DEFAULT_SIGMA_S, histogram_match=True, smoothing_sigma=None,
+                              smoothing_kernel=None)
+    assert dataclasses.replace(plan) == plan
+    # a config read from JSON, one built from that JSON and one built from a plan hold equal plans
     loaded = ExperimentConfig.from_json(_experiment_config(tmp_path, product))
     raw = json.loads((tmp_path / "run.json").read_text())["attack"]
-    built = ExperimentConfig(loaded.manifest, loaded.edits, loaded.region, 1, "out", raw)
-    assert built.attack_plan == loaded.attack_plan
-    assert loaded.attack_plan["filter"] == {"estimate": {"strategy": "direct", "sources": "self"}}
+    built = AttackPlan(strategy="direct", sources="self", smoothing_sigma=5.0, smoothing_kernel=31)
+    assert loaded.attack_plan == built
+    for attack_plan in (raw, built):
+        config = ExperimentConfig(loaded.manifest, loaded.edits, loaded.region, 1, "out", attack_plan)
+        assert config.attack_plan == loaded.attack_plan
 
 
 # The README's accepted-keys table: its level names, and each row's keys (its backticked
@@ -1070,6 +1071,7 @@ _BAD_ATTACK_PLANS = {
     "absent-fingerprint-file": lambda c: c["manifest"][1].update({"fingerprint": "absent.sarf"}),
     "absent-estimate-source": lambda c: c["attack"]["filter"]["estimate"].update({"sources": ["absent.sarf"]}),
     "curve-fit-on-self": lambda c: c["attack"]["filter"]["estimate"].update({"strategy": "raised-cosine"}),
+    "absent-known-filter": lambda c: c["attack"].update({"filter": {"known": "absent.sarf"}}),
 }
 
 
@@ -1205,6 +1207,33 @@ def test_experiment_config_built_in_code_is_checked_like_a_loaded_one(tmp_path, 
     assert (type(built.value), str(built.value)) == (type(loaded.value), str(loaded.value))
 
 
+# Every plan-content case of _BAD_ATTACK_PLANS and _BAD_PLAN_RASTERS; they hold each case of
+# _BAD_ATTACK_FLAGS too (absent-known-filter for its missing-known-filter)
+@pytest.mark.parametrize("case", [
+    "bad-speckle-mode", "string-histogram-match", "string-sigma-s", "bool-sigma-s", "zero-sigma-s",
+    "infinite-sigma-s", "huge-integer-sigma-s", "infinite-smoothing-sigma", "huge-integer-smoothing-sigma",
+    "string-smoothing-sigma", "negative-smoothing-sigma", "even-smoothing-kernel", "unknown-strategy",
+    "known-strategy", "string-sources", "empty-source", "absent-estimate-source", "curve-fit-on-self",
+    "empty-known-filter", "number-known-filter", "absent-known-filter", *_BAD_PLAN_RASTERS])
+def test_attack_plan_built_in_code_is_checked_like_a_loaded_one(tmp_path, product, case):
+    write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
+    names = {**{key: str(path) for key, path in product.items()}, "mask": str(tmp_path / "mask.sarf")}
+    config = json.loads(_experiment_config(tmp_path, product).read_text())
+    if case in _BAD_PLAN_RASTERS:
+        config["attack"]["filter"] = parse_filter_spec(_BAD_PLAN_RASTERS[case][0].format(**names))
+    else:
+        _BAD_ATTACK_PLANS[case](config)
+    raw = config["attack"]
+    fields = {key: value for key, value in raw.items() if key not in ("filter", "smoothing")}
+    fields.update(smoothing_sigma=raw["smoothing"]["sigma"], smoothing_kernel=raw["smoothing"]["kernel"])
+    fields.update(raw["filter"].get("estimate", raw["filter"]))  # known, or strategy and sources
+    with pytest.raises((ValueError, OSError)) as loaded:
+        AttackPlan.from_json(raw)
+    with pytest.raises((ValueError, OSError)) as built:
+        AttackPlan(**fields)
+    assert (type(built.value), str(built.value)) == (type(loaded.value), str(loaded.value))
+
+
 @pytest.mark.parametrize("kind", ["complex", "mask"])
 def test_experiment_non_amplitude_manifest_raster_is_rejected_at_load(tmp_path, product, capsys,
                                                                        kind):
@@ -1238,6 +1267,25 @@ def test_experiment_config_cannot_be_changed_past_its_checks(tmp_path, product):
     with pytest.raises(ValueError) as excinfo:  # a changed copy is checked as a loaded one is
         dataclasses.replace(config, region=(512, 512))
     assert str(excinfo.value) == "region [512, 512] is larger than every manifest tile; 't0' is 128x128"
+
+
+def test_attack_plan_cannot_be_changed_past_its_checks(tmp_path, product):
+    path = _experiment_config(tmp_path, product)  # one tile, H estimated directly from each splice
+    config = json.loads(path.read_text())
+    del config["manifest"][1]
+    path.write_text(json.dumps(config))
+    plan = ExperimentConfig.from_json(path).attack_plan
+    with pytest.raises(TypeError):
+        plan["sigma_s"] = -1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.sigma_s = -1.0
+    with pytest.raises(ValueError) as excinfo:  # a changed copy is checked as a loaded one is
+        dataclasses.replace(plan, sigma_s=-1.0)
+    assert str(excinfo.value) == "attack plan 'sigma_s' must be a positive number, got -1.0"
+    sources = [str(product["complex1"])]
+    plan = AttackPlan(strategy="direct", sources=sources)
+    sources.append(str(product["amp1"]))  # an amplitude beside a complex source is rejected at load
+    assert plan.sources == (str(product["complex1"]),)
 
 
 def test_experiment_null_fingerprint_means_none(tmp_path, product):
