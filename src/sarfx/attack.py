@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .raster import AmplitudeImage, ComplexImage, RasterError
-from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, generate_speckle, inject_speckle
+from .speckle import MODE_PHASE_ONLY, generate_speckle, inject_speckle
 from .sysid import TransferFunction
 
 
@@ -88,7 +88,7 @@ def _order_shared_high_bits(keys, flat, index_bits) -> None:
 
 
 def run_attack(image: AmplitudeImage, h: TransferFunction, seed: int, speckle_mode: str = MODE_PHASE_ONLY,
-               sigma_s: float = DEFAULT_SIGMA_S, match_histogram: bool = True) -> AmplitudeImage:
+               match_histogram: bool = True) -> AmplitudeImage:
     """The attacked image: the full pipeline run on an amplitude image through the
     system response ``h``, known or estimated beforehand with
     :func:`sarfx.sysid.estimate_transfer_function`; deterministic under the seed."""
@@ -97,6 +97,6 @@ def run_attack(image: AmplitudeImage, h: TransferFunction, seed: int, speckle_mo
     # one complex plane is drawn, speckled and filtered in place, and goes once |z|
     # is taken: a bare plane the histogram match scatters into
     amplitude = np.abs(apply_system(inject_speckle(
-        image, generate_speckle(*image.shape, speckle_mode, sigma_s, seed)), h).values)
+        image, generate_speckle(*image.shape, speckle_mode, seed=seed)), h).values)
     return (histogram_match(amplitude, image) if match_histogram
             else AmplitudeImage(amplitude, image.dynamic_range_bits, copy=False))

@@ -35,7 +35,7 @@ from .raster import (
     write_raster,
 )
 from .spectral import azimuthal_profile, check_gaussian_kernel, forward_dft, profile_to_csv
-from .speckle import DEFAULT_SIGMA_S, generate_speckle, inject_speckle, rng
+from .speckle import generate_speckle, inject_speckle, rng
 from .sysid import FitNonConvergenceError
 from .raster import tile as tile_raster
 from .tables import csv_text
@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--filter", required=True, help="known:<path> or estimate:<strategy>:<paths,...>"
     )
     p_attack.add_argument("--speckle-mode", default="phase-only", choices=["full", "phase-only"])
-    p_attack.add_argument("--speckle-sigma", type=float, default=DEFAULT_SIGMA_S)
     p_attack.add_argument("--seed", type=int, required=True)
     p_attack.add_argument("--no-histogram-match", action="store_true")
     p_attack.add_argument("--smoothing-sigma", type=float, default=None)
@@ -258,18 +257,19 @@ def cmd_attack(args) -> int:
         "filter": args.filter_spec,
         "smoothing": {"sigma": args.smoothing_sigma, "kernel": args.smoothing_kernel},
         "speckle_mode": args.speckle_mode.replace("-", "_"),
-        "sigma_s": args.speckle_sigma,
         "histogram_match": not args.no_histogram_match,
     })
     rng(args.seed)  # range-checks the seed before H is loaded
     image = _read_amplitude(args.input)
-    h, speckle = load_filter(plan), (plan.speckle_mode, plan.sigma_s)
-    write_raster(run_attack(image, h, args.seed, *speckle, plan.histogram_match), args.out)
+    h, mode = load_filter(plan), plan.speckle_mode
+    write_raster(run_attack(image, h, args.seed, speckle_mode=mode, match_histogram=plan.histogram_match),
+                 args.out)
     if args.dump_intermediates:  # the same seed redraws the intermediates the attack dropped
-        field = generate_speckle(*image.shape, *speckle, args.seed)
+        field = generate_speckle(*image.shape, mode, seed=args.seed)
         speckled = ComplexImage(inject_speckle(image, field), copy=False)
         write_raster(speckled, f"{args.out}.speckled.sarf")
-        write_raster(run_attack(image, h, args.seed, *speckle, False), f"{args.out}.filtered.sarf")
+        write_raster(run_attack(image, h, args.seed, speckle_mode=mode, match_histogram=False),
+                     f"{args.out}.filtered.sarf")
     print(f"wrote {args.out}")
     return 0
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
 from .raster import (KIND_AMPLITUDE_F64, KIND_COMPLEX_F64, KIND_MASK_U8, RasterError, RasterHeader,
                      atomic_open, read_header, read_raster, write_raster)
-from .speckle import DEFAULT_SIGMA_S, MODE_PHASE_ONLY, SPECKLE_MODES
+from .speckle import MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
 from .sysid import (ESTIMATORS, STRATEGY_DIRECT, TransferFunction, check_amplitude_sources,
                     estimate_transfer_function)
@@ -160,7 +159,7 @@ _CONFIG_KEYS = {
     "config": {"schema_version", "manifest", "edits", "region", "attack", "master_seed", "out_dir"},
     "manifest": {"id", "path", "product", "fingerprint"},
     "edits": {"kind", "parameter", "range_class"},
-    "attack": {"filter", "smoothing", "speckle_mode", "sigma_s", "histogram_match"},
+    "attack": {"filter", "smoothing", "speckle_mode", "histogram_match"},
     "filter": {"known", "estimate"},
     "estimate": {"strategy", "sources"},
     "smoothing": {"sigma", "kernel"},
@@ -211,7 +210,6 @@ class AttackPlan:
     strategy: str | None = None
     sources: str | tuple[str, ...] | None = None
     speckle_mode: str = MODE_PHASE_ONLY
-    sigma_s: float = DEFAULT_SIGMA_S
     histogram_match: bool = True
     smoothing_sigma: float | None = None  # None: set from the tile size when H is estimated
     smoothing_kernel: int | None = None
@@ -223,8 +221,6 @@ class AttackPlan:
         if not isinstance(self.histogram_match, bool):
             raise ValueError("attack plan 'histogram_match' must be true or false, "
                              f"got {self.histogram_match!r}")
-        if not (_is_number(self.sigma_s) and 0 < self.sigma_s <= sys.float_info.max):
-            raise ValueError(f"attack plan 'sigma_s' must be a positive number, got {self.sigma_s!r}")
         try:
             check_gaussian_kernel(self.smoothing_sigma, self.smoothing_kernel)
         except ValueError as exc:
@@ -234,6 +230,8 @@ class AttackPlan:
             if _raster_header("known filter path", self.known).kind == KIND_COMPLEX_F64:
                 # a response is real: its imaginary part would drop
                 raise RasterError(f"{self.known}: a known H must be a real raster, not a complex one")
+            if (self.smoothing_sigma, self.smoothing_kernel) != (None, None):
+                raise ValueError("attack plan 'smoothing' applies only to an estimated H, not a known one")
             return
         if self.known is not None:
             raise ValueError("attack plan filter must carry exactly one of 'known'/'estimate'")
@@ -314,7 +312,8 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
             h = estimate_transfer_function([spliced], plan.strategy, sigma=plan.smoothing_sigma,
                                            kernel_size=plan.smoothing_kernel)
         seed = derive_seed(config.master_seed, key, "attack")
-        attacked = run_attack(spliced, h, seed, plan.speckle_mode, plan.sigma_s, plan.histogram_match)
+        attacked = run_attack(spliced, h, seed, speckle_mode=plan.speckle_mode,
+                              match_histogram=plan.histogram_match)
         del h  # a self-estimated H is a plane that scoring does not need
 
     # Scored at read, before any artifact is written (a bad one leaves none) or SSIM runs.

@@ -78,18 +78,6 @@ def _as_plane(image, what: str) -> np.ndarray:
     return arr
 
 
-def _resolve_range(a, b, dynamic_range) -> float:
-    if dynamic_range is not None:
-        if not dynamic_range > 0:
-            raise ValueError("dynamic_range must be positive")
-        return float(dynamic_range)
-    if isinstance(a, AmplitudeImage):
-        return a.dynamic_range
-    if isinstance(b, AmplitudeImage):
-        return b.dynamic_range
-    raise ValueError("dynamic_range is required for bare arrays")
-
-
 def gaussian_window() -> np.ndarray:
     """The unit-sum 2D Gaussian SSIM weighting window."""
     x = np.arange(SSIM_WINDOW_SIZE, dtype=np.float64) - (SSIM_WINDOW_SIZE - 1) / 2.0
@@ -191,17 +179,18 @@ def _ssim_terms(pa: np.ndarray, pb: np.ndarray, dynamic_range: float, n_scales: 
         pa, pb = _downsample2(pa), _downsample2(pb)
 
 
-def _planes(a, b, dynamic_range):
-    pa = _as_plane(a, "a")
-    pb = _as_plane(b, "b")
-    if pa.shape != pb.shape:
-        raise ValueError(f"shape mismatch: {pa.shape} vs {pb.shape}")
-    return pa, pb, _resolve_range(a, b, dynamic_range)
+def _planes(a: AmplitudeImage, b: AmplitudeImage):
+    """The two planes SSIM compares, and the range its constants scale with: ``a``'s."""
+    if not (isinstance(a, AmplitudeImage) and isinstance(b, AmplitudeImage)):
+        raise ValueError(f"SSIM compares two AmplitudeImages, got {type(a).__name__} and {type(b).__name__}")
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a.values, b.values, a.dynamic_range
 
 
-def ssim(a, b, dynamic_range=None) -> float:
+def ssim(a: AmplitudeImage, b: AmplitudeImage) -> float:
     """Mean SSIM over valid 11x11 Gaussian windows."""
-    return _ssim_terms(*_planes(a, b, dynamic_range), 1)[0][0]
+    return _ssim_terms(*_planes(a, b), 1)[0][0]
 
 
 def ms_ssim_scale_count(shape: tuple[int, int]) -> int:
@@ -235,14 +224,14 @@ def _combine_scales(terms, shape) -> float:
     return float(score)
 
 
-def ms_ssim(a, b, dynamic_range=None) -> float:
+def ms_ssim(a: AmplitudeImage, b: AmplitudeImage) -> float:
     """Multi-scale SSIM with the standard five-scale weighting.
 
     Contrast-structure terms are accumulated at the coarser scales and the
     full SSIM enters at the last scale; inputs too small for five scales use
     as many scales as fit (weights renormalized) and emit a warning.
     """
-    pa, pb, drange = _planes(a, b, dynamic_range)
+    pa, pb, drange = _planes(a, b)
     n_scales = ms_ssim_scale_count(pa.shape)
     if n_scales == 0:
         raise ValueError(f"images of shape {pa.shape} support no MS-SSIM scale")
@@ -347,11 +336,10 @@ def read_fingerprint(path) -> np.ndarray:
 
 
 def evaluate_pair(
-    source,
-    reference,
+    source: AmplitudeImage,
+    reference: AmplitudeImage,
     fingerprint=None,
     mask: TamperMask | None = None,
-    dynamic_range=None,
 ) -> MetricReport:
     """Bundle the full metric set for one (source, reference) image pair.
 
@@ -362,7 +350,7 @@ def evaluate_pair(
     if (fingerprint is None) != (mask is None):
         raise ValueError("AUC needs both a fingerprint and a mask")
     auc = None if fingerprint is None else auc_roc(fingerprint, mask, polarity="max")
-    pa, pb, drange = _planes(source, reference, dynamic_range)
+    pa, pb, drange = _planes(source, reference)
     terms = _ssim_terms(pa, pb, drange, ms_ssim_scale_count(pa.shape))
     msssim = _combine_scales(terms, pa.shape)
     enl_source = enl(source)

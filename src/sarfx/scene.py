@@ -14,7 +14,7 @@ import numpy as np
 from .attack import apply_system
 from .forgery import _gaussian_blur
 from .raster import AmplitudeImage, ComplexImage
-from .speckle import DEFAULT_SIGMA_S, MODE_FULL, generate_speckle, inject_speckle
+from .speckle import MODE_FULL, generate_speckle, inject_speckle
 from .sysid import TransferFunction, freq_grid, nyquist_bins, raised_cosine_axis
 
 
@@ -37,17 +37,12 @@ def raised_cosine_filter(n: int, cutoff_fraction: float) -> TransferFunction:
     return TransferFunction(plane / plane.max(), "known")
 
 
-def simulate_pristine(
-    reflectivity: AmplitudeImage,
-    h_true: TransferFunction,
-    seed: int,
-    sigma_s: float = DEFAULT_SIGMA_S,
-) -> ComplexImage:
+def simulate_pristine(reflectivity: AmplitudeImage, h_true: TransferFunction, seed: int) -> ComplexImage:
     """Synthesize ground-truth pristine complex data from a noise-free scene.
 
     Full-mode speckle is injected into the reflectivity and the result is
     filtered through the known system response; the amplitude of the output
     plays the role of a released pristine product in closure experiments.
     """
-    field = generate_speckle(*reflectivity.shape, MODE_FULL, sigma_s, seed)
+    field = generate_speckle(*reflectivity.shape, MODE_FULL, seed=seed)
     return apply_system(inject_speckle(reflectivity, field), h_true)

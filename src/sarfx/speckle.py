@@ -1,11 +1,11 @@
 """Complex speckle field generation and multiplicative injection.
 
 Fields follow the fully-developed model: amplitude Rayleigh(sigma_s), phase
-uniform on [0, 2pi), pixels mutually independent. The phase-only variant
-pins every amplitude to 1 and is the pipeline default. Randomness comes from
-a Philox counter-based stream keyed by the seed, so identical
-(dims, mode, sigma_s, seed) always reproduce the same field bit-for-bit and
-block-parallel generation stays possible.
+uniform on [0, 2pi), pixels mutually independent; every acquisition in the
+package draws unit-energy speckle, sigma_s = DEFAULT_SIGMA_S. The phase-only
+variant pins every amplitude to 1 and is the pipeline default. A Philox
+counter-based stream keyed by the seed makes (dims, mode, sigma_s, seed)
+reproduce a field bit-for-bit and keeps block-parallel generation possible.
 """
 
 from __future__ import annotations

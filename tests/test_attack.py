@@ -7,6 +7,7 @@ from scipy import stats
 
 from sarfx import (
     AmplitudeImage,
+    DEFAULT_SIGMA_S,
     MODE_FULL,
     MODE_PHASE_ONLY,
     ComplexImage,
@@ -376,12 +377,12 @@ def test_attack_is_speckle_then_filter_then_match(mode):
     # the attacked image against the chain run stage by stage
     image = AmplitudeImage(np.random.default_rng(10).uniform(0, 4000, (48, 48)), 12)
     h = raised_cosine_filter(48, 0.6)
-    field = generate_speckle(48, 48, mode, 0.9, seed=5)
+    field = generate_speckle(48, 48, mode, DEFAULT_SIGMA_S, seed=5)
     filtered = apply_system(inject_speckle(image, field), h).amplitude(12)
-    unmatched = run_attack(image, h, 5, speckle_mode=mode, sigma_s=0.9, match_histogram=False)
+    unmatched = run_attack(image, h, 5, speckle_mode=mode, match_histogram=False)
     assert np.array_equal(unmatched.values, filtered.values)
     assert unmatched.dynamic_range_bits == 12
-    attacked = run_attack(image, h, 5, speckle_mode=mode, sigma_s=0.9)
+    attacked = run_attack(image, h, 5, speckle_mode=mode)
     assert np.array_equal(attacked.values, histogram_match(filtered, image).values)
     assert attacked.dynamic_range_bits == 12
 
@@ -462,11 +463,11 @@ def test_raised_cosine_filter_is_a_unit_gain_low_pass():
 
 
 def test_simulated_amplitude_is_rayleigh():
-    c, sigma_s = 700.0, 2.0**-0.5
+    c = 700.0
     scene = AmplitudeImage(np.full((128, 128), c))
-    pristine = simulate_pristine(scene, _flat_filter(128), seed=30, sigma_s=sigma_s)
+    pristine = simulate_pristine(scene, _flat_filter(128), seed=30)
     amplitudes = np.abs(pristine.values).ravel()
-    result = stats.kstest(amplitudes, stats.rayleigh(scale=c * sigma_s).cdf)
+    result = stats.kstest(amplitudes, stats.rayleigh(scale=c * DEFAULT_SIGMA_S).cdf)
     assert result.pvalue > 0.01
 
 

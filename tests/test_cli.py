@@ -31,7 +31,7 @@ from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliErro
 from sarfx.experiment import AttackPlan, ExperimentConfig, ManifestItem, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp, place_splice
 from sarfx.leastsq import FitDivergenceError
-from sarfx.speckle import DEFAULT_SIGMA_S, rng
+from sarfx.speckle import rng
 
 
 def test_cli_import_does_not_load_scipy_signal():
@@ -436,6 +436,7 @@ def test_out_of_range_seed_is_a_clean_error(tmp_path, product, capsys, monkeypat
     assert not list(tmp_path.glob("out.sarf*"))
 
 
+_KNOWN_SMOOTHING = "attack plan 'smoothing' applies only to an estimated H, not a known one"
 # Each bad sarfx attack flag: its argv tail and the one error line it prints.
 _BAD_ATTACK_FLAGS = {
     "missing-known-filter": (["--filter", "known:missing.sarf"],
@@ -446,11 +447,9 @@ _BAD_ATTACK_FLAGS = {
     "even-smoothing-kernel": (["--filter", "estimate:direct:{complex1}", "--smoothing-kernel", "4"],
                               "attack plan 'smoothing': kernel size must be a positive odd "
                               "integer, got 4"),
-    "zero-speckle-sigma": (["--filter", "estimate:direct:{complex1}", "--speckle-sigma", "0"],
-                           "attack plan 'sigma_s' must be a positive number, got 0.0"),
-    "infinite-speckle-sigma": (["--filter", "estimate:direct:{complex1}", "--speckle-mode", "full",
-                                "--speckle-sigma", "inf"],
-                               "attack plan 'sigma_s' must be a positive number, got inf"),
+    "speckle-sigma-flag": (["--filter", "estimate:direct:{complex1}", "--speckle-sigma", "1"],
+                           None),  # retired: the speckle has unit energy, and argparse exits 2
+    "known-filter-with-smoothing": (["--filter", "known:{amp1}", "--smoothing-sigma", "5"], _KNOWN_SMOOTHING),
     "infinite-smoothing-sigma": (["--filter", "estimate:direct:{complex1}", "--smoothing-sigma", "inf"],
                                  "attack plan 'smoothing': sigma must be a positive number, got inf"),
 }
@@ -498,10 +497,15 @@ def test_attack_flags_are_checked_like_the_config_attack_plan(tmp_path, product,
                                                              monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     tail, message = _BAD_ATTACK_FLAGS[case]
-    tail = [arg.format(complex1=product["complex1"]) for arg in tail]
-    assert main(["attack", "--input", str(product["amp0"]), "--seed", "1",
-                 "--out", "out.sarf", *tail]) == 1
-    assert capsys.readouterr().err == f"sarfx: error: {message}\n"
+    argv = ["attack", "--input", str(product["amp0"]), "--seed", "1", "--out", "out.sarf",
+            *(arg.format(**product) for arg in tail)]
+    if message is None:  # a flag sarfx attack does not take
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"sarfx: error: {message}\n"
     assert not list(tmp_path.glob("out.sarf*"))
 
 
@@ -833,6 +837,8 @@ def test_cli_metrics_rejects_a_mask_without_a_fingerprint(tmp_path, product, cap
 def _shared_filter_run(tmp_path, product, name, flt):
     config = json.loads(_experiment_config(tmp_path, product, name).read_text())
     config["attack"]["filter"] = flt
+    if "known" in flt:  # smoothing applies only to an estimated H
+        del config["attack"]["smoothing"]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config))
     return main(["experiment", "--config", str(path)]), tmp_path / name
@@ -961,8 +967,7 @@ def test_attack_plan_is_resolved_once_with_every_default(tmp_path, product):
     sources = [str(product["complex1"])]
     plan = AttackPlan.from_json({"filter": {"estimate": {"strategy": "raised-cosine", "sources": sources}}})
     assert plan == AttackPlan(strategy="raised_cosine", sources=tuple(sources), speckle_mode="phase_only",
-                              sigma_s=DEFAULT_SIGMA_S, histogram_match=True, smoothing_sigma=None,
-                              smoothing_kernel=None)
+                              histogram_match=True, smoothing_sigma=None, smoothing_kernel=None)
     assert dataclasses.replace(plan) == plan
     # a config read from JSON, one built from that JSON and one built from a plan hold equal plans
     loaded = ExperimentConfig.from_json(_experiment_config(tmp_path, product))
@@ -1030,6 +1035,7 @@ _BAD_ATTACK_PLANS = {
     "manifest-entry-without-id": lambda c: c["manifest"][0].pop("id"),
     "manifest-entry-without-path": lambda c: c["manifest"][1].pop("path"),
     "string-histogram-match": lambda c: c["attack"].update({"histogram_match": "false"}),
+    # sigma_s is retired: a config that still carries it fails on the closed key set
     "string-sigma-s": lambda c: c["attack"].update({"sigma_s": "x"}),
     "bool-sigma-s": lambda c: c["attack"].update({"sigma_s": True}),
     "zero-sigma-s": lambda c: c["attack"].update({"sigma_s": 0}),
@@ -1072,6 +1078,8 @@ _BAD_ATTACK_PLANS = {
     "absent-estimate-source": lambda c: c["attack"]["filter"]["estimate"].update({"sources": ["absent.sarf"]}),
     "curve-fit-on-self": lambda c: c["attack"]["filter"]["estimate"].update({"strategy": "raised-cosine"}),
     "absent-known-filter": lambda c: c["attack"].update({"filter": {"known": "absent.sarf"}}),
+    "known-filter-with-smoothing": lambda c: c["attack"].update(  # a tile is a real raster
+        {"filter": {"known": c["manifest"][1]["path"]}}),
 }
 
 
@@ -1096,6 +1104,8 @@ def test_experiment_config_rejected_at_the_edge(tmp_path, product, capsys, case)
 
 _CONFIG_KEYS = "['attack', 'edits', 'manifest', 'master_seed', 'out_dir', 'region', 'schema_version']"
 _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
+_RETIRED_SIGMA_S = ("unknown key(s) ['sigma_s'] in attack plan 'attack'; "
+                    "accepted: ['filter', 'histogram_match', 'smoothing', 'speckle_mode']")
 
 
 @pytest.mark.parametrize("case, message", [
@@ -1112,8 +1122,8 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
     ("region-beyond-every-tile",
      "region [200, 16] is larger than every manifest tile; 't0' is 128x128"),
     ("string-histogram-match", "attack plan 'histogram_match' must be true or false, got 'false'"),
-    ("string-sigma-s", "attack plan 'sigma_s' must be a positive number, got 'x'"),
-    ("infinite-sigma-s", "attack plan 'sigma_s' must be a positive number, got inf"),
+    ("string-sigma-s", _RETIRED_SIGMA_S),
+    ("infinite-sigma-s", _RETIRED_SIGMA_S),
     ("infinite-smoothing-sigma", "attack plan 'smoothing': sigma must be a positive number, got inf"),
     ("even-smoothing-kernel",
      "attack plan 'smoothing': kernel size must be a positive odd integer, got 4"),
@@ -1149,6 +1159,7 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
     ("duplicate-edit-label", "edit labels must be unique, got ['gaussian_blur', 'upscale_near', 'gaussian_blur']"),
     ("number-manifest-entry", "a manifest entry must be an object, got 5"),
     ("known-and-estimate-filter", "attack plan filter must carry exactly one of 'known'/'estimate'"),
+    ("known-filter-with-smoothing", _KNOWN_SMOOTHING),
     ("absent-fingerprint-file", "fingerprint path does not exist: absent.sarf"),
     ("absent-estimate-source", "filter source does not exist: absent.sarf"),
     ("curve-fit-on-self", "attack plan 'estimate' sources \"self\" are amplitude splices, which only "
@@ -1164,8 +1175,8 @@ _ENTRY_KEYS = "['fingerprint', 'id', 'path', 'product']"
         "zero-fixed-downscale", "drawn-edit-parameter", "misspelt-attack", "misspelt-fingerprint",
         "schema-version-2",
         "missing-schema-version", "duplicate-manifest-id", "duplicate-edit-label", "number-manifest-entry",
-        "known-and-estimate-filter", "absent-fingerprint-file", "absent-estimate-source",
-        "curve-fit-on-self"])
+        "known-and-estimate-filter", "known-filter-with-smoothing", "absent-fingerprint-file",
+        "absent-estimate-source", "curve-fit-on-self"])
 def test_experiment_config_error_names_accepted_values(tmp_path, product, case, message):
     path = _experiment_config(tmp_path, product, "bad")
     config = json.loads(path.read_text())
@@ -1210,11 +1221,11 @@ def test_experiment_config_built_in_code_is_checked_like_a_loaded_one(tmp_path, 
 # Every plan-content case of _BAD_ATTACK_PLANS and _BAD_PLAN_RASTERS; they hold each case of
 # _BAD_ATTACK_FLAGS too (absent-known-filter for its missing-known-filter)
 @pytest.mark.parametrize("case", [
-    "bad-speckle-mode", "string-histogram-match", "string-sigma-s", "bool-sigma-s", "zero-sigma-s",
-    "infinite-sigma-s", "huge-integer-sigma-s", "infinite-smoothing-sigma", "huge-integer-smoothing-sigma",
+    "bad-speckle-mode", "string-histogram-match", "infinite-smoothing-sigma", "huge-integer-smoothing-sigma",
     "string-smoothing-sigma", "negative-smoothing-sigma", "even-smoothing-kernel", "unknown-strategy",
     "known-strategy", "string-sources", "empty-source", "absent-estimate-source", "curve-fit-on-self",
-    "empty-known-filter", "number-known-filter", "absent-known-filter", *_BAD_PLAN_RASTERS])
+    "empty-known-filter", "number-known-filter", "absent-known-filter", "known-filter-with-smoothing",
+    *_BAD_PLAN_RASTERS])
 def test_attack_plan_built_in_code_is_checked_like_a_loaded_one(tmp_path, product, case):
     write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
     names = {**{key: str(path) for key, path in product.items()}, "mask": str(tmp_path / "mask.sarf")}
@@ -1276,12 +1287,12 @@ def test_attack_plan_cannot_be_changed_past_its_checks(tmp_path, product):
     path.write_text(json.dumps(config))
     plan = ExperimentConfig.from_json(path).attack_plan
     with pytest.raises(TypeError):
-        plan["sigma_s"] = -1.0
+        plan["histogram_match"] = "false"
     with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.sigma_s = -1.0
+        plan.histogram_match = "false"
     with pytest.raises(ValueError) as excinfo:  # a changed copy is checked as a loaded one is
-        dataclasses.replace(plan, sigma_s=-1.0)
-    assert str(excinfo.value) == "attack plan 'sigma_s' must be a positive number, got -1.0"
+        dataclasses.replace(plan, histogram_match="false")
+    assert str(excinfo.value) == "attack plan 'histogram_match' must be true or false, got 'false'"
     sources = [str(product["complex1"])]
     plan = AttackPlan(strategy="direct", sources=sources)
     sources.append(str(product["amp1"]))  # an amplitude beside a complex source is rejected at load

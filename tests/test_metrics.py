@@ -110,7 +110,7 @@ def test_ssim_constant_offset_matches_closed_form():
     b = AmplitudeImage(np.full((16, 16), c + L / 2.0))
     c1 = (0.01 * L) ** 2
     expected = (2 * c * (c + L / 2) + c1) / (c**2 + (c + L / 2) ** 2 + c1)
-    assert ssim(a, b, L) == pytest.approx(expected, abs=1e-9)
+    assert ssim(a, b) == pytest.approx(expected, abs=1e-9)  # 16-bit images: L is their range
 
 
 def test_ssim_matches_second_implementation():
@@ -248,8 +248,8 @@ def test_evaluate_pair_on_shared_convolvers_is_thread_safe():
     pairs = []
     for seed, shape in enumerate([(256, 256), (192, 320)] * 3):
         a, b = np.random.default_rng(seed).uniform(0, 65535, (2, *shape))
-        pairs.append((a, b))
-    assert_threaded_equals_serial(lambda a, b: evaluate_pair(a, b, dynamic_range=65535.0), pairs)
+        pairs.append((AmplitudeImage(a), AmplitudeImage(b)))
+    assert_threaded_equals_serial(evaluate_pair, pairs)
 
 
 def test_ssim_symmetry_and_bound():
@@ -267,6 +267,16 @@ def test_ssim_window_size_guard():
 def test_ssim_shape_guard():
     with pytest.raises(ValueError, match="mismatch"):
         ssim(_image((16, 16), 7), _image((16, 18), 8))
+
+
+def test_ssim_takes_its_range_from_an_amplitude_image():
+    # a bare plane carries no range for SSIM's constants
+    image = _image((16, 16), 7)
+    for a, b in ((image.values, image), (image, image.values)):
+        with pytest.raises(ValueError) as excinfo:
+            ssim(a, b)
+        assert str(excinfo.value) == (f"SSIM compares two AmplitudeImages, got "
+                                      f"{type(a).__name__} and {type(b).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +480,9 @@ def test_ms_ssim_clamps_anticorrelated_structure():
     # checkerboards of opposite phase: cs goes negative, score clamps to 0
     yy, xx = np.mgrid[0:256, 0:256]
     board = ((yy + xx) % 2).astype(float) * 100.0
-    a = AmplitudeImage(board + 50.0)
-    b = AmplitudeImage(150.0 - board)
-    value = ms_ssim(a, b, dynamic_range=255.0)
+    a = AmplitudeImage(board + 50.0, 8)  # an 8-bit range, 255
+    b = AmplitudeImage(150.0 - board, 8)
+    value = ms_ssim(a, b)
     assert np.isfinite(value)
     assert 0.0 <= value < 0.5
 
