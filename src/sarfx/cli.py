@@ -23,13 +23,13 @@ from .forgery import (
     EditOp,
     place_splice,
 )
-from .metrics import METRIC_COLUMNS, evaluate_pair, read_fingerprint
+from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
 from .raster import (
     AmplitudeImage,
     ComplexImage,
     RasterError,
-    TamperMask,
     atomic_open,
+    check_kind,
     read_raster,
     write_mask_pgm,
     write_raster,
@@ -158,20 +158,25 @@ def parse_args(argv) -> argparse.Namespace:
     return args
 
 
+def _read(path, role: str):
+    check_kind(path, role)
+    return read_raster(path)
+
+
 def _read_amplitude(path) -> AmplitudeImage:
-    image = read_raster(path)
-    if isinstance(image, ComplexImage):
-        return image.amplitude()
-    if not isinstance(image, AmplitudeImage):
-        raise CliError(f"{path}: expected an amplitude raster, got {type(image).__name__}")
-    return image
+    image = _read(path, "image")
+    return image.amplitude() if isinstance(image, ComplexImage) else image
 
 
-def _read_mask(path) -> TamperMask:
-    mask = read_raster(path)
-    if not isinstance(mask, TamperMask):
-        raise CliError(f"{path}: expected a mask raster")
-    return mask
+def _plan(args, **fields) -> AttackPlan:
+    """The attack plan of ``fields`` and the smoothing flags, each checked under its own name."""
+    for flag, sigma, size in (("--smoothing-sigma", args.smoothing_sigma, None),
+                              ("--smoothing-kernel", None, args.smoothing_kernel)):
+        try:
+            check_gaussian_kernel(sigma, size)
+        except ValueError as exc:
+            raise CliError(f"{flag}: {exc}") from None
+    return AttackPlan(**fields, smoothing_sigma=args.smoothing_sigma, smoothing_kernel=args.smoothing_kernel)
 
 
 def _emit(text: str, out: str) -> None:
@@ -196,23 +201,13 @@ def cmd_tile(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    image = read_raster(args.input)
-    if isinstance(image, TamperMask):
-        raise CliError(f"{args.input}: a mask raster has no spectrum")
-    profile = azimuthal_profile(forward_dft(image))
+    profile = azimuthal_profile(forward_dft(_read(args.input, "image")))
     _emit(profile_to_csv(profile), args.out)
     return 0
 
 
 def cmd_estimate_filter(args) -> int:
-    for flag, sigma, size in (("--smoothing-sigma", args.smoothing_sigma, None),
-                              ("--smoothing-kernel", None, args.smoothing_kernel)):
-        try:
-            check_gaussian_kernel(sigma, size)
-        except ValueError as exc:
-            raise CliError(f"{flag}: {exc}") from None
-    h = load_filter(AttackPlan(strategy=args.strategy, sources=args.sources,
-                               smoothing_sigma=args.smoothing_sigma, smoothing_kernel=args.smoothing_kernel))
+    h = load_filter(_plan(args, strategy=args.strategy, sources=args.sources))
     write_raster(AmplitudeImage(h.values, 16), args.out)
     sidecar = {
         "strategy": h.strategy,
@@ -252,13 +247,8 @@ def cmd_forge(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    # the flags form an experiment's attack plan, checked and loaded the same way
-    plan = AttackPlan.from_json({
-        "filter": args.filter_spec,
-        "smoothing": {"sigma": args.smoothing_sigma, "kernel": args.smoothing_kernel},
-        "speckle_mode": args.speckle_mode.replace("-", "_"),
-        "histogram_match": not args.no_histogram_match,
-    })
+    plan = _plan(args, **args.filter_spec.get("estimate", args.filter_spec),  # known, or strategy and sources
+                 speckle_mode=args.speckle_mode.replace("-", "_"), histogram_match=not args.no_histogram_match)
     rng(args.seed)  # range-checks the seed before H is loaded
     image = _read_amplitude(args.input)
     h, mode = load_filter(plan), plan.speckle_mode
@@ -275,12 +265,11 @@ def cmd_attack(args) -> int:
 
 
 def _score(a_path, b_path, fingerprint_path, mask_path):
-    return evaluate_pair(
-        _read_amplitude(a_path),
-        _read_amplitude(b_path),
-        fingerprint=read_fingerprint(fingerprint_path) if fingerprint_path else None,
-        mask=_read_mask(mask_path) if mask_path else None,
-    )
+    if bool(fingerprint_path) != bool(mask_path):
+        raise CliError("AUC needs both a fingerprint and a mask")
+    a, b = _read_amplitude(a_path), _read_amplitude(b_path)
+    auc = auc_roc(read_fingerprint(fingerprint_path), _read(mask_path, "mask")) if mask_path else None
+    return replace(evaluate_pair(a, b), auc=auc)
 
 
 def cmd_metrics(args) -> int:

@@ -22,8 +22,7 @@ from pathlib import Path
 from .attack import run_attack
 from .forgery import EditOp, random_splice
 from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
-from .raster import (KIND_AMPLITUDE_F64, KIND_COMPLEX_F64, KIND_MASK_U8, RasterError, RasterHeader,
-                     atomic_open, read_header, read_raster, write_raster)
+from .raster import KIND_AMPLITUDE_F64, RasterHeader, atomic_open, check_kind, read_raster, write_raster
 from .speckle import MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
 from .sysid import (ESTIMATORS, STRATEGY_DIRECT, TransferFunction, check_amplitude_sources,
@@ -102,13 +101,9 @@ class ExperimentConfig:
             raise ValueError("manifest ids must be unique")
         headers = []
         for item in self.manifest:
-            header = _raster_header("manifest path", item.path)
-            if header.kind != KIND_AMPLITUDE_F64:
-                raise ValueError(f"manifest item {item.id} is not an amplitude raster: {item.path}")
+            header = _raster_header("manifest path", item.path, "manifest tile")
             if item.fingerprint:  # scored against masks of the tile's shape
-                scores = _raster_header("fingerprint path", item.fingerprint)
-                if scores.kind == KIND_MASK_U8:
-                    raise ValueError(f"{item.fingerprint}: masks cannot serve as fingerprints")
+                scores = _raster_header("fingerprint path", item.fingerprint, "fingerprint")
                 if (scores.height, scores.width) != (header.height, header.width):
                     raise ValueError(f"fingerprint {item.fingerprint} is {scores.height}x{scores.width}, "
                                      f"its tile {item.path} {header.height}x{header.width}")
@@ -195,11 +190,11 @@ def _check_path(where: str, value) -> None:
         raise ValueError(f"{where} must be a nonempty path string, got {value!r}")
 
 
-def _raster_header(label: str, path) -> RasterHeader:
-    """The header of a raster the config names; ``label`` names it if the file is missing."""
+def _raster_header(label: str, path, role: str) -> RasterHeader:
+    """The header of a raster the config names to fill ``role``; ``label`` names it if the file is missing."""
     if not Path(path).exists():
         raise FileNotFoundError(f"{label} does not exist: {path}")
-    return read_header(path)
+    return check_kind(path, role)
 
 
 @dataclass(frozen=True)
@@ -227,9 +222,7 @@ class AttackPlan:
             raise ValueError(f"attack plan 'smoothing': {exc}") from None
         if self.strategy is None and self.sources is None:
             _check_path("attack plan 'known'", self.known)
-            if _raster_header("known filter path", self.known).kind == KIND_COMPLEX_F64:
-                # a response is real: its imaginary part would drop
-                raise RasterError(f"{self.known}: a known H must be a real raster, not a complex one")
+            _raster_header("known filter path", self.known, "known H")
             if (self.smoothing_sigma, self.smoothing_kernel) != (None, None):
                 raise ValueError("attack plan 'smoothing' applies only to an estimated H, not a known one")
             return
@@ -248,11 +241,7 @@ class AttackPlan:
                 raise ValueError(f"attack plan 'estimate' sources must be \"self\" or a nonempty list "
                                  f"of raster paths, got {self.sources!r}")
             object.__setattr__(self, "sources", tuple(self.sources))
-            kinds = []
-            for src in self.sources:
-                kinds.append(_raster_header("filter source", src).kind)
-                if kinds[-1] == KIND_MASK_U8:
-                    raise ValueError(f"{src}: masks cannot serve as filter sources")
+            kinds = [_raster_header("filter source", src, "filter source").kind for src in self.sources]
             check_amplitude_sources(strategy, [kind == KIND_AMPLITUDE_F64 for kind in kinds])
 
     @classmethod

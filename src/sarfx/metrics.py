@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .raster import AmplitudeImage, RasterError, TamperMask, read_raster
+from .raster import AmplitudeImage, TamperMask, check_kind, read_raster
 from .spectral import gaussian_kernel_1d
 
 SSIM_WINDOW_SIZE = 11
@@ -329,27 +329,18 @@ def read_fingerprint(path) -> np.ndarray:
     """Detector scores from a raster file: the values of an amplitude raster,
     or the real plane of a complex one (fingerprints may carry negative
     scores). A mask raster is rejected rather than scored."""
-    image = read_raster(path)
-    if isinstance(image, TamperMask):
-        raise RasterError(f"{path}: masks cannot serve as fingerprints")
-    return image.values.real
+    check_kind(path, "fingerprint")
+    return read_raster(path).values.real
 
 
-def evaluate_pair(
-    source: AmplitudeImage,
-    reference: AmplitudeImage,
-    fingerprint=None,
-    mask: TamperMask | None = None,
-) -> MetricReport:
-    """Bundle the full metric set for one (source, reference) image pair.
+def evaluate_pair(source: AmplitudeImage, reference: AmplitudeImage) -> MetricReport:
+    """The quality metrics of one (source, reference) image pair; a caller that
+    scores a fingerprint attaches its ``auc_roc`` with ``dataclasses.replace``.
 
     One SSIM pass serves both SSIM (its first scale) and MS-SSIM, and
     |Delta-ENL| reuses the two ENLs; every value equals what the standalone
     function returns.
     """
-    if (fingerprint is None) != (mask is None):
-        raise ValueError("AUC needs both a fingerprint and a mask")
-    auc = None if fingerprint is None else auc_roc(fingerprint, mask, polarity="max")
     pa, pb, drange = _planes(source, reference)
     terms = _ssim_terms(pa, pb, drange, ms_ssim_scale_count(pa.shape))
     msssim = _combine_scales(terms, pa.shape)
@@ -361,5 +352,4 @@ def evaluate_pair(
         enl_source=enl_source,
         enl_reference=enl_reference,
         delta_enl_pct=_delta_enl_pct(enl_source, enl_reference),
-        auc=auc,
     )

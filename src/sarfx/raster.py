@@ -200,6 +200,28 @@ def read_header(path) -> RasterHeader:
     return RasterHeader(kind, height, width, bits)
 
 
+# The kinds of raster that may fill each role a config or command names: the released
+# amplitude product is edited and attacked, a complex sibling can reveal H, a mask marks the splice.
+_KIND_NAMES = {KIND_AMPLITUDE_F64: "an amplitude", KIND_COMPLEX_F64: "a complex", KIND_MASK_U8: "a mask"}
+ROLE_KINDS = {
+    "manifest tile": {KIND_AMPLITUDE_F64},
+    "known H": {KIND_AMPLITUDE_F64},  # a response is real: a complex one would lose its imaginary part
+    "fingerprint": {KIND_AMPLITUDE_F64, KIND_COMPLEX_F64},  # a complex one's real plane may carry signs
+    "filter source": {KIND_AMPLITUDE_F64, KIND_COMPLEX_F64},
+    "image": {KIND_AMPLITUDE_F64, KIND_COMPLEX_F64},  # to forge, attack, score or take a spectrum of
+    "mask": {KIND_MASK_U8},
+}
+
+
+def check_kind(path, role: str) -> RasterHeader:
+    """The header of the raster at ``path``, whose kind must be one that ``ROLE_KINDS`` lets fill ``role``."""
+    header = read_header(path)
+    if header.kind not in ROLE_KINDS[role]:
+        article = "an" if role[0] in "aeiou" else "a"
+        raise RasterError(f"{path}: {_KIND_NAMES[header.kind]} raster cannot serve as {article} {role}")
+    return header
+
+
 def read_raster(path) -> RasterImage:
     """Read a SARF container; round-trips :func:`write_raster` bit-exactly."""
     header = read_header(path)

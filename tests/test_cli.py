@@ -31,6 +31,7 @@ from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliErro
 from sarfx.experiment import AttackPlan, ExperimentConfig, ManifestItem, derive_seed, edit_label, worker_count
 from sarfx.forgery import EditOp, place_splice
 from sarfx.leastsq import FitDivergenceError
+from sarfx.raster import KIND_AMPLITUDE_F64, KIND_COMPLEX_F64, KIND_MASK_U8, ROLE_KINDS
 from sarfx.speckle import rng
 
 
@@ -265,15 +266,6 @@ def test_cli_error_paths(tmp_path):
     assert rc == 1
 
 
-def test_cli_spectrum_rejects_a_mask(tmp_path, capsys):
-    path = tmp_path / "mask.sarf"
-    write_raster(TamperMask(np.eye(16, dtype=np.uint8)), path)
-    assert main(["spectrum", "--input", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"sarfx: error: {path}: a mask raster has no spectrum\n"
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize("header, missing", [
     ("id,a", "b"), ("a,b,fingerprint,mask", "id"), ("pair,left,right", "id,a,b"), ("", "id,a,b"),
 ])
@@ -393,17 +385,81 @@ def test_forge_takes_a_complex_target_as_its_amplitude(tmp_path, product):
         assert (tmp_path / "complex0" / raster).read_bytes() == (tmp_path / "amp0" / raster).read_bytes()
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--a", "{mask}", "--b", "{amp}"], "{mask}: expected an amplitude raster, got TamperMask"),
-    (["--a", "{amp}", "--b", "{amp}", "--mask", "{amp}"], "{amp}: expected a mask raster"),
-], ids=["mask-as-image", "amplitude-as-mask"])
-def test_metrics_rejects_a_raster_of_the_other_kind(tmp_path, product, capsys, flags, message):
-    paths = {"amp": product["amp0"], "mask": tmp_path / "mask.sarf"}
-    write_raster(TamperMask(np.eye(128, dtype=np.uint8)), paths["mask"])
-    assert main(["metrics", *(flag.format(**paths) for flag in flags)]) == 1
+def _set_manifest_path(config, bad):
+    config["manifest"][1]["path"] = bad
+
+
+def _set_fingerprint(config, bad):
+    config["manifest"][1]["fingerprint"] = bad
+
+
+def _set_known(config, bad):
+    config["attack"]["filter"] = {"known": bad}
+    del config["attack"]["smoothing"]  # smoothing applies only to an estimated H
+
+
+def _set_source(config, bad):
+    config["attack"]["filter"] = {"estimate": {"strategy": "direct", "sources": [bad]}}
+
+
+_CLI_TAIL = ["--seed", "1", "--out", "{out}"]
+# Every place a config or command names a raster: the role it fills, as the error names it, and
+# the config edit or argv that puts a raster {bad} there.
+_ROLE_ENTRIES = {
+    "config-manifest-path": ("manifest tile", _set_manifest_path),
+    "config-fingerprint": ("fingerprint", _set_fingerprint),
+    "config-known": ("known H", _set_known),
+    "config-source": ("filter source", _set_source),
+    "attack-known": ("known H", ["attack", "--input", "{amp0}", "--filter", "known:{bad}", *_CLI_TAIL]),
+    "attack-source": ("filter source", ["attack", "--input", "{amp0}", "--filter", "estimate:direct:{bad}",
+                                        *_CLI_TAIL]),
+    "estimate-filter-source": ("filter source", ["estimate-filter", "--strategy", "direct",
+                                                 "--sources", "{bad}", "--out", "{out}"]),
+    "attack-input": ("image", ["attack", "--input", "{bad}", "--filter", "known:{amp1}", *_CLI_TAIL]),
+    "forge-target": ("image", ["forge", "--target", "{bad}", "--donor", "{amp1}", "--region", "16x16",
+                               "--out-image", "{out}", "--out-mask", "{out}.mask"]),
+    "forge-donor": ("image", ["forge", "--target", "{amp0}", "--donor", "{bad}", "--region", "16x16",
+                              "--out-image", "{out}", "--out-mask", "{out}.mask"]),
+    "metrics-a": ("image", ["metrics", "--a", "{bad}", "--b", "{amp0}", "--out", "{out}"]),
+    "spectrum-input": ("image", ["spectrum", "--input", "{bad}", "--out", "{out}"]),
+    "metrics-fingerprint": ("fingerprint", ["metrics", "--a", "{amp0}", "--b", "{amp1}", "--fingerprint",
+                                            "{bad}", "--mask", "{mask}", "--out", "{out}"]),
+    "metrics-mask": ("mask", ["metrics", "--a", "{amp0}", "--b", "{amp1}", "--fingerprint", "{amp1}",
+                              "--mask", "{bad}", "--out", "{out}"]),
+}
+_KINDS = {KIND_AMPLITUDE_F64: "amplitude", KIND_COMPLEX_F64: "complex", KIND_MASK_U8: "mask"}
+
+
+def test_role_entries_cover_every_role():
+    assert {role for role, _ in _ROLE_ENTRIES.values()} == set(ROLE_KINDS)
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, _KINDS[kind]) for entry, (role, _) in _ROLE_ENTRIES.items()
+    for kind in sorted(_KINDS.keys() - ROLE_KINDS[role])])
+def test_a_raster_of_a_kind_its_role_does_not_take_is_one_error_line(tmp_path, product, capsys,
+                                                                      entry, kind):
+    # each role's kinds come from one table, and every entry point rejects the others by the header
+    write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
+    names = {**{key: str(path) for key, path in product.items()}, "mask": str(tmp_path / "mask.sarf"),
+             "out": str(tmp_path / "out")}
+    bad = {"amplitude": names["amp1"], "complex": names["complex1"], "mask": names["mask"]}[kind]
+    role, how = _ROLE_ENTRIES[entry]
+    if callable(how):  # a config entry, checked at load
+        config_path = _experiment_config(tmp_path, product, "out")
+        config = json.loads(config_path.read_text())
+        how(config, bad)
+        config_path.write_text(json.dumps(config))
+        argv = ["experiment", "--config", str(config_path)]
+    else:
+        argv = [arg.format(bad=bad, **names) for arg in how]
+    assert main(argv) == 1
+    kind_phrase = "an amplitude" if kind == "amplitude" else f"a {kind}"
+    role_phrase = "an image" if role == "image" else f"a {role}"
     captured = capsys.readouterr()
-    assert captured.err == f"sarfx: error: {message.format(**paths)}\n"
+    assert captured.err == f"sarfx: error: {bad}: {kind_phrase} raster cannot serve as {role_phrase}\n"
     assert captured.out == ""
+    assert [path.name for path in tmp_path.glob("out*")] in ([], ["out.json"])  # nothing written
 
 
 @pytest.mark.parametrize("size", ["0", "-4"])
@@ -445,24 +501,13 @@ _BAD_ATTACK_FLAGS = {
                          "invalid estimation strategy 'wiener'; "
                          "accepted: ['gaussian', 'raised_cosine', 'direct']"),
     "even-smoothing-kernel": (["--filter", "estimate:direct:{complex1}", "--smoothing-kernel", "4"],
-                              "attack plan 'smoothing': kernel size must be a positive odd "
-                              "integer, got 4"),
+                              "--smoothing-kernel: kernel size must be a positive odd integer, got 4"),
     "speckle-sigma-flag": (["--filter", "estimate:direct:{complex1}", "--speckle-sigma", "1"],
                            None),  # retired: the speckle has unit energy, and argparse exits 2
     "known-filter-with-smoothing": (["--filter", "known:{amp1}", "--smoothing-sigma", "5"], _KNOWN_SMOOTHING),
     "infinite-smoothing-sigma": (["--filter", "estimate:direct:{complex1}", "--smoothing-sigma", "inf"],
-                                 "attack plan 'smoothing': sigma must be a positive number, got inf"),
+                                 "--smoothing-sigma: sigma must be a positive number, got inf"),
 }
-
-
-def test_attack_rejects_a_complex_known_filter(tmp_path, product, capsys):
-    # a response is real: casting a complex raster to one would drop its imaginary part
-    path = product["complex1"]
-    assert main(["attack", "--input", str(product["amp0"]), "--filter", f"known:{path}",
-                 "--seed", "1", "--out", str(tmp_path / "out.sarf")]) == 1
-    assert capsys.readouterr().err == (
-        f"sarfx: error: {path}: a known H must be a real raster, not a complex one\n")
-    assert not list(tmp_path.glob("out.sarf*"))
 
 
 _AMPLITUDE_COUNT = "amplitude-only estimation takes exactly one amplitude image"
@@ -472,8 +517,9 @@ _BAD_PLAN_RASTERS = {  # filter spec and message, {name} naming a raster of the 
                                "curve fits do not converge on amplitude spectra"),
     "two-amplitude-sources": ("estimate:direct:{amp0},{amp1}", _AMPLITUDE_COUNT),
     "amplitude-beside-complex": ("estimate:direct:{complex1},{amp1}", _AMPLITUDE_COUNT),
-    "mask-source": ("estimate:direct:{mask}", "{mask}: masks cannot serve as filter sources"),
-    "complex-known": ("known:{complex1}", "{complex1}: a known H must be a real raster, not a complex one"),
+    "mask-source": ("estimate:direct:{mask}", "{mask}: a mask raster cannot serve as a filter source"),
+    "complex-known": ("known:{complex1}", "{complex1}: a complex raster cannot serve as a known H"),
+    "mask-known": ("known:{mask}", "{mask}: a mask raster cannot serve as a known H"),  # once read as H
 }
 
 
@@ -515,11 +561,14 @@ def test_attack_flags_are_checked_like_the_config_attack_plan(tmp_path, product,
     (["--smoothing-sigma", "inf"], "--smoothing-sigma: sigma must be a positive number, got inf"),
 ], ids=["even-kernel", "negative-sigma", "infinite-sigma"])
 def test_estimate_filter_smoothing_errors_name_the_flag(tmp_path, product, capsys, flags, message):
+    # sarfx attack builds its plan through the same helper, so a bad flag reads the same there
     out = tmp_path / "h.sarf"
-    assert main(["estimate-filter", "--strategy", "raised-cosine", "--sources", str(product["complex0"]),
-                 "--out", str(out), *flags]) == 1
-    assert capsys.readouterr().err == f"sarfx: error: {message}\n"
-    assert not list(tmp_path.glob("h.sarf*"))
+    for argv in (["estimate-filter", "--strategy", "raised-cosine", "--sources", str(product["complex0"])],
+                 ["attack", "--input", str(product["amp0"]), "--seed", "1",
+                  "--filter", f"estimate:raised-cosine:{product['complex0']}"]):
+        assert main([*argv, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"sarfx: error: {message}\n"
+        assert not list(tmp_path.glob("h.sarf*"))
 
 
 @pytest.mark.parametrize("strategy, fields", [
@@ -791,16 +840,6 @@ def _fingerprint_run(tmp_path, product, fingerprint):
     return path, fp_path
 
 
-def test_experiment_mask_fingerprint_is_rejected_at_load(tmp_path, product, capsys):
-    # a mask raster is not detector scores: its header's kind fails the config
-    mask_plane = np.zeros((128, 128), dtype=np.uint8)
-    mask_plane[:8, :8] = 1
-    path, fp_path = _fingerprint_run(tmp_path, product, TamperMask(mask_plane))
-    assert main(["experiment", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"sarfx: error: {fp_path}: masks cannot serve as fingerprints\n"
-    assert not (tmp_path / "fp").exists()
-
-
 def test_experiment_fingerprint_of_another_shape_is_rejected_at_load(tmp_path, product, capsys):
     # 64x256 scores hold as many values as the 128x128 tile, and used to be scored
     scores = AmplitudeImage(np.random.default_rng(3).random((64, 256)))
@@ -830,6 +869,26 @@ def test_cli_metrics_rejects_a_mask_without_a_fingerprint(tmp_path, product, cap
     out = tmp_path / "m.json"
     assert main(["metrics", "--a", str(product["amp0"]), "--b", str(product["amp1"]),
                  "--mask", str(tmp_path / "m.sarf"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "sarfx: error: AUC needs both a fingerprint and a mask\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, row", [
+    (["--fingerprint", "{amp1}"], None),
+    ([], "p0,{amp0},{amp1},{amp1},"),
+    ([], "p0,{amp0},{amp1},,{mask}"),
+], ids=["fingerprint-flag-alone", "pairs-row-fingerprint-alone", "pairs-row-mask-alone"])
+def test_cli_metrics_auc_needs_a_fingerprint_and_a_mask(tmp_path, product, capsys, flags, row):
+    # evaluate_pair scores quality only; the command pairs the two halves of an AUC where they arrive
+    names = {**product, "mask": tmp_path / "m.sarf"}
+    write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), names["mask"])
+    out = tmp_path / "m.out"
+    if row is None:
+        argv = ["--a", str(product["amp0"]), "--b", str(product["amp1"]), *(f.format(**names) for f in flags)]
+    else:
+        (tmp_path / "pairs.csv").write_text(f"id,a,b,fingerprint,mask\n{row.format(**names)}\n")
+        argv = ["--pairs", str(tmp_path / "pairs.csv")]
+    assert main(["metrics", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "sarfx: error: AUC needs both a fingerprint and a mask\n"
     assert not out.exists()
 
@@ -1243,23 +1302,6 @@ def test_attack_plan_built_in_code_is_checked_like_a_loaded_one(tmp_path, produc
     with pytest.raises((ValueError, OSError)) as built:
         AttackPlan(**fields)
     assert (type(built.value), str(built.value)) == (type(loaded.value), str(loaded.value))
-
-
-@pytest.mark.parametrize("kind", ["complex", "mask"])
-def test_experiment_non_amplitude_manifest_raster_is_rejected_at_load(tmp_path, product, capsys,
-                                                                       kind):
-    path = _experiment_config(tmp_path, product, "bad")
-    config = json.loads(path.read_text())
-    if kind == "mask":
-        write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
-    config["manifest"][1]["path"] = str(product["complex1"] if kind == "complex"
-                                        else tmp_path / "mask.sarf")
-    path.write_text(json.dumps(config))
-    assert main(["experiment", "--config", str(path)]) == 1
-    err = capsys.readouterr().err.strip().split("\n")
-    assert err == [f"sarfx: error: manifest item t1 is not an amplitude raster: "
-                   f"{config['manifest'][1]['path']}"]
-    assert not (tmp_path / "bad").exists()
 
 
 def test_experiment_empty_out_dir_override_is_rejected(tmp_path, product, capsys, monkeypatch):

@@ -503,18 +503,13 @@ def test_auc_null_distribution():
 def test_evaluate_pair_report():
     a = _image((64, 64), 22, low=100, high=2000)
     b = _image((64, 64), 23, low=100, high=2000)
-    mask = _mask_with_square(64, 16, 32)
-    fingerprint = np.random.default_rng(24).random((64, 64))
-    report = evaluate_pair(a, b, fingerprint=fingerprint, mask=mask)
-    assert report.auc is not None and 0.0 <= report.auc <= 1.0
+    report = evaluate_pair(a, b)
+    assert report.auc is None  # quality only; a caller that scores a fingerprint attaches its AUC
     assert report.delta_enl_pct >= 0.0
     payload = report.to_dict()
     assert set(payload) == {
         "ssim", "msssim", "enl_source", "enl_reference", "delta_enl_pct", "auc", "auc_polarity",
     }
-    for half in ({"fingerprint": fingerprint}, {"mask": mask}):
-        with pytest.raises(ValueError, match="AUC needs both a fingerprint and a mask"):
-            evaluate_pair(a, b, **half)
 
 
 @pytest.mark.parametrize("shape", [(192, 176), (100, 100)], ids=["five-scale", "reduced"])
@@ -522,20 +517,14 @@ def test_evaluate_pair_equals_standalone_metrics(shape):
     # one SSIM pass and reused ENLs must give exactly the standalone values
     a = _image(shape, 25, low=100, high=2000)
     b = AmplitudeImage(np.clip(a.values + np.random.default_rng(26).normal(0, 60, shape), 0, None))
-    mask = TamperMask((np.arange(shape[0])[:, None] < 40) & (np.arange(shape[1])[None, :] < 50))
-    fingerprint = np.random.default_rng(27).standard_normal(shape)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = evaluate_pair(a, b, fingerprint=fingerprint, mask=mask)
-        expected = (
-            ssim(a, b), ms_ssim(a, b), enl(a), enl(b), delta_enl(a, b),
-            auc_roc(fingerprint, mask, polarity="max"),
-        )
+        report = evaluate_pair(a, b)
+        expected = (ssim(a, b), ms_ssim(a, b), enl(a), enl(b), delta_enl(a, b))
     assert (
-        report.ssim, report.msssim, report.enl_source, report.enl_reference,
-        report.delta_enl_pct, report.auc,
+        report.ssim, report.msssim, report.enl_source, report.enl_reference, report.delta_enl_pct,
     ) == expected
-    assert list(report.columns().values()) == list(expected)
+    assert list(report.columns().values()) == [*expected, None]
     # evaluate_pair and ms_ssim both warn, each pointing at this caller
     reduced = ms_ssim_scale_count(shape) < MSSSIM_WEIGHTS.size
     expected_warnings = [f"MS-SSIM reduced to 4 scales for shape {shape}"] * 2 * reduced

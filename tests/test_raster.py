@@ -398,17 +398,23 @@ def test_malformed_container_is_rejected_naming_the_path(tmp_path, data):
     assert str(path) in str(excinfo.value)
 
 
-@pytest.mark.parametrize("data, message", [
-    (_container()[:20], "truncated header (20 bytes)"),
-    (_container(kind=7, payload=bytes(96)), "unknown kind 7"),
-    (_container(height=2**63, width=2**63, payload=bytes(96)), f"payload size mismatch (got 96 bytes, header implies {2**129})"),
-    (_container(bits=200), "unsupported dynamic_range_bits 200"),
-    (_set_item(_container(), 5, -2.0), "amplitude values must be nonnegative"),
-    (_set_item(_container(kind=3), 2, 7), "mask values must be exactly 0 or 1"),
+_SPECTRUM = ["spectrum", "--input", "{bad}"]
+_METRICS_MASK = ["metrics", "--a", "{ok}", "--b", "{ok}", "--fingerprint", "{ok}", "--mask", "{bad}"]
+
+
+@pytest.mark.parametrize("data, message, argv", [
+    (_container()[:20], "truncated header (20 bytes)", _SPECTRUM),
+    (_container(kind=7, payload=bytes(96)), "unknown kind 7", _SPECTRUM),
+    (_container(height=2**63, width=2**63, payload=bytes(96)),
+     f"payload size mismatch (got 96 bytes, header implies {2**129})", _SPECTRUM),
+    (_container(bits=200), "unsupported dynamic_range_bits 200", _SPECTRUM),
+    (_set_item(_container(), 5, -2.0), "amplitude values must be nonnegative", _SPECTRUM),
+    (_set_item(_container(kind=3), 2, 7), "mask values must be exactly 0 or 1", _METRICS_MASK),  # read as a mask
 ], ids=["truncated-header", "bad-kind", "huge-dimensions", "bad-bits", "negative", "mask-byte"])
-def test_cli_malformed_input_is_one_error_line(tmp_path, capsys, data, message):
-    path = tmp_path / "bad.sarf"
+def test_cli_malformed_input_is_one_error_line(tmp_path, capsys, data, message, argv):
+    path, ok = tmp_path / "bad.sarf", tmp_path / "ok.sarf"
     path.write_bytes(data)
-    assert main(["spectrum", "--input", str(path)]) == 1
+    ok.write_bytes(_container())
+    assert main([arg.format(bad=path, ok=ok) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"sarfx: error: {path}: {message}\n"
