@@ -1304,6 +1304,23 @@ def test_attack_plan_built_in_code_is_checked_like_a_loaded_one(tmp_path, produc
     assert (type(built.value), str(built.value)) == (type(loaded.value), str(loaded.value))
 
 
+@pytest.mark.parametrize("kind", ["complex", "mask"])
+def test_experiment_non_amplitude_manifest_raster_is_rejected_at_load(tmp_path, product, capsys,
+                                                                       kind):
+    # a later manifest item is checked at load: the run makes no out dir for the items before it
+    path = _experiment_config(tmp_path, product, "bad")
+    config = json.loads(path.read_text())
+    if kind == "mask":
+        write_raster(TamperMask(np.zeros((128, 128), dtype=np.uint8)), tmp_path / "mask.sarf")
+    bad = str(product["complex1"] if kind == "complex" else tmp_path / "mask.sarf")
+    _set_manifest_path(config, bad)
+    path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == [f"sarfx: error: {bad}: a {kind} raster cannot serve as a manifest tile"]
+    assert not (tmp_path / "bad").exists()
+
+
 def test_experiment_empty_out_dir_override_is_rejected(tmp_path, product, capsys, monkeypatch):
     path = _experiment_config(tmp_path, product)
     monkeypatch.chdir(tmp_path)
