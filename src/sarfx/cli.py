@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import re
 import sys
 from dataclasses import replace
@@ -38,7 +37,7 @@ from .spectral import azimuthal_profile, check_gaussian_kernel, forward_dft, pro
 from .speckle import generate_speckle, inject_speckle, rng
 from .sysid import FitNonConvergenceError
 from .raster import tile as tile_raster
-from .tables import csv_text
+from .tables import csv_text, json_text
 
 _REGION_RE = re.compile(r"^(\d+)x(\d+)(?:\+(\d+)\+(\d+))?$")
 
@@ -216,9 +215,7 @@ def cmd_estimate_filter(args) -> int:
         "smoothing_sigma": h.smoothing[1],
         "fit_params": [None if p is None else p.__dict__ for p in h.fit_params],
     }
-    with atomic_open(str(args.out) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(json_text(sidecar), str(args.out) + ".json")
     print(f"wrote {args.out} (+ JSON sidecar)")
     return 0
 
@@ -242,7 +239,7 @@ def cmd_forge(args) -> int:
         **record,
         "seed": args.seed,
     }
-    _emit(json.dumps(provenance, indent=2, sort_keys=True) + "\n", args.out_provenance or "-")
+    _emit(json_text(provenance), args.out_provenance or "-")
     return 0
 
 
@@ -264,9 +261,9 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _score(a_path, b_path, fingerprint_path, mask_path):
+def _score(a_path, b_path, fingerprint_path, mask_path, where=""):
     if bool(fingerprint_path) != bool(mask_path):
-        raise CliError("AUC needs both a fingerprint and a mask")
+        raise CliError(f"{where}AUC needs both a fingerprint and a mask")
     a, b = _read_amplitude(a_path), _read_amplitude(b_path)
     auc = auc_roc(read_fingerprint(fingerprint_path), _read(mask_path, "mask")) if mask_path else None
     return replace(evaluate_pair(a, b), auc=auc)
@@ -275,7 +272,7 @@ def _score(a_path, b_path, fingerprint_path, mask_path):
 def cmd_metrics(args) -> int:
     if args.pairs is None:
         report = _score(args.a, args.b, args.fingerprint, args.mask)
-        _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json_text(report.to_dict()), args.out)
         return 0
 
     with open(args.pairs) as fh:
@@ -286,11 +283,12 @@ def cmd_metrics(args) -> int:
                            "a pairs CSV needs the columns id,a,b")
         rows = []
         for record in reader:  # a short row leaves None, an empty cell ""
+            where = f"{args.pairs}:{reader.line_num}: "
             for column in ("id", "a", "b"):
                 if not record[column]:
-                    raise CliError(f"{args.pairs}:{reader.line_num}: no value for column {column}")
+                    raise CliError(f"{where}no value for column {column}")
             report = _score(record["a"], record["b"], record.get("fingerprint") or None,
-                            record.get("mask") or None)
+                            record.get("mask") or None, where)
             rows.append({"id": record["id"], **report.columns()})
     _emit(csv_text(("id",) + METRIC_COLUMNS, rows), args.out)
     return 0

@@ -27,7 +27,7 @@ from .speckle import MODE_PHASE_ONLY, SPECKLE_MODES
 from .spectral import check_gaussian_kernel
 from .sysid import (ESTIMATORS, STRATEGY_DIRECT, TransferFunction, check_amplitude_sources,
                     estimate_transfer_function)
-from .tables import csv_text
+from .tables import csv_text, json_text
 
 SCHEMA_VERSION = 1
 REPORT_COLUMNS = ("id", "edit") + METRIC_COLUMNS
@@ -313,8 +313,7 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
     if attacked is not None:
         write_raster(attacked, images_dir / f"{item.id}_{label}_attacked.sarf")
     with atomic_open(images_dir / f"{item.id}_{label}_provenance.json", "w") as fh:
-        json.dump(provenance, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(provenance))
 
     # Quality metrics compare the attack output to its input when an attack
     # ran, otherwise the spliced tile to the untouched target.
@@ -364,8 +363,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     if errors:
         with atomic_open(out_dir / "errors.json", "w") as fh:
-            json.dump(errors, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(errors))
 
     return ExperimentResult(str(report_path), str(summary_path), rows, errors)
 

@@ -331,6 +331,14 @@ def splice(
     return AmplitudeImage(out, target.dynamic_range_bits, copy=False), TamperMask(mask, copy=False)
 
 
+def _place_apart(gen, count, gap, lo, hi) -> int:
+    """One place below ``count``, drawn among those at least ``gap`` from some
+    place in ``[lo, hi]``; a ``gap`` of 0 draws among all of them."""
+    places = np.arange(count)
+    places = places[(places >= lo + gap) | (places <= hi - gap)]
+    return int(places[gen.integers(places.size)])
+
+
 def draw_origins(gen, donor_shape, target_shape, box, target_origin=None, disjoint=False):
     """Draw the (row, col) origins of a ``box``-sized region in the donor and
     the target; returns ``(donor_origin, target_origin)``.
@@ -338,12 +346,28 @@ def draw_origins(gen, donor_shape, target_shape, box, target_origin=None, disjoi
     Each attempt draws donor row, donor col, target row, target col in that
     order; a given ``target_origin`` is kept and its draws are skipped. With
     ``disjoint`` (donor and target are the same tile) attempts repeat until
-    the two boxes do not overlap.
+    the two boxes do not overlap. When the boxes can be apart along one axis
+    only, there is one attempt that cannot fail: along that axis the donor is
+    drawn among the places a box away from some target place, then the target
+    among the places a box away from the donor.
     """
     bh, bw = box
     for name, (h, w) in (("edited donor", donor_shape), ("target tile", target_shape)):
         if h < bh or w < bw:
             raise RasterError(f"{name} {(h, w)} is too small for a {bh}x{bw} region")
+    if target_origin is None:  # the first and last target place along each axis
+        targets = [(0, t - b) for t, b in zip(target_shape, box)]
+    else:
+        targets = [(t, t) for t in target_origin]
+    room = [max(d - b - lo, hi) >= b for d, b, (lo, hi) in zip(donor_shape, box, targets)]
+    if disjoint and room.count(True) == 1:
+        gaps = [b if apart else 0 for b, apart in zip(box, room)]
+        donor = tuple(_place_apart(gen, d - b + 1, g, lo, hi)
+                      for d, b, g, (lo, hi) in zip(donor_shape, box, gaps, targets))
+        if target_origin is None:
+            target_origin = tuple(_place_apart(gen, t - b + 1, g, p, p)
+                                  for t, b, g, p in zip(target_shape, box, gaps, donor))
+        return donor, target_origin
 
     def draw(shape):
         return int(gen.integers(shape[0] - bh + 1)), int(gen.integers(shape[1] - bw + 1))
@@ -387,8 +411,8 @@ def random_splice(
 ):
     """Draw donor/target tiles and region placements from one product.
 
-    With a single tile, donor and target regions are re-drawn until their
-    bounding boxes are disjoint. Returns (spliced, mask, provenance dict);
+    With a single tile, donor and target bounding boxes are drawn disjoint
+    (``draw_origins``). Returns (spliced, mask, provenance dict);
     every draw is recorded and reproducible from the seed.
     """
     tiles = list(product_tiles)

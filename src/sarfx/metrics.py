@@ -12,8 +12,7 @@ that departs from its neighbourhood, which a splice leaves and the attack hides.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,8 +28,10 @@ SSIM_K2 = 0.03
 _RAW_MSSSIM_WEIGHTS = np.array([0.0448, 0.2856, 0.3001, 0.2363, 0.1333])
 MSSSIM_WEIGHTS = _RAW_MSSSIM_WEIGHTS / _RAW_MSSSIM_WEIGHTS.sum()
 
-# Column names of a scored pair in every table (experiment report, batch CSV).
-METRIC_COLUMNS = ("ssim", "msssim", "enl_a", "enl_b", "delta_enl_pct", "auc")
+# Each table column of a scored pair (experiment report, batch CSV): its MetricReport field.
+_COLUMN_FIELDS = {"ssim": "ssim", "msssim": "msssim", "enl_a": "enl_source", "enl_b": "enl_reference",
+                  "delta_enl_pct": "delta_enl_pct", "auc": "auc"}
+METRIC_COLUMNS = tuple(_COLUMN_FIELDS)
 
 
 class DegenerateRegionError(ValueError):
@@ -39,21 +40,23 @@ class DegenerateRegionError(ValueError):
 
 @dataclass(frozen=True)
 class MetricReport:
-    """One evaluation row; AUC is present only when a fingerprint was scored."""
+    """The whole record of one scored pair; AUC is present only when a fingerprint was scored."""
 
     ssim: float
     msssim: float
     enl_source: float
     enl_reference: float
     delta_enl_pct: float
+    msssim_scales: int
     auc: float | None = None
-    auc_polarity: str = "max"
 
     def __post_init__(self):
         if not -1.0 <= self.ssim <= 1.0 + 1e-12:
             raise ValueError(f"ssim out of range: {self.ssim}")
         if not -1.0 <= self.msssim <= 1.0 + 1e-12:
             raise ValueError(f"msssim out of range: {self.msssim}")
+        if self.msssim_scales not in range(1, MSSSIM_WEIGHTS.size + 1):
+            raise ValueError(f"msssim_scales out of range: {self.msssim_scales}")
         if self.enl_source <= 0 or self.enl_reference <= 0:
             raise ValueError("ENL values must be positive")
         if self.delta_enl_pct < 0:
@@ -65,8 +68,8 @@ class MetricReport:
         return asdict(self)
 
     def columns(self) -> dict:
-        """The report's values keyed by ``METRIC_COLUMNS``, its first six fields."""
-        return dict(zip(METRIC_COLUMNS, astuple(self)[: len(METRIC_COLUMNS)]))
+        """The report's table values keyed by ``METRIC_COLUMNS``."""
+        return {column: getattr(self, name) for column, name in _COLUMN_FIELDS.items()}
 
 
 def _as_plane(image, what: str) -> np.ndarray:
@@ -204,18 +207,18 @@ def ms_ssim_scale_count(shape: tuple[int, int]) -> int:
 
 
 def _downsample2(plane: np.ndarray) -> np.ndarray:
+    """2x2 means, an odd last row or column dropped: four strided views summed in order, then scaled."""
     h, w = plane.shape
     trimmed = plane[: 2 * (h // 2), : 2 * (w // 2)]
-    return 0.25 * (
-        trimmed[0::2, 0::2] + trimmed[1::2, 0::2] + trimmed[0::2, 1::2] + trimmed[1::2, 1::2]
-    )
+    out = np.add(trimmed[0::2, 0::2], trimmed[1::2, 0::2])
+    out += trimmed[0::2, 1::2]
+    out += trimmed[1::2, 1::2]
+    out *= 0.25
+    return out
 
 
-def _combine_scales(terms, shape) -> float:
-    # stacklevel 3 points the warning at the caller of ms_ssim / evaluate_pair
+def _combine_scales(terms) -> float:
     n_scales = len(terms)
-    if n_scales < MSSSIM_WEIGHTS.size:
-        warnings.warn(f"MS-SSIM reduced to {n_scales} scales for shape {shape}", stacklevel=3)
     weights = MSSSIM_WEIGHTS[:n_scales] / MSSSIM_WEIGHTS[:n_scales].sum()
     score = 1.0
     for level, (full, cs) in enumerate(terms):
@@ -229,13 +232,13 @@ def ms_ssim(a: AmplitudeImage, b: AmplitudeImage) -> float:
 
     Contrast-structure terms are accumulated at the coarser scales and the
     full SSIM enters at the last scale; inputs too small for five scales use
-    as many scales as fit (weights renormalized) and emit a warning.
+    as many scales as fit (``ms_ssim_scale_count``), weights renormalized.
     """
     pa, pb, drange = _planes(a, b)
     n_scales = ms_ssim_scale_count(pa.shape)
     if n_scales == 0:
         raise ValueError(f"images of shape {pa.shape} support no MS-SSIM scale")
-    return _combine_scales(_ssim_terms(pa, pb, drange, n_scales), pa.shape)
+    return _combine_scales(_ssim_terms(pa, pb, drange, n_scales))
 
 
 def enl(image, region=None) -> float:
@@ -337,19 +340,18 @@ def evaluate_pair(source: AmplitudeImage, reference: AmplitudeImage) -> MetricRe
     """The quality metrics of one (source, reference) image pair; a caller that
     scores a fingerprint attaches its ``auc_roc`` with ``dataclasses.replace``.
 
-    One SSIM pass serves both SSIM (its first scale) and MS-SSIM, and
-    |Delta-ENL| reuses the two ENLs; every value equals what the standalone
-    function returns.
+    One SSIM pass serves both SSIM (its first scale) and MS-SSIM, whose scale
+    count the report keeps, and |Delta-ENL| reuses the two ENLs; every value
+    equals what the standalone function returns.
     """
     pa, pb, drange = _planes(source, reference)
     terms = _ssim_terms(pa, pb, drange, ms_ssim_scale_count(pa.shape))
-    msssim = _combine_scales(terms, pa.shape)
-    enl_source = enl(source)
-    enl_reference = enl(reference)
+    enl_source, enl_reference = enl(source), enl(reference)
     return MetricReport(
         ssim=terms[0][0],
-        msssim=msssim,
+        msssim=_combine_scales(terms),
         enl_source=enl_source,
         enl_reference=enl_reference,
         delta_enl_pct=_delta_enl_pct(enl_source, enl_reference),
+        msssim_scales=len(terms),
     )

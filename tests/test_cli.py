@@ -885,11 +885,13 @@ def test_cli_metrics_auc_needs_a_fingerprint_and_a_mask(tmp_path, product, capsy
     out = tmp_path / "m.out"
     if row is None:
         argv = ["--a", str(product["amp0"]), "--b", str(product["amp1"]), *(f.format(**names) for f in flags)]
-    else:
+        where = ""
+    else:  # a pairs row is named by its file and line, as a row with an empty cell is
         (tmp_path / "pairs.csv").write_text(f"id,a,b,fingerprint,mask\n{row.format(**names)}\n")
         argv = ["--pairs", str(tmp_path / "pairs.csv")]
+        where = f"{tmp_path / 'pairs.csv'}:2: "
     assert main(["metrics", *argv, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "sarfx: error: AUC needs both a fingerprint and a mask\n"
+    assert capsys.readouterr().err == f"sarfx: error: {where}AUC needs both a fingerprint and a mask\n"
     assert not out.exists()
 
 

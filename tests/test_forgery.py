@@ -19,6 +19,7 @@ from sarfx.forgery import (
     EDIT_PARAMETER_RANGES,
     GLOBAL_NOISE_LEVEL,
     _gaussian_blur,
+    draw_origins,
     edited_shape,
     place_splice,
     resize,
@@ -244,13 +245,35 @@ def test_random_splice_single_tile_without_room_for_two_regions():
     assert str(excinfo.value) == "single (64, 64) tile is too small for disjoint 40x40 regions"
 
 
-def test_random_splice_gives_up_on_disjoint_regions_after_its_attempts():
-    # a 64x32 tile holds two disjoint 32x32 boxes only at rows 0 and 32: seed 8 draws
-    # no such pair in its attempts (36 of seeds 0-199 do not)
+@pytest.mark.parametrize("op", [EditOp("none"), EditOp("upscale", range_class="near")], ids=["none", "upscale"])
+def test_random_splice_places_disjoint_regions_on_a_tile_with_room_along_one_axis(op):
+    # a 64x32 tile holds two disjoint 32x32 boxes only at rows 0 and 32; drawn by
+    # repeated attempts, 36 of these seeds found no such pair
     tile = _random_amplitude((64, 32), 25)
-    with pytest.raises(RasterError) as excinfo:
-        random_splice([tile], region=(32, 32), seed=8)
-    assert str(excinfo.value) == "could not place disjoint donor/target regions on a single tile"
+    for seed in range(200):
+        _, mask, prov = random_splice([tile], region=(32, 32), edit=op, seed=seed)
+        (dr, dc), (tr, tc) = prov["donor_origin"], prov["target_origin"]
+        assert abs(dr - tr) >= 32 and tc == 0
+        assert int(mask.values.sum()) == 32 * 32
+
+
+def test_draw_origins_apart_along_one_axis_equals_its_construction():
+    # rows have room, columns do not: the donor row is drawn among the places a box
+    # away from some target place, then the target row among those a box from it
+    for seed in range(20):
+        donor, target = draw_origins(rng(seed), (100, 40), (70, 30), (30, 25), disjoint=True)
+        gen = rng(seed)
+        rows = [p for p in range(71) if p >= 30 or p <= 40 - 30]
+        dr = rows[gen.integers(len(rows))]
+        dc = int(gen.integers(16))
+        rows = [p for p in range(41) if abs(p - dr) >= 30]
+        assert (donor, target) == ((dr, dc), (rows[gen.integers(len(rows))], int(gen.integers(6))))
+    # a given target origin keeps its place, and the donor is drawn a box away from it
+    for seed in range(20):
+        donor, target = draw_origins(rng(seed), (96, 32), (96, 32), (32, 32), target_origin=(20, 0),
+                                     disjoint=True)
+        gen = rng(seed)
+        assert target == (20, 0) and donor == (52 + gen.integers(13), gen.integers(1))
 
 
 def test_place_splice_rejects_an_edited_donor_smaller_than_the_region():

@@ -303,16 +303,32 @@ def test_ms_ssim_matches_reference_oracle():
     )
 
 
-def test_ms_ssim_scale_reduction_warns():
+def test_ms_ssim_scale_reduction_is_silent():
+    # the scale count is a MetricReport field, so a reduced MS-SSIM raises no warning
     assert ms_ssim_scale_count((176, 176)) == 5
+    assert ms_ssim_scale_count((175, 1024)) == 4
     assert ms_ssim_scale_count((100, 100)) == 4
     a = _image((100, 100), 12)
     b = _image((100, 100), 13)
-    with pytest.warns(UserWarning, match="reduced"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         value = ms_ssim(a, b)
+        report = evaluate_pair(a, b)
+    assert caught == []
     assert 0.0 <= value <= 1.0
+    assert report.msssim == value and report.msssim_scales == 4
     with pytest.raises(ValueError, match="scale"):
         ms_ssim(_image((8, 8), 14), _image((8, 8), 15))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (63, 63), (48, 37)], ids=["even", "odd", "non-square"])
+def test_downsample2_equals_the_whole_plane_expression(shape):
+    # summed into one plane and scaled in place, in the expression's order, so bit for bit
+    plane = np.random.default_rng(16).uniform(0.0, 4000.0, shape)
+    t = plane[: 2 * (shape[0] // 2), : 2 * (shape[1] // 2)]
+    expected = 0.25 * (t[0::2, 0::2] + t[1::2, 0::2] + t[0::2, 1::2] + t[1::2, 1::2])
+    out = metrics._downsample2(plane)
+    assert out.shape == expected.shape and np.array_equal(out, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +524,27 @@ def test_evaluate_pair_report():
     assert report.delta_enl_pct >= 0.0
     payload = report.to_dict()
     assert set(payload) == {
-        "ssim", "msssim", "enl_source", "enl_reference", "delta_enl_pct", "auc", "auc_polarity",
+        "ssim", "msssim", "enl_source", "enl_reference", "delta_enl_pct", "msssim_scales", "auc",
     }
+    assert payload["msssim_scales"] == 3
+
+
+def test_evaluate_pair_records_five_scales_on_a_job_tile():
+    a = _image((1024, 1024), 27, low=100, high=2000)
+    b = _image((1024, 1024), 28, low=100, high=2000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = evaluate_pair(a, b)
+    assert caught == []
+    assert report.msssim_scales == ms_ssim_scale_count(a.shape) == MSSSIM_WEIGHTS.size
+
+
+def test_metric_report_columns_are_named_not_positional():
+    report = MetricReport(ssim=0.5, msssim=0.25, enl_source=2.0, enl_reference=4.0, delta_enl_pct=50.0,
+                          msssim_scales=5, auc=0.75)
+    assert report.columns() == {"ssim": 0.5, "msssim": 0.25, "enl_a": 2.0, "enl_b": 4.0,
+                                "delta_enl_pct": 50.0, "auc": 0.75}
+    assert tuple(report.columns()) == metrics.METRIC_COLUMNS
 
 
 @pytest.mark.parametrize("shape", [(192, 176), (100, 100)], ids=["five-scale", "reduced"])
@@ -517,24 +552,24 @@ def test_evaluate_pair_equals_standalone_metrics(shape):
     # one SSIM pass and reused ENLs must give exactly the standalone values
     a = _image(shape, 25, low=100, high=2000)
     b = AmplitudeImage(np.clip(a.values + np.random.default_rng(26).normal(0, 60, shape), 0, None))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = evaluate_pair(a, b)
-        expected = (ssim(a, b), ms_ssim(a, b), enl(a), enl(b), delta_enl(a, b))
+    report = evaluate_pair(a, b)
+    expected = (ssim(a, b), ms_ssim(a, b), enl(a), enl(b), delta_enl(a, b))
     assert (
         report.ssim, report.msssim, report.enl_source, report.enl_reference, report.delta_enl_pct,
     ) == expected
     assert list(report.columns().values()) == [*expected, None]
-    # evaluate_pair and ms_ssim both warn, each pointing at this caller
-    reduced = ms_ssim_scale_count(shape) < MSSSIM_WEIGHTS.size
-    expected_warnings = [f"MS-SSIM reduced to 4 scales for shape {shape}"] * 2 * reduced
-    assert [str(w.message) for w in caught] == expected_warnings
-    assert all(w.filename == __file__ for w in caught)
+    # the report keeps the scale count ms_ssim used: four on the 100x100 pair
+    assert report.msssim_scales == ms_ssim_scale_count(shape) == {(192, 176): 5, (100, 100): 4}[shape]
 
 
 def test_metric_report_validation():
     with pytest.raises(ValueError, match="ssim"):
-        MetricReport(ssim=1.5, msssim=1.0, enl_source=1.0, enl_reference=1.0, delta_enl_pct=0.0)
+        MetricReport(ssim=1.5, msssim=1.0, enl_source=1.0, enl_reference=1.0, delta_enl_pct=0.0,
+                     msssim_scales=5)
     with pytest.raises(ValueError, match="auc"):
         MetricReport(ssim=1.0, msssim=1.0, enl_source=1.0, enl_reference=1.0,
-                     delta_enl_pct=0.0, auc=1.5)
+                     delta_enl_pct=0.0, msssim_scales=5, auc=1.5)
+    for scales in (0, 6):
+        with pytest.raises(ValueError, match="msssim_scales out of range"):
+            MetricReport(ssim=1.0, msssim=1.0, enl_source=1.0, enl_reference=1.0, delta_enl_pct=0.0,
+                         msssim_scales=scales)
