@@ -19,6 +19,7 @@ from .attack import run_attack
 from .experiment import AttackPlan, ExperimentConfig, load_filter, run_experiment
 from .forgery import (
     EDIT_KINDS,
+    RANGE_CLASSES,
     EditOp,
     place_splice,
 )
@@ -34,8 +35,8 @@ from .raster import (
     write_raster,
 )
 from .spectral import azimuthal_profile, check_gaussian_kernel, forward_dft, profile_to_csv
-from .speckle import generate_speckle, inject_speckle, rng
-from .sysid import FitNonConvergenceError
+from .speckle import SPECKLE_MODES, generate_speckle, inject_speckle, rng
+from .sysid import ESTIMATORS, FitNonConvergenceError
 from .raster import tile as tile_raster
 from .tables import csv_text, json_text
 
@@ -94,9 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--out", default="-")
 
     p_est = sub.add_parser("estimate-filter", help="estimate the system frequency response")
-    p_est.add_argument(
-        "--strategy", required=True, choices=["gaussian", "raised-cosine", "direct"]
-    )
+    p_est.add_argument("--strategy", required=True, choices=[s.replace("_", "-") for s in ESTIMATORS])
     p_est.add_argument("--sources", nargs="+", required=True)
     p_est.add_argument("--out", required=True)
     p_est.add_argument("--smoothing-sigma", type=float, default=None)
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_forge.add_argument("--target", required=True)
     p_forge.add_argument("--donor", required=True)
     p_forge.add_argument("--edit", default="none", choices=list(EDIT_KINDS))
-    p_forge.add_argument("--edit-class", default="near", choices=["near", "far", "fixed"])
+    p_forge.add_argument("--edit-class", default="near", choices=list(RANGE_CLASSES))
     p_forge.add_argument("--edit-parameter", type=float, default=None)
     p_forge.add_argument("--region", default="128x128")
     p_forge.add_argument("--seed", type=int, default=0)
@@ -120,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument(
         "--filter", required=True, help="known:<path> or estimate:<strategy>:<paths,...>"
     )
-    p_attack.add_argument("--speckle-mode", default="phase-only", choices=["full", "phase-only"])
+    p_attack.add_argument("--speckle-mode", default="phase-only",
+                          choices=[m.replace("_", "-") for m in SPECKLE_MODES])
     p_attack.add_argument("--seed", type=int, required=True)
     p_attack.add_argument("--no-histogram-match", action="store_true")
     p_attack.add_argument("--smoothing-sigma", type=float, default=None)

@@ -4,10 +4,11 @@ An experiment walks a manifest of amplitude tiles grouped by product, creates
 one splice per configured edit, optionally attacks it, and scores the result.
 All randomness is derived from the master seed through a stable hash keyed by
 item id and stage, so report files are byte-identical across runs; rows are
-emitted in manifest x edit order regardless of worker completion order. A
-shared system response H is loaded or estimated once per run, as the pool's
-first task, and each job waits for it; a job's own H is estimated from its
-splice and freed before scoring. ``SARFX_THREADS`` caps the worker pool.
+emitted in manifest x edit order regardless of worker completion order. Every
+system response H comes from ``load_filter``: a shared H is loaded or estimated
+once per run, as the pool's first task, and each job waits for it; a "self"
+plan's H is estimated in each job from its splice and freed before scoring.
+``SARFX_THREADS`` caps the worker pool.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .attack import run_attack
-from .forgery import EditOp, random_splice
+from .forgery import EDIT_PARAMETER_RANGES, EditOp, random_splice
 from .metrics import METRIC_COLUMNS, auc_roc, evaluate_pair, read_fingerprint
 from .raster import KIND_AMPLITUDE_F64, RasterHeader, atomic_open, check_kind, read_raster, write_raster
 from .speckle import MODE_PHASE_ONLY, SPECKLE_MODES
@@ -52,7 +53,8 @@ def worker_count() -> int:
 
 
 def edit_label(op: EditOp) -> str:
-    if op.kind in ("none", "gaussian_blur") or op.range_class == "fixed":
+    """The edit's name in reports and artifacts; an edit that draws its parameter names its range class."""
+    if (op.kind, op.range_class) not in EDIT_PARAMETER_RANGES:
         return op.kind
     return f"{op.kind}_{op.range_class}"
 
@@ -232,17 +234,16 @@ class AttackPlan:
         if strategy not in ESTIMATORS:
             raise ValueError(f"invalid estimation strategy {self.strategy!r}; accepted: {list(ESTIMATORS)}")
         object.__setattr__(self, "strategy", strategy)
-        if self.sources == "self" and strategy != STRATEGY_DIRECT:  # the curve fits need complex sources
-            raise ValueError(f"attack plan 'estimate' sources \"self\" are amplitude splices, which only "
-                             f"strategy 'direct' takes; got strategy {strategy!r}")
-        if self.sources != "self":
-            if not (isinstance(self.sources, (list, tuple)) and self.sources
-                    and all(isinstance(s, str) and s for s in self.sources)):
-                raise ValueError(f"attack plan 'estimate' sources must be \"self\" or a nonempty list "
-                                 f"of raster paths, got {self.sources!r}")
-            object.__setattr__(self, "sources", tuple(self.sources))
-            kinds = [_raster_header("filter source", src, "filter source").kind for src in self.sources]
-            check_amplitude_sources(strategy, [kind == KIND_AMPLITUDE_F64 for kind in kinds])
+        if self.sources == "self":  # one amplitude source, each job's splice
+            check_amplitude_sources(strategy, [True])
+            return
+        if not (isinstance(self.sources, (list, tuple)) and self.sources
+                and all(isinstance(s, str) and s for s in self.sources)):
+            raise ValueError(f"attack plan 'estimate' sources must be \"self\" or a nonempty list "
+                             f"of raster paths, got {self.sources!r}")
+        object.__setattr__(self, "sources", tuple(self.sources))
+        kinds = [_raster_header("filter source", src, "filter source").kind for src in self.sources]
+        check_amplitude_sources(strategy, [kind == KIND_AMPLITUDE_F64 for kind in kinds])
 
     @classmethod
     def from_json(cls, raw) -> "AttackPlan":
@@ -269,19 +270,21 @@ class ExperimentResult:
     errors: dict = field(default_factory=dict)
 
 
-def load_filter(plan: AttackPlan) -> TransferFunction | None:
-    """The H that every attack of a plan shares; None when each job estimates its own from its splice."""
+def load_filter(plan: AttackPlan, image=None) -> TransferFunction:
+    """The plan's H: its ``known`` raster, or its strategy's estimate from the listed
+    ``sources`` or, for "self", from ``image``, the job's splice."""
     if plan.known is not None:
         return TransferFunction(read_raster(plan.known).values)
-    if plan.sources == "self":
-        return None
-    return estimate_transfer_function([read_raster(p) for p in plan.sources], plan.strategy,
-                                      sigma=plan.smoothing_sigma, kernel_size=plan.smoothing_kernel)
+    if plan.sources == "self" and image is None:
+        raise ValueError("a \"self\" plan's H is estimated from a job's splice; pass it as 'image'")
+    sources = [image] if plan.sources == "self" else [read_raster(p) for p in plan.sources]
+    return estimate_transfer_function(sources, plan.strategy, sigma=plan.smoothing_sigma,
+                                      kernel_size=plan.smoothing_kernel)
 
 
 def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared, images_dir):
-    plan = config.attack_plan  # the shared H's future raises its load's error in every job
-    h = None if plan is None else shared["filter"].result()
+    plan = config.attack_plan  # a shared H's future raises its load's error in every job
+    h = shared["filter"].result() if "filter" in shared else None
     label = edit_label(edit)
     key = f"{item.id}/{label}"
     tiles, target_index = shared["products"][item.product], shared["index_in_product"][item.id]
@@ -297,9 +300,8 @@ def _run_job(item: ManifestItem, edit: EditOp, config: ExperimentConfig, shared,
 
     attacked = None
     if plan is not None:
-        if h is None:
-            h = estimate_transfer_function([spliced], plan.strategy, sigma=plan.smoothing_sigma,
-                                           kernel_size=plan.smoothing_kernel)
+        if h is None:  # a "self" plan's H, from this job's splice
+            h = load_filter(plan, spliced)
         seed = derive_seed(config.master_seed, key, "attack")
         attacked = run_attack(spliced, h, seed, speckle_mode=plan.speckle_mode,
                               match_histogram=plan.histogram_match)
@@ -339,7 +341,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # H is built on a worker: on the main thread its freed temporaries stayed resident. The
         # pool starts tasks in submission order, so with any worker count, one included, the load
         # is running or finished before a job waits on it.
-        if config.attack_plan is not None:
+        if config.attack_plan is not None and config.attack_plan.sources != "self":
             shared["filter"] = pool.submit(load_filter, config.attack_plan)
         for item in config.manifest:  # read while H loads, and before out_dir is made
             image = read_raster(item.path)

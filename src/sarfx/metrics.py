@@ -232,13 +232,11 @@ def ms_ssim(a: AmplitudeImage, b: AmplitudeImage) -> float:
 
     Contrast-structure terms are accumulated at the coarser scales and the
     full SSIM enters at the last scale; inputs too small for five scales use
-    as many scales as fit (``ms_ssim_scale_count``), weights renormalized.
+    as many scales as fit (``ms_ssim_scale_count``), weights renormalized; a plane
+    smaller than the window raises the SSIM pass's window error.
     """
     pa, pb, drange = _planes(a, b)
-    n_scales = ms_ssim_scale_count(pa.shape)
-    if n_scales == 0:
-        raise ValueError(f"images of shape {pa.shape} support no MS-SSIM scale")
-    return _combine_scales(_ssim_terms(pa, pb, drange, n_scales))
+    return _combine_scales(_ssim_terms(pa, pb, drange, ms_ssim_scale_count(pa.shape)))
 
 
 def enl(image, region=None) -> float:

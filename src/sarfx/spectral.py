@@ -53,6 +53,11 @@ def inverse_dft(spectrum: ComplexImage) -> ComplexImage:
     return ComplexImage(np.fft.ifft2(np.fft.ifftshift(spectrum.values)), copy=False)
 
 
+def freq_grid(n: int) -> np.ndarray:
+    """DC-centered frequency bins for an n-sample axis."""
+    return np.arange(n, dtype=np.float64) - n // 2
+
+
 def central_flip(values: np.ndarray) -> np.ndarray:
     """Map a DC-centered plane through f -> -f (index negation modulo size): the
     reversed plane rolled by one along each even axis, in one copy."""
@@ -131,10 +136,7 @@ def azimuthal_profile(spectrum: ComplexImage) -> RadialProfile:
     Ring-mean normalization, so a flat (white) spectrum yields a flat profile.
     """
     h, w = spectrum.shape
-    cy, cx = h // 2, w // 2
-    ry = np.arange(h, dtype=np.float64)[:, None] - cy
-    rx = np.arange(w, dtype=np.float64)[None, :] - cx
-    radius = np.rint(np.hypot(ry, rx)).astype(np.int64)
+    radius = np.rint(np.hypot(freq_grid(h)[:, None], freq_grid(w)[None, :])).astype(np.int64)
     power = np.abs(spectrum.values) ** 2
     counts = np.bincount(radius.ravel())
     sums = np.bincount(radius.ravel(), weights=power.ravel())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .leastsq import FitDivergenceError, least_squares
 from .raster import AmplitudeImage, ComplexImage, PlaneShape, RasterError, _check_plane, _locked
-from .spectral import central_flip, forward_dft, smooth_spectrum
+from .spectral import central_flip, forward_dft, freq_grid, smooth_spectrum
 
 STRATEGY_GAUSSIAN = "gaussian"
 STRATEGY_RAISED_COSINE = "raised_cosine"
@@ -114,11 +114,6 @@ class RaisedCosineFitParams:
             raise ValueError("A and B must be positive")
         if not (self.cutoff_x > 0 and self.cutoff_y > 0):
             raise ValueError("cutoff frequencies must be positive")
-
-
-def freq_grid(n: int) -> np.ndarray:
-    """DC-centered frequency bins for an n-sample axis."""
-    return np.arange(n, dtype=np.float64) - n // 2
 
 
 def nyquist_bins(n: int) -> float:

@@ -29,7 +29,7 @@ from sarfx import (
 from sarfx import cli, experiment, sysid
 from sarfx.cli import main, parse_args, parse_filter_spec, parse_region, CliError
 from sarfx.experiment import AttackPlan, ExperimentConfig, ManifestItem, derive_seed, edit_label, worker_count
-from sarfx.forgery import EditOp, place_splice
+from sarfx.forgery import EDIT_KINDS, RANGE_CLASSES, EditOp, place_splice
 from sarfx.leastsq import FitDivergenceError
 from sarfx.raster import KIND_AMPLITUDE_F64, KIND_COMPLEX_F64, KIND_MASK_U8, ROLE_KINDS
 from sarfx.speckle import rng
@@ -109,6 +109,19 @@ def test_region_parsing():
     for text in ("16x0", "0x16", "0x0+1+1"):
         with pytest.raises(CliError, match="^--region sides must be positive"):
             parse_region(text)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["estimate-filter", "--strategy", strategy, "--sources", "a.sarf", "--out", "h.sarf"]
+      for strategy in ("gaussian", "raised-cosine", "direct")),
+    *(["attack", "--input", "x.sarf", "--seed", "1", "--filter", "known:h.sarf", "--out", "y.sarf",
+       "--speckle-mode", mode] for mode in ("full", "phase-only")),
+    *(["forge", "--target", "t.sarf", "--donor", "d.sarf", "--out-image", "s.sarf", "--out-mask", "m.sarf",
+       "--edit-class", range_class] for range_class in ("near", "far", "fixed")),
+], ids=["gaussian", "raised-cosine", "direct", "full", "phase-only", "near", "far", "fixed"])
+def test_table_choices_accept_each_entry(argv):
+    # the choices are built from ESTIMATORS, SPECKLE_MODES and RANGE_CLASSES
+    assert getattr(parse_args(argv), argv[-2].lstrip("-").replace("-", "_")) == argv[-1]
 
 
 def test_metrics_requires_pair_or_batch():
@@ -990,6 +1003,28 @@ def test_experiment_shared_filter_is_built_on_a_pool_worker(tmp_path, product, m
     assert len(threads) == 1 and threads[0] is not threading.main_thread()
 
 
+def test_experiment_self_filter_is_loaded_per_job_from_its_splice(tmp_path, product, monkeypatch):
+    # a "self" plan submits no shared load: each job asks load_filter for H from its own splice
+    calls = []
+    load = experiment.load_filter
+
+    def recorded(plan, image=None):
+        calls.append((threading.current_thread(), image))
+        return load(plan, image)
+
+    monkeypatch.setattr(experiment, "load_filter", recorded)
+    config_path = _experiment_config(tmp_path, product, "self")
+    assert main(["experiment", "--config", str(config_path)]) == 0
+    spliced = sorted((tmp_path / "self" / "images").glob("*_spliced.sarf"))
+    assert len(calls) == len(spliced) == 4
+    assert all(thread is not threading.main_thread() for thread, _ in calls)
+    written = [read_raster(path).values for path in spliced]
+    assert sorted(k for _, image in calls for k, plane in enumerate(written)
+                  if np.array_equal(image.values, plane)) == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="^a \"self\" plan's H is estimated from a job's splice"):
+        load(ExperimentConfig.from_json(config_path).attack_plan)
+
+
 @pytest.mark.parametrize("shared_h", ["known", "estimate"])
 def test_experiment_one_worker_runs_the_shared_filter_first(tmp_path, product, monkeypatch, shared_h):
     # the load is the pool's first task, so a lone worker runs it before the jobs that wait on it
@@ -1223,8 +1258,8 @@ _RETIRED_SIGMA_S = ("unknown key(s) ['sigma_s'] in attack plan 'attack'; "
     ("known-filter-with-smoothing", _KNOWN_SMOOTHING),
     ("absent-fingerprint-file", "fingerprint path does not exist: absent.sarf"),
     ("absent-estimate-source", "filter source does not exist: absent.sarf"),
-    ("curve-fit-on-self", "attack plan 'estimate' sources \"self\" are amplitude splices, which only "
-                          "strategy 'direct' takes; got strategy 'raised_cosine'"),
+    ("curve-fit-on-self", "amplitude-only sources are permitted only with the direct strategy: "
+                          "curve fits do not converge on amplitude spectra"),
 ], ids=["bad-speckle-mode", "unknown-edit-key", "edit-without-kind", "string-edit-parameter",
         "missing-master-seed", "string-master-seed", "manifest-entry-without-path", "fractional-region",
         "region-beyond-every-tile", "string-histogram-match", "string-sigma-s",
@@ -1414,3 +1449,10 @@ def test_edit_labels():
     assert edit_label(EditOp("gaussian_blur")) == "gaussian_blur"
     assert edit_label(EditOp("upscale", range_class="far")) == "upscale_far"
     assert edit_label(EditOp("rotate", 90.0, "fixed")) == "rotate"
+    # read from EDIT_PARAMETER_RANGES; the rule it replaced is the oracle, over every valid edit
+    ops = [EditOp(kind, 1.0 if range_class == "fixed" and kind != "none" else None, range_class)
+           for kind in EDIT_KINDS for range_class in RANGE_CLASSES]
+    assert len(ops) == 15
+    for op in ops:
+        bare = op.kind in ("none", "gaussian_blur") or op.range_class == "fixed"
+        assert edit_label(op) == (op.kind if bare else f"{op.kind}_{op.range_class}")

@@ -5,7 +5,8 @@ Removing a function that the benchmark's span tracer wraps breaks only
 the package, its tests or its demos, raises nothing at all, and neither does
 a demo that needs scipy, which only the tests install, nor does a private
 helper that a cut leaves defined but uncalled; these tests make all four
-fail here.
+fail here. A rule restated beside its owner raises nothing either, so one
+test checks that the H estimate and the CLI's choice lists stay with theirs.
 """
 
 import ast
@@ -65,6 +66,21 @@ def test_no_demo_imports_scipy():
                for path in demos for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert [(name, module) for name, module in imports if (module or "").split(".")[0] == "scipy"] == []
+
+
+def test_each_decision_is_made_by_its_owner():
+    # every H of an experiment comes from load_filter, and every CLI choice list from its table
+    def estimates(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "estimate_transfer_function"]
+
+    tree = ast.parse((PACKAGE / "experiment.py").read_text())
+    load_filter, = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "load_filter")
+    assert len(estimates(tree)) == len(estimates(load_filter)) == 1
+    calls = [node for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())) if isinstance(node, ast.Call)]
+    choices = [kw.value for call in calls for kw in call.keywords if kw.arg == "choices"]
+    assert len(choices) == 4
+    assert [ast.unparse(value) for value in choices if isinstance(value, (ast.List, ast.Tuple))
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts)] == []
 
 
 def _private_definitions(tree):
